@@ -1,20 +1,18 @@
-"""Benchmark the enumeration core: compiled extension vs pure Python.
+"""Benchmark the counting kernel against a count of the configuration stream.
 
-Times the histogram kernel behind character_oracle on the acceptance-scale
-windows.  Run from the repository root:
+Times the transfer-matrix DP behind character_oracle and, as the reference,
+the histogram counted from the depth-first stream of the same window, on
+acceptance-scale windows; asserts that the two histograms are identical.
+Run from the repository root:
 
-    python benchmarks/bench_enum.py
+    PYTHONPATH=src python benchmarks/bench_enum.py
 """
 
 import statistics
 import time
 
 from fstchar import _enumpure
-
-try:
-    from fstchar import _enumcore
-except ImportError:
-    _enumcore = None
+from fstchar.admissible import degree_weight
 
 WORKLOADS = [
     ("level 2, caps (8,8), q<=20", dict(
@@ -30,7 +28,16 @@ WORKLOADS = [
 ]
 
 
-def best_of(fn, repeats=5):
+def streamed_counts(kwargs):
+    out = {}
+    for config in _enumpure.iter_configs(**kwargs):
+        degree, weight = degree_weight(config, kwargs["l"])
+        key = weight + (degree,)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def median_of(fn, repeats=5):
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -40,23 +47,18 @@ def best_of(fn, repeats=5):
 
 
 def main():
-    if _enumcore is None:
-        print("compiled core not built; timing the pure core only")
-    header = f"{'workload':42} {'configs':>9} {'pure':>10} {'compiled':>10} {'speedup':>8}"
+    header = f"{'workload':42} {'configs':>9} {'stream':>10} {'DP':>10} {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for name, kwargs in WORKLOADS:
-        pure_time, pure_counts = best_of(
+        stream_time, streamed = median_of(lambda: streamed_counts(kwargs))
+        dp_time, counted = median_of(
             lambda: _enumpure.count_weight_degree(**kwargs)
         )
-        row = f"{name:42} {sum(pure_counts.values()):>9} {pure_time * 1e3:>8.1f}ms"
-        if _enumcore is not None:
-            fast_time, fast_counts = best_of(
-                lambda: _enumcore.count_weight_degree(**kwargs)
-            )
-            assert fast_counts == pure_counts, f"kernel mismatch on {name}"
-            row += f" {fast_time * 1e3:>8.1f}ms {pure_time / fast_time:>7.1f}x"
-        print(row)
+        if counted != streamed:
+            raise SystemExit(f"kernel mismatch on {name}")
+        print(f"{name:42} {sum(counted.values()):>9} {stream_time * 1e3:>8.1f}ms"
+              f" {dp_time * 1e3:>8.1f}ms {stream_time / dp_time:>7.1f}x")
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ formula, and previously known one-variable sums -- and verifies that they
 agree coefficient-exactly, together with the recurrence system and the
 polynomial identities behind the closed formula.
 
-The enumeration hot loop has a compiled core (built from Cython) with a
-pure-Python fallback; `fstchar.admissible.KERNEL` reports which one is live,
-and setting FSTCHAR_PURE=1 before import forces the fallback.
+The oracle counts configurations with a transfer-matrix DP over positions
+and streams them, when a caller needs each one, from a depth-first walk.
+`KERNEL` names the counting kernel; it is always "pure" (pure Python).
 """
 
 from .admissible import (

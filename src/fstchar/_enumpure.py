@@ -1,7 +1,7 @@
-"""Pure-Python enumeration core for admissible configurations.
+"""Counting kernel and configuration stream for admissible configurations.
 
-Walks the tree of finitely supported sequences (a_0, a_1, ...) of nonnegative
-integers subject to
+The configurations are the finitely supported sequences (a_0, a_1, ...) of
+nonnegative integers subject to
 
   * window sums: a_i + ... + a_{i+l} <= level for every i >= 0,
   * either partial-sum initial conditions a_0+...+a_r <= init_bounds[r]
@@ -13,12 +13,12 @@ within a finite search window given by any combination of
   * caps:       per-color weights sum_{t = i-1 mod l} a_t <= caps[i-1],
   * energy_max: first moment sum t * a_t <= energy_max.
 
-At least one of q_order / energy_max must be set, otherwise the tree is
-infinite.  A compiled twin of `count_weight_degree` lives in _enumcore;
-keep the two in sync (the test suite compares them directly).
+At least one of q_order / energy_max must be set, otherwise the window is
+infinite.  `count_weight_degree` is a transfer-matrix DP over positions whose
+cost grows with the window, not with the number of configurations.
+`iter_configs` streams the configurations one at a time from a depth-first
+walk; the tests count that stream as the reference for the DP.
 """
-
-KIND = "pure"
 
 
 def _validate(l, level, init_bounds, init_prefix, q_order, caps, energy_max):
@@ -38,6 +38,34 @@ def _validate(l, level, init_bounds, init_prefix, q_order, caps, energy_max):
         raise ValueError(f"caps must have length l={l}")
 
 
+def _root(l, level, init_bounds, init_prefix, q_order, caps, energy_max):
+    """Validated start: (placed prefix, color counts, degree, energy), or None.
+
+    None means the forced prefix already leaves the window, so the window
+    holds no configuration at all.
+    """
+    _validate(l, level, init_bounds, init_prefix, q_order, caps, energy_max)
+    if init_prefix is None:
+        return [], [0] * l, 0, 0
+    a0, b0 = init_prefix
+    if a0 < 0 or b0 < 0:
+        raise ValueError("init_prefix entries must be >= 0")
+    if a0 + b0 > level:
+        return None  # the window sum over positions 0..l already fails
+    counts = [0] * l
+    counts[0] += a0
+    counts[1 % l] += b0
+    degree = a0 + (1 // l + 1) * b0
+    energy = b0
+    if q_order is not None and degree > q_order:
+        return None
+    if energy_max is not None and energy > energy_max:
+        return None
+    if caps is not None and any(c > cap for c, cap in zip(counts, caps)):
+        return None
+    return [a0, b0], counts, degree, energy
+
+
 def _walk(l, level, init_bounds, init_prefix, q_order, caps, energy_max):
     """Yield (degree, weight-tuple, live dense list) at every admissible node.
 
@@ -45,35 +73,13 @@ def _walk(l, level, init_bounds, init_prefix, q_order, caps, energy_max):
     keep it.  Every yielded node is one admissible configuration (the list
     never has trailing zeros), and each configuration appears exactly once.
     """
-    _validate(l, level, init_bounds, init_prefix, q_order, caps, energy_max)
-
-    dense = []
-    counts = [0] * l
-    degree = 0
-    energy = 0
-
-    if init_prefix is not None:
-        a0, b0 = init_prefix
-        if a0 < 0 or b0 < 0:
-            raise ValueError("init_prefix entries must be >= 0")
-        if a0 + b0 > level:
-            return  # the window sum over positions 0..l already fails
-        dense = [a0, b0]
-        while dense and dense[-1] == 0:
-            dense.pop()
-        counts[0] += a0
-        counts[1 % l] += b0
-        degree = a0 + (1 // l + 1) * b0
-        energy = b0
-        if q_order is not None and degree > q_order:
-            return
-        if energy_max is not None and energy > energy_max:
-            return
-        if caps is not None and any(c > cap for c, cap in zip(counts, caps)):
-            return
-        start = 2
-    else:
-        start = 0
+    root = _root(l, level, init_bounds, init_prefix, q_order, caps, energy_max)
+    if root is None:
+        return
+    dense, counts, degree, energy = root
+    start = len(dense)
+    while dense and dense[-1] == 0:
+        dense.pop()
 
     def rec(start, degree, energy):
         yield degree, tuple(counts), dense
@@ -119,10 +125,65 @@ def iter_configs(l, level, init_bounds=None, init_prefix=None, q_order=None,
 
 def count_weight_degree(l, level, init_bounds=None, init_prefix=None,
                         q_order=None, caps=None, energy_max=None):
-    """Histogram of admissible configurations by (n_1, ..., n_l, degree)."""
-    out = {}
-    for degree, weight, _ in _walk(l, level, init_bounds, init_prefix,
-                                   q_order, caps, energy_max):
-        key = weight + (degree,)
-        out[key] = out.get(key, 0) + 1
-    return out
+    """Histogram of admissible configurations by (n_1, ..., n_l, degree).
+
+    The DP advances a table {state: count} one position s at a time.  A state
+    is the flat tuple (a_{s-l}, ..., a_{s-1}, n_1, ..., n_l, degree[, energy])
+    -- the energy only when energy_max is set -- and its count is the number
+    of partial configurations on positions < s that reach it.  At s each state
+    places a_s = 0, or a_s = v >= 1 within the same bounds as the walk.
+    A state moves into the histogram once it can place no further unit at s
+    or beyond: degree + (s // l + 1) > q_order or energy + s > energy_max.
+    """
+    root = _root(l, level, init_bounds, init_prefix, q_order, caps, energy_max)
+    if root is None:
+        return {}
+    prefix, counts, degree, energy = root
+    window = ([0] * l + prefix)[-l:]
+    tail = (degree, energy) if energy_max is not None else (degree,)
+    table = {tuple(window + counts) + tail: 1}
+    hist = {}
+    D = 2 * l  # index of the degree in a state
+    s = len(prefix)
+    while table:
+        tf = s // l + 1
+        color = s % l
+        ci = l + color  # index of this position's color count
+        cap = caps[color] if caps is not None else None
+        init_cap = init_bounds[s] if init_bounds is not None and s < l else None
+        nxt = {}
+        for key, count in table.items():
+            degree = key[D]
+            energy = key[D + 1] if energy_max is not None else 0
+            if ((q_order is not None and degree + tf > q_order)
+                    or (energy_max is not None and s >= 1
+                        and energy + s > energy_max)):
+                hk = key[l:D + 1]
+                hist[hk] = hist.get(hk, 0) + count
+                continue
+            vmax = level - sum(key[:l])
+            if q_order is not None:
+                vmax = min(vmax, (q_order - degree) // tf)
+            if energy_max is not None and s >= 1:
+                vmax = min(vmax, (energy_max - energy) // s)
+            if cap is not None:
+                vmax = min(vmax, cap - key[ci])
+            if init_cap is not None:
+                # positions before s < l all sit in the window
+                vmax = min(vmax, init_cap - sum(key[:l]))
+            shifted = key[1:l]
+            k0 = shifted + (0,) + key[l:]
+            nxt[k0] = nxt.get(k0, 0) + count
+            before = key[l:ci]
+            after = key[ci + 1:D]
+            c = key[ci]
+            for v in range(1, vmax + 1):
+                if energy_max is not None:
+                    tail = (degree + tf * v, energy + s * v)
+                else:
+                    tail = (degree + tf * v,)
+                k = shifted + (v,) + before + (c + v,) + after + tail
+                nxt[k] = nxt.get(k, 0) + count
+        table = nxt
+        s += 1
+    return hist

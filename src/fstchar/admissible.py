@@ -1,31 +1,22 @@
-"""Brute-force oracle: enumerate admissible configurations, build characters.
+"""Brute-force oracle: count admissible configurations, build characters.
 
 A configuration is a finitely supported sequence (a_0, a_1, ...) of
 nonnegative integers, stored as a tuple with no trailing zeros.  Position t
 carries color (t mod l) + 1 and contributes (t // l + 1) to the degree per
 unit, so that the configuration of the vacuum is the empty tuple.
 
-The hot counting loop has a compiled twin (_enumcore, built from Cython);
-the pure-Python core is used when the extension is unavailable or when
-FSTCHAR_PURE is set in the environment.
+Histograms come from the transfer-matrix DP in _enumpure, which counts
+without visiting each configuration; enumerate_configs streams them one at a
+time from the depth-first walk beside it.
 """
 
-import os
 from dataclasses import dataclass
 
 from . import _enumpure
 from .charseries import CharSeries
 from .qseries import QSeries
 
-if os.environ.get("FSTCHAR_PURE"):
-    _counting = _enumpure
-else:
-    try:
-        from . import _enumcore as _counting
-    except ImportError:
-        _counting = _enumpure
-
-KERNEL = _counting.KIND
+KERNEL = "pure"
 
 
 @dataclass(frozen=True)
@@ -128,8 +119,8 @@ def weight_degree_counts(l, weight, q_order=None, caps=None, init_prefix=None,
                          energy_max=None):
     """Histogram {(n_1, ..., n_l, degree): count} over the same window.
 
-    Dispatches to the compiled core when available; semantics are identical
-    to counting the stream of enumerate_configs.
+    Counted by the transfer-matrix DP; the result equals counting the stream
+    of enumerate_configs.
     """
     weight = HighestWeight.coerce(weight)
     if init_prefix is not None:
@@ -139,7 +130,7 @@ def weight_degree_counts(l, weight, q_order=None, caps=None, init_prefix=None,
         init_prefix = tuple(init_prefix)
     else:
         init_bounds = weight.initial_bounds(l)
-    return _counting.count_weight_degree(
+    return _enumpure.count_weight_degree(
         l, weight.level, init_bounds=init_bounds, init_prefix=init_prefix,
         q_order=q_order, caps=caps, energy_max=energy_max,
     )

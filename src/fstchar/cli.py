@@ -47,8 +47,8 @@ def _read_config_file(path):
     return values
 
 
-def _merged(args, key, cast=int):
-    """Flag value if given, else config-file value, else the default."""
+def _configured(args, key, cast=int):
+    """Flag value if given, else config-file value, else None."""
     flag = getattr(args, key.replace("-", "_"), None)
     if flag is not None:
         return flag
@@ -58,7 +58,13 @@ def _merged(args, key, cast=int):
         except ValueError:
             raise CliError(f"config value for {key} is not valid: "
                            f"{args.config_values[key]!r}")
-    return DEFAULTS.get(key)
+    return None
+
+
+def _merged(args, key, cast=int):
+    """Flag value if given, else config-file value, else the default."""
+    value = _configured(args, key, cast)
+    return DEFAULTS.get(key) if value is None else value
 
 
 def _job_count(args):
@@ -72,12 +78,18 @@ def _job_count(args):
     return max(1, jobs)
 
 
+def _worker_count(jobs, n_items):
+    """Pool size for n_items tasks: no more workers than tasks or CPUs."""
+    return max(1, min(jobs, n_items, os.cpu_count() or 1))
+
+
 def _pmap(fn, items, jobs):
     """Order-preserving map, optionally across a process pool."""
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = _worker_count(jobs, len(items))
+    if workers == 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -287,12 +299,8 @@ def cmd_list_admissible(args):
     l = _merged(args, "l")
     # explicit window flags or config only: the default q bound applies only
     # when no energy bound was requested, and caps default to unbounded
-    zmax = args.zmax
-    if zmax is None and args.config_values.get("zmax") is not None:
-        zmax = int(args.config_values["zmax"])
-    qmax = args.qmax
-    if qmax is None and args.config_values.get("qmax") is not None:
-        qmax = int(args.config_values["qmax"])
+    zmax = _configured(args, "zmax")
+    qmax = _configured(args, "qmax")
     if qmax is None and args.energy_max is None:
         qmax = DEFAULTS["qmax"]
     if args.weight is None:

@@ -1,6 +1,7 @@
 import json
+import os
 
-from fstchar.cli import main
+from fstchar.cli import _worker_count, main
 
 
 def run(capsys, *argv):
@@ -175,6 +176,13 @@ class TestVerify:
         code, out, _ = run(capsys, *argv)
         assert code == 0
 
+    def test_worker_count_bounded_by_tasks_and_cpus(self):
+        cpus = os.cpu_count() or 1
+        assert _worker_count(64, 3) == min(3, cpus)
+        assert _worker_count(64, 1000) == min(64, cpus)
+        assert _worker_count(2, 0) == 1
+        assert _worker_count(1, 10) == 1
+
     def test_bad_env_cap_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("FSTCHAR_MAX_JOBS", "many")
         code, _, err = run(
@@ -249,6 +257,16 @@ class TestListAdmissible:
         )
         assert code == 0
         assert [json.loads(line) for line in out.splitlines()] == [[[], 0, [0, 0]]]
+
+    def test_bad_config_window_exits_2(self, capsys, tmp_path):
+        for line in ("zmax=abc\n", "qmax=abc\n"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(line)
+            for argv in (["list-admissible", "--weight", "1,0,0"],
+                         ["verify", "--suite", "system", "--level", "1"]):
+                code, _, err = run(capsys, "--config", str(cfg), *argv)
+                assert code == 2, (line, argv)
+                assert "not valid" in err
 
 
 class TestConfigFile:
