@@ -30,6 +30,21 @@ def _parse_int_list(text, label):
         raise CliError(f"{label} must be a comma-separated integer list, got {text!r}")
 
 
+def _parse_weight(args, l, missing, k2_zero=False):
+    """--weight as l + 1 entries >= 0 of level >= 1; with k2_zero, k0,k1,0 only."""
+    if args.weight is None:
+        raise CliError(missing)
+    weight = _parse_int_list(args.weight, "--weight")
+    if k2_zero:
+        if len(weight) != 3 or weight[2] != 0:
+            raise CliError("method fjmmt is defined for weights k0,k1,0")
+    elif len(weight) != l + 1:
+        raise CliError(f"--weight must have {l + 1} entries for l={l}")
+    if any(x < 0 for x in weight) or sum(weight) < 1:
+        raise CliError("weight entries must be >= 0 with level >= 1")
+    return weight
+
+
 def _read_config_file(path):
     values = {}
     try:
@@ -131,13 +146,7 @@ def cmd_character(args):
         raise CliError("window must be nonnegative")
 
     if method in ("oracle", "fermionic"):
-        if args.weight is None:
-            raise CliError(f"method {method} needs --weight")
-        weight = _parse_int_list(args.weight, "--weight")
-        if len(weight) != l + 1:
-            raise CliError(f"--weight must have {l + 1} entries for l={l}")
-        if any(x < 0 for x in weight) or sum(weight) < 1:
-            raise CliError("weight entries must be >= 0 with level >= 1")
+        weight = _parse_weight(args, l, f"method {method} needs --weight")
         caps = (zmax,) * l
         if method == "oracle":
             result = _oracle_char((l, weight, qmax, caps))
@@ -158,13 +167,9 @@ def cmd_character(args):
             else result.render_table()
         )
     elif method == "fjmmt":
-        if args.weight is None:
-            raise CliError("method fjmmt needs --weight k0,k1,0")
-        weight = _parse_int_list(args.weight, "--weight")
-        if len(weight) != 3 or weight[2] != 0:
-            raise CliError("method fjmmt is defined for weights k0,k1,0")
-        if any(x < 0 for x in weight) or sum(weight) < 1:
-            raise CliError("weight entries must be >= 0 with level >= 1")
+        weight = _parse_weight(
+            args, l, "method fjmmt needs --weight k0,k1,0", k2_zero=True
+        )
         result = specialize.chi_fjmmt(weight[0], weight[1], zmax, qmax)
         text = (
             _json_dumps(result.to_json())
@@ -175,14 +180,21 @@ def cmd_character(args):
     elif method == "fjmmt2":
         if args.ab is None:
             raise CliError("method fjmmt2 needs --ab a,b")
-        a, b = _parse_int_list(args.ab, "--ab")
+        ab = _parse_int_list(args.ab, "--ab")
+        if len(ab) != 2:
+            raise CliError(f"--ab must be a pair a,b, got {args.ab!r}")
+        a, b = ab
         level = _merged(args, "level")
+        if level < 1:
+            raise CliError("need level >= 1")
         sites = None
         if args.sites not in (None, "inf"):
             try:
                 sites = int(args.sites)
             except ValueError:
                 raise CliError(f"--sites must be an integer or 'inf', got {args.sites!r}")
+            if sites < 0:
+                raise CliError(f"--sites must be >= 0, got {sites}")
         if not 0 <= a <= level or b < 0:
             raise CliError(f"--ab out of range for level {level}")
         series = specialize.chi_fjmmt2(a, b, level, sites, qmax)
@@ -303,13 +315,7 @@ def cmd_list_admissible(args):
     qmax = _configured(args, "qmax")
     if qmax is None and args.energy_max is None:
         qmax = DEFAULTS["qmax"]
-    if args.weight is None:
-        raise CliError("list-admissible needs --weight")
-    weight = _parse_int_list(args.weight, "--weight")
-    if len(weight) != l + 1:
-        raise CliError(f"--weight must have {l + 1} entries for l={l}")
-    if any(x < 0 for x in weight) or sum(weight) < 1:
-        raise CliError("weight entries must be >= 0 with level >= 1")
+    weight = _parse_weight(args, l, "list-admissible needs --weight")
     init_prefix = None
     if args.init is not None:
         init_prefix = _parse_int_list(args.init, "--init")

@@ -22,7 +22,6 @@ are independent and may run in parallel.
 import itertools
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from .charseries import CharSeries
 from .qseries import QSeries, inv_pochhammer
@@ -288,55 +287,77 @@ def n_term(w, N, q_order):
     return total
 
 
-@lru_cache(maxsize=None)
-def _partitions_bounded(total, parts, largest):
-    """Weakly decreasing tuples of length `parts` with entries <= largest
-    summing to `total` (zero-padded)."""
-    if parts == 0:
-        return ((),) if total == 0 else ()
-    if total > parts * largest:
-        return ()
+def n_sequence_pairs(k, n1, n2, q_order):
+    """The NSequences with row sums n1, n2 and quadratic form <= q_order.
+
+    Returns, as a list, every NSequences with sum N_{1,*} = n1, sum N_{2,*} =
+    n2 and Q(N) = sum N_{1,i}^2 + N_{2,i}^2 + N_{1,i} N_{2,i} <= q_order; no
+    other sequence is built.  The pairs (N_{1,i}, N_{2,i}) are chosen one
+    position at a time, N_1 weakly decreasing and N_2 weakly increasing,
+    carrying the partial form.  Since a^2 + b^2 + ab is convex and of degree
+    2, m positions with remaining sums r1, r2 add at least
+    (r1^2 + r2^2 + r1 r2) / m, and a branch is cut when that exceeds what is
+    left of q_order.
+    """
+    if k < 1:
+        raise ValueError("sequence length k must be >= 1")
     out = []
-    for first in range(min(total, largest), -1, -1):
-        for rest in _partitions_bounded(total - first, parts - 1, first):
-            out.append((first,) + rest)
-    return tuple(out)
+    if n1 < 0 or n2 < 0:
+        return out
+    row1 = [0] * k
+    row2 = [0] * k
 
+    def extend(i, top1, low2, r1, r2, partial):
+        left = k - i
+        if left * (q_order - partial) < r1 * r1 + r2 * r2 + r1 * r2:
+            return
+        if left == 1:
+            # the bound above is exact here: Q(N) <= q_order
+            if r1 <= top1 and r2 >= low2:
+                row1[i], row2[i] = r1, r2
+                out.append(NSequences(tuple(row1), tuple(row2)))
+            return
+        # the later entries are <= a and >= b, and share r1 - a and r2 - b
+        for a in range(min(top1, r1), -(-r1 // left) - 1, -1):
+            with_a = partial + a * a
+            for b in range(low2, r2 // left + 1):
+                value = with_a + b * b + a * b
+                if value > q_order:
+                    break
+                row1[i], row2[i] = a, b
+                extend(i + 1, a, b, r1 - a, r2 - b, value)
 
-def n_sequence_pairs(k, n1, n2):
-    """All NSequences with sum N_{1,*} = n1 and sum N_{2,*} = n2."""
-    firsts = _partitions_bounded(n1, k, n1)
-    seconds = _partitions_bounded(n2, k, n2)
-    return [
-        NSequences(f, tuple(reversed(s))) for f in firsts for s in seconds
-    ]
+    extend(0, n1, 0, n1, n2, 0)
+    return out
 
 
 def a_coefficient(w, n1, n2, q_order):
     """Weight-(n1, n2) coefficient of the closed character formula.
 
-    Sums q^{sum N1_i^2 + N2_i^2 + N1_i N2_i} * linear term over all
+    Sums q^{sum N1_i^2 + N2_i^2 + N1_i N2_i} * linear term over the
     NSequences with the given row sums, divided by the Pochhammer factors of
-    the successive differences on both axes.
+    the successive differences on both axes.  Only the NSequences whose base
+    exponent b is <= q_order are generated, and each summand is evaluated at
+    order q_order - b and then shifted by q^b: every factor has nonnegative
+    exponents, so this equals the product taken at the full order.
     """
     k0, k1, k2 = _check_weight3(w)
     k = k0 + k1 + k2
     if n1 < 0 or n2 < 0:
         raise ValueError("weights must be >= 0")
     total = QSeries.zero(q_order)
-    for N in n_sequence_pairs(k, n1, n2):
+    for N in n_sequence_pairs(k, n1, n2, q_order):
         base = sum(
             a * a + b * b + a * b for a, b in zip(N.n1, N.n2)
         )
-        if base > q_order:
-            continue
-        term = QSeries.monomial(base, q_order) * linear_term(w, N, q_order)
+        order = q_order - base
+        term = linear_term(w, N, order)
         if term.is_zero():
             continue
         for i in range(1, k + 1):
-            term = term * inv_pochhammer(N.N1(i) - N.N1(i + 1), q_order)
-            term = term * inv_pochhammer(N.N2(i) - N.N2(i - 1), q_order)
-        total = total + term
+            term = term * inv_pochhammer(N.N1(i) - N.N1(i + 1), order)
+            term = term * inv_pochhammer(N.N2(i) - N.N2(i - 1), order)
+        total = total + term.shift(base)
     return total
 
 

@@ -187,8 +187,13 @@ class QSeries:
 
 # -- q-special functions ----------------------------------------------------
 
+# Entries kept by each cached q-special function.  The closed formula asks
+# for them at one truncation order per distinct base exponent, so a long run
+# would otherwise keep every order it ever used.
+CACHE_SIZE = 512
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=CACHE_SIZE)
 def pochhammer(n, q_order, scale=1):
     """(q^scale; q^scale)_n = prod_{i=1..n} (1 - q^{scale*i}), truncated."""
     if n < 0:
@@ -199,7 +204,7 @@ def pochhammer(n, q_order, scale=1):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def inv_pochhammer(n, q_order, scale=1):
     """Series inverse of (q^scale; q^scale)_n.
 

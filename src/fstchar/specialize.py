@@ -65,60 +65,56 @@ def fjmmt_linear_coeffs(k, k0):
     return tuple(coeffs)
 
 
-def _parts_by_multiplicity(total, k):
-    """All (m_1, ..., m_k) >= 0 with sum j*m_j = total."""
-    out = []
-
-    def rec(prefix, j, remaining):
-        if j > k:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for count in range(remaining // j + 1):
-            rec(prefix + [count], j + 1, remaining - j * count)
-
-    rec([], 1, total)
-    return out
-
-
 def chi_fjmmt(k0, k1, z_cap, q_order):
     """Principally specialized character for weights with k_2 = 0.
 
     Coefficient of z^n sums over l_1 + l_2 = n and exponent vectors m with
     sum_j j*m_{ij} = l_i the term
     q^{m.A.m - diag(A).m + 2c.m + l_2} / prod (q^2)_{m_{ij}}.
+
+    One more unit of m_i raises the exponent by
+    2 A_ii m_i + 2 sum_{j != i} A_ij m_j + 2 c_i (+ its part size on the
+    second block), which is >= 0, and raises n by the part size, so the
+    vectors m are enumerated entry by entry and each entry stops growing
+    once the exponent exceeds q_order or n exceeds z_cap.  The denominator
+    depends only on the nonzero multiplicities, so each distinct product is
+    built once per call.
     """
     if k0 < 0 or k1 < 0 or k0 + k1 < 1:
         raise ValueError("need k0, k1 >= 0 with level k0 + k1 >= 1")
     k = k0 + k1
     matrix = fjmmt_matrix(k)
-    c = fjmmt_c_vector(k, k0)
-    diag = [matrix[i][i] for i in range(2 * k)]
-    terms = {}
-    for n in range(z_cap + 1):
-        total = QSeries.zero(q_order)
-        for l1 in range(n + 1):
-            l2 = n - l1
-            for m1 in _parts_by_multiplicity(l1, k):
-                for m2 in _parts_by_multiplicity(l2, k):
-                    m = m1 + m2
-                    quad = sum(
-                        matrix[i][j] * m[i] * m[j]
-                        for i in range(2 * k)
-                        for j in range(2 * k)
-                        if m[i] and m[j]
-                    )
-                    expo = quad + sum(
-                        (2 * c[i] - diag[i]) * m[i] for i in range(2 * k)
-                    ) + l2
-                    if expo > q_order:
-                        continue
-                    term = QSeries.monomial(expo, q_order)
-                    for mi in m:
-                        if mi:
-                            term = term * inv_pochhammer(mi, q_order, scale=2)
-                    total = total + term
-        terms[n] = total
+    linear = fjmmt_linear_coeffs(k, k0)
+    sizes = [j % k + 1 for j in range(2 * k)]  # part size of m_j in l_1 or l_2
+    # one more unit of m_i adds 2 sum_j A_ij m_j + A_ii + linear_i
+    steps = [matrix[i][i] + linear[i] for i in range(2 * k)]
+    terms = {n: QSeries.zero(q_order) for n in range(z_cap + 1)}
+    denominators = {(): QSeries.one(q_order)}
+    m = [0] * (2 * k)
+
+    def denominator(key):
+        # key: sorted nonzero multiplicities; its prefixes are keys as well
+        denom = denominators.get(key)
+        if denom is None:
+            denom = denominator(key[:-1]) * inv_pochhammer(key[-1], q_order, scale=2)
+            denominators[key] = denom
+        return denom
+
+    def extend(i, n, expo):
+        if i == 2 * k:
+            denom = denominator(tuple(sorted(x for x in m if x)))
+            terms[n] = terms[n] + denom.shift(expo).truncate(q_order)
+            return
+        row = matrix[i]
+        while n <= z_cap and expo <= q_order:
+            extend(i + 1, n, expo)
+            # entries after i are still 0
+            expo += 2 * sum(row[j] * m[j] for j in range(i + 1)) + steps[i]
+            m[i] += 1
+            n += sizes[i]
+        m[i] = 0
+
+    extend(0, 0, 0)
     return SpecializedSeries(terms=terms)
 
 

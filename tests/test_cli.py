@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from fstchar.cli import _worker_count, main
 
 
@@ -87,6 +89,60 @@ class TestCharacter:
         assert default_out == inf_out
         code, _, _ = run(capsys, *base, "--sites", "nonsense")
         assert code == 2
+
+    @pytest.mark.parametrize("ab", ["1,2,3", "1"])
+    def test_fjmmt2_malformed_ab_exits_2(self, capsys, ab):
+        code, _, err = run(
+            capsys, "character", "--method", "fjmmt2", "--ab", ab,
+            "--level", "3", "--qmax", "10",
+        )
+        assert code == 2
+        assert "--ab must be a pair" in err
+
+    def test_fjmmt2_level_zero_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "character", "--method", "fjmmt2", "--ab", "0,0",
+            "--level", "0", "--qmax", "5",
+        )
+        assert code == 2 and out == ""
+        assert "need level >= 1" in err
+
+    def test_fjmmt2_negative_sites_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "character", "--method", "fjmmt2", "--ab", "1,0",
+            "--level", "1", "--qmax", "10", "--sites=-5",
+        )
+        assert code == 2 and out == ""
+        assert "--sites must be >= 0" in err
+
+    # every subcommand path that reads --weight, with its l
+    WEIGHT_PATHS = [
+        ("character", "--method", "oracle", "--l", "2"),
+        ("character", "--method", "fermionic", "--l", "2"),
+        ("character", "--method", "fjmmt", "--l", "2"),
+        ("list-admissible", "--l", "2"),
+    ]
+
+    @pytest.mark.parametrize("path", WEIGHT_PATHS)
+    @pytest.mark.parametrize("weight", ["1,-1,0", "0,0,0"])
+    def test_weight_sign_and_level_rejected(self, capsys, path, weight):
+        code, out, err = run(
+            capsys, *path, f"--weight={weight}", "--zmax", "2", "--qmax", "4",
+        )
+        assert code == 2 and out == ""
+        assert "weight entries must be >= 0 with level >= 1" in err
+
+    @pytest.mark.parametrize("path", WEIGHT_PATHS)
+    @pytest.mark.parametrize("weight", ["1,0", "1,0,0,0"])
+    def test_weight_length_rejected(self, capsys, path, weight):
+        code, out, err = run(
+            capsys, *path, f"--weight={weight}", "--zmax", "2", "--qmax", "4",
+        )
+        assert code == 2 and out == ""
+        if "fjmmt" in path:
+            assert "method fjmmt is defined for weights k0,k1,0" in err
+        else:
+            assert "--weight must have 3 entries for l=2" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "char.json"

@@ -1,4 +1,9 @@
+import itertools
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import POLY_ORDER, nsequence_battery
 
@@ -16,6 +21,7 @@ from fstchar.fermionic import (
     linear_term_alt,
     linear_term_star,
     m_term,
+    n_sequence_pairs,
     n_term,
     pattern_le,
     patterns,
@@ -263,6 +269,67 @@ class TestStarAndFlippedSums:
         assert all(e == 0 for e in m.coeffs)
 
 
+@lru_cache(maxsize=None)
+def _monotone_rows(k, total):
+    """Weakly decreasing k-tuples summing to total, filtered from all k-tuples."""
+    return [
+        t for t in itertools.product(range(total + 1), repeat=k)
+        if sum(t) == total and all(t[i] >= t[i + 1] for i in range(k - 1))
+    ]
+
+
+def _all_pairs(k, n1, n2):
+    """Every NSequences with the given row sums, whatever its quadratic form."""
+    return [
+        NSequences(f, tuple(reversed(s)))
+        for f in _monotone_rows(k, n1) for s in _monotone_rows(k, n2)
+    ]
+
+
+def _base(N):
+    return sum(a * a + b * b + a * b for a, b in zip(N.n1, N.n2))
+
+
+def _a_coefficient_full_order(w, n1, n2, q_order):
+    """The unpruned sum: every NSequences built, each product at full order."""
+    k = sum(w)
+    total = QSeries.zero(q_order)
+    for N in _all_pairs(k, n1, n2):
+        base = _base(N)
+        if base > q_order:
+            continue
+        term = QSeries.monomial(base, q_order) * linear_term(w, N, q_order)
+        for i in range(1, k + 1):
+            term = term * inv_pochhammer(N.N1(i) - N.N1(i + 1), q_order)
+            term = term * inv_pochhammer(N.N2(i) - N.N2(i - 1), q_order)
+        total = total + term
+    return total
+
+
+class TestNSequencePairs:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 7), st.integers(0, 7),
+           st.integers(-1, 40))
+    def test_matches_filtered_enumeration(self, k, n1, n2, q_order):
+        got = [(N.n1, N.n2) for N in n_sequence_pairs(k, n1, n2, q_order)]
+        expected = [
+            (N.n1, N.n2) for N in _all_pairs(k, n1, n2) if _base(N) <= q_order
+        ]
+        assert len(set(got)) == len(got)
+        assert sorted(got) == sorted(expected)
+
+    def test_window_edges(self):
+        assert n_sequence_pairs(3, 0, 0, -1) == []
+        assert n_sequence_pairs(3, 0, 0, 0) == [NSequences((0,) * 3, (0,) * 3)]
+        # q_order above every form: all pairs, p_3(6)^2 = 7^2 of them
+        assert len(n_sequence_pairs(3, 6, 6, 200)) == 49
+        assert n_sequence_pairs(2, -1, 0, 10) == []
+
+    def test_rejects_empty_sequences(self):
+        with pytest.raises(ValueError):
+            n_sequence_pairs(0, 0, 0, 5)
+
+
 class TestACoefficient:
     def test_vacuum(self):
         for w in LEVEL2_WEIGHTS:
@@ -284,6 +351,17 @@ class TestACoefficient:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             a_coefficient((1, 0, 0), -1, 0, 5)
+
+    @pytest.mark.parametrize("w, q_order", [
+        ((1, 1, 1), 30), ((3, 0, 0), 30), ((0, 1, 2), 30),
+        ((2, 1, 1), 28), ((0, 4, 0), 28), ((1, 0, 3), 28),
+    ])
+    def test_matches_unpruned_full_order_sum(self, w, q_order):
+        for n1 in range(8):
+            for n2 in range(8):
+                assert a_coefficient(w, n1, n2, q_order) == (
+                    _a_coefficient_full_order(w, n1, n2, q_order)
+                ), (w, n1, n2)
 
 
 class TestCharacterFermionic:

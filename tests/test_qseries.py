@@ -138,6 +138,22 @@ class TestPochhammer:
     def test_scaled_pochhammer(self):
         assert pochhammer(2, 10, scale=2) == substitute_q_squared(pochhammer(2, 5))
 
+    @pytest.mark.parametrize("fn", [pochhammer, inv_pochhammer])
+    def test_cache_is_bounded(self, fn):
+        maxsize = fn.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
+    @pytest.mark.parametrize("fn", [pochhammer, inv_pochhammer])
+    def test_cache_evicts_and_recomputes(self, fn):
+        maxsize = fn.cache_info().maxsize
+        orders = range(maxsize + 20)
+        first = [fn(3, q) for q in orders]
+        assert fn.cache_info().currsize <= maxsize
+        # the early orders were evicted; recomputing them gives the same values
+        assert [fn(3, q) for q in orders] == first
+        assert fn.cache_info().currsize <= maxsize
+        assert first == [fn.__wrapped__(3, q) for q in orders]
+
 
 class TestGaussianBinomial:
     def test_out_of_range_is_zero(self):

@@ -1,10 +1,11 @@
+import itertools
 import json
 from importlib import resources
 
 import pytest
 
 from fstchar.admissible import character_oracle
-from fstchar.qseries import QSeries
+from fstchar.qseries import QSeries, inv_pochhammer
 from fstchar.specialize import (
     bounded_census,
     chi_fjmmt,
@@ -53,7 +54,49 @@ class TestExponentData:
             fjmmt2_r_vector(2, 2, 1)
 
 
+def _parts_by_multiplicity(total, k):
+    """All (m_1, ..., m_k) >= 0 with sum j*m_j = total."""
+    return [
+        m for m in itertools.product(range(total + 1), repeat=k)
+        if sum((j + 1) * x for j, x in enumerate(m)) == total
+    ]
+
+
+def _chi_fjmmt_unpruned(k0, k1, z_cap, q_order):
+    """Every exponent vector m with sum_j j*m_j = l_i built, then filtered."""
+    k = k0 + k1
+    matrix = fjmmt_matrix(k)
+    c = [0] * k0 + list(range(1, k1 + 1)) + [0] * k
+    terms = {}
+    for n in range(z_cap + 1):
+        total = QSeries.zero(q_order)
+        for l1 in range(n + 1):
+            for m1 in _parts_by_multiplicity(l1, k):
+                for m2 in _parts_by_multiplicity(n - l1, k):
+                    m = m1 + m2
+                    expo = sum(
+                        matrix[i][j] * m[i] * m[j]
+                        for i in range(2 * k) for j in range(2 * k)
+                    ) + sum(
+                        (2 * c[i] - matrix[i][i]) * m[i] for i in range(2 * k)
+                    ) + n - l1
+                    if expo > q_order:
+                        continue
+                    term = QSeries.monomial(expo, q_order)
+                    for mi in m:
+                        term = term * inv_pochhammer(mi, q_order, scale=2)
+                    total = total + term
+        terms[n] = total
+    return terms
+
+
 class TestChiFjmmt:
+    @pytest.mark.parametrize("k0, k1", [
+        (k0, level - k0) for level in range(1, 4) for k0 in range(level + 1)
+    ])
+    def test_matches_unpruned_sum(self, k0, k1):
+        assert chi_fjmmt(k0, k1, 6, 30).terms == _chi_fjmmt_unpruned(k0, k1, 6, 30)
+
     def test_empty_exponent_term(self):
         out = chi_fjmmt(2, 0, 3, 12)
         assert out.terms[0] == QSeries.one(12)
