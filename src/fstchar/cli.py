@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
@@ -82,15 +83,33 @@ def _merged(args, key, cast=int):
     return DEFAULTS.get(key) if value is None else value
 
 
-def _job_count(args):
-    jobs = _merged(args, "jobs")
+def _check_settings(l, jobs, l2_only=None, **bounds):
+    """Reject the run settings that no subcommand accepts (exit 2).
+
+    l and jobs must be >= 1; `l2_only`, when given, names the method, suite
+    or flag that is defined only for l = 2; every bound (zmax, qmax,
+    energy_max) must be None or >= 0.
+    """
+    if l < 1:
+        raise CliError(f"--l must be >= 1, got {l}")
+    if l2_only and l != 2:
+        raise CliError(f"{l2_only} requires --l 2")
+    if jobs < 1:
+        raise CliError(f"--jobs must be >= 1, got {jobs}")
+    for name, value in bounds.items():
+        if value is not None and value < 0:
+            raise CliError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+
+
+def _job_count(jobs):
+    """`jobs`, capped by FSTCHAR_MAX_JOBS when that is set."""
     cap = os.environ.get("FSTCHAR_MAX_JOBS")
     if cap:
         try:
             jobs = min(jobs, max(1, int(cap)))
         except ValueError:
             raise CliError(f"FSTCHAR_MAX_JOBS must be an integer, got {cap!r}")
-    return max(1, jobs)
+    return jobs
 
 
 def _worker_count(jobs, n_items):
@@ -139,11 +158,12 @@ def cmd_character(args):
     l = _merged(args, "l")
     zmax = _merged(args, "zmax")
     qmax = _merged(args, "qmax")
-    jobs = _job_count(args)
-    if method in ("fermionic", "fjmmt", "fjmmt2") and l != 2:
-        raise CliError(f"method {method} requires --l 2")
-    if zmax < 0 or qmax < 0:
-        raise CliError("window must be nonnegative")
+    jobs = _merged(args, "jobs")
+    l2_only = None
+    if method in ("fermionic", "fjmmt", "fjmmt2"):
+        l2_only = f"method {method}"
+    _check_settings(l, jobs, l2_only, zmax=zmax, qmax=qmax)
+    jobs = _job_count(jobs)
 
     if method in ("oracle", "fermionic"):
         weight = _parse_weight(args, l, f"method {method} needs --weight")
@@ -273,9 +293,12 @@ def cmd_verify(args):
     level = _merged(args, "level")
     zmax = _merged(args, "zmax")
     qmax = _merged(args, "qmax")
-    jobs = _job_count(args)
-    if level < 1 or l < 1:
-        raise CliError("need level >= 1 and l >= 1")
+    jobs = _merged(args, "jobs")
+    l2_only = f"suite {suite}" if suite in ("fjmmt", "fjmmt2") else None
+    _check_settings(l, jobs, l2_only, zmax=zmax, qmax=qmax)
+    jobs = _job_count(jobs)
+    if level < 1:
+        raise CliError("need level >= 1")
     reports = []
     if suite in ("system", "all"):
         reports.extend(_system_suite(l, level, zmax, qmax, jobs, args.golden))
@@ -315,14 +338,16 @@ def cmd_list_admissible(args):
     qmax = _configured(args, "qmax")
     if qmax is None and args.energy_max is None:
         qmax = DEFAULTS["qmax"]
+    _check_settings(
+        l, _merged(args, "jobs"), "--init" if args.init is not None else None,
+        zmax=zmax, qmax=qmax, energy_max=args.energy_max,
+    )
     weight = _parse_weight(args, l, "list-admissible needs --weight")
     init_prefix = None
     if args.init is not None:
         init_prefix = _parse_int_list(args.init, "--init")
         if len(init_prefix) != 2:
             raise CliError("--init must be a pair a,b")
-        if l != 2:
-            raise CliError("--init requires --l 2")
     caps = (zmax,) * l if zmax is not None else None
     try:
         stream = admissible.enumerate_configs(
@@ -353,6 +378,10 @@ def build_parser():
         "verification suites tying them together.",
     )
     parser.add_argument("--config", help="key=value config file (flags win)")
+    parser.add_argument(
+        "--traceback", action="store_true",
+        help="print the full traceback of an internal error to stderr",
+    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -407,6 +436,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal inconsistency
+        if args.traceback:
+            traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

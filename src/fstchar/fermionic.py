@@ -22,9 +22,11 @@ are independent and may run in parallel.
 import itertools
 import random
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from operator import add
 
 from .charseries import CharSeries
-from .qseries import QSeries, inv_pochhammer
+from .qseries import CACHE_SIZE, QSeries, divide_pochhammer
 from .reporting import CheckReport
 
 
@@ -150,19 +152,59 @@ def pos(value, j, p):
     raise ValueError(f"pattern {p.bits} has fewer than {j} entries equal to {value}")
 
 
-def l_term(axis, p, N, q_order):
-    """The pure power q^{sum p_i N_{axis,i}}."""
+def _check_axis(axis, p, N):
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     if p.k != N.k:
         raise ValueError("pattern/sequence length mismatch")
+
+
+def _l_exponent(axis, bits, N):
+    """The exponent sum p_i N_{axis,i} of l^axis_p, for the bits of p."""
     seq = N.n1 if axis == 1 else N.n2
-    return QSeries.monomial(sum(b * x for b, x in zip(p.bits, seq)), q_order)
+    return sum(x for b, x in zip(bits, seq) if b)
 
 
-def _one_minus_q(exponent, q_order):
-    # not a dict literal: a zero exponent must yield 1 - q^0 = 0, not -1
-    return QSeries.one(q_order) - QSeries.monomial(exponent, q_order)
+def _fired(axis, p):
+    """0-based indices i - 1 of the factors d^axis_p fires (see `delta_term`)."""
+    bits = (p.left,) + p.bits + (p.right,)
+    step = 1 if axis == 1 else -1
+    return [i - 1 for i in range(1, p.k + 1) if not bits[i] and bits[i + step]]
+
+
+def _gaps(axis, N):
+    """The gaps N_{1,i} - N_{1,i+1} (axis 1) or N_{2,i} - N_{2,i-1} (axis 2)."""
+    if axis == 1:
+        seq = N.n1 + (0,)
+        return [seq[i] - seq[i + 1] for i in range(N.k)]
+    seq = (0,) + N.n2
+    return [seq[i + 1] - seq[i] for i in range(N.k)]
+
+
+def _expand(summands, q_order):
+    """Sum of q^e prod_g (1 - q^g) over the (e, gaps) summands, truncated.
+
+    The expansion runs in one {exponent: coeff} dict and keeps nothing above
+    q_order.  A zero gap makes its factor, and so its summand, vanish.
+    """
+    total = {}
+    for e, gaps in summands:
+        if e > q_order or 0 in gaps:
+            continue
+        term = {e: 1}
+        for g in gaps:
+            for x, c in list(term.items()):
+                if x + g <= q_order:
+                    term[x + g] = term.get(x + g, 0) - c
+        for x, c in term.items():
+            total[x] = total.get(x, 0) + c
+    return QSeries(total, q_order)
+
+
+def l_term(axis, p, N, q_order):
+    """The pure power q^{sum p_i N_{axis,i}}."""
+    _check_axis(axis, p, N)
+    return QSeries.monomial(_l_exponent(axis, p.bits, N), q_order)
 
 
 def delta_term(axis, p, N, q_order):
@@ -172,23 +214,9 @@ def delta_term(axis, p, N, q_order):
     stands in for p_{k+1}); axis 2 fires when p_i = 0, p_{i-1} = 1 (the left
     boundary bit stands in for p_0).  A zero gap makes the factor vanish.
     """
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    if p.k != N.k:
-        raise ValueError("pattern/sequence length mismatch")
-    k = p.k
-    out = QSeries.one(q_order)
-    for i in range(1, k + 1):
-        here = p.bits[i - 1]
-        if axis == 1:
-            neighbor = p.bits[i] if i < k else p.right
-            gap = N.N1(i) - N.N1(i + 1)
-        else:
-            neighbor = p.bits[i - 2] if i >= 2 else p.left
-            gap = N.N2(i) - N.N2(i - 1)
-        if here == 0 and neighbor == 1:
-            out = out * _one_minus_q(gap, q_order)
-    return out
+    _check_axis(axis, p, N)
+    gaps = _gaps(axis, N)
+    return _expand([(0, [gaps[i] for i in _fired(axis, p)])], q_order)
 
 
 def _check_weight3(w):
@@ -198,36 +226,90 @@ def _check_weight3(w):
     return k0, k1, k2
 
 
+def _summand(p1, p2, axis, p_delta, extra=None):
+    """l^1_{p1} l^2_{p2} d^axis_{p_delta}, times (1 - q^{N_{2,extra}}) if given.
+
+    Kept as the bits of p1 and p2 and the slots of its factors' gaps in
+    `_gaps(1, N) + _gaps(2, N) + N.n2`, which `_pattern_sum` reads.
+    """
+    k = p1.k
+    offset = 0 if axis == 1 else k
+    slots = tuple(offset + i for i in _fired(axis, p_delta))
+    if extra is not None:
+        slots += (2 * k + extra - 1,)
+    return p1.bits, p2.bits, slots
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _plan(summands, w):
+    """The summand templates of one pattern sum at one weight, built once."""
+    return tuple(summands(*w))
+
+
+def _pattern_sum(summands, w, N, q_order, positive=False):
+    """Evaluate the pattern sum `summands` at weight w on N, to q_order.
+
+    `summands(k0, k1, k2)` yields one `_summand` per pattern; the exponents
+    and gaps are read off N as integers and the sum is expanded sparsely.
+    With `positive`, every weight entry must be >= 1.
+    """
+    k0, k1, k2 = _check_weight3(w)
+    if positive and min(k0, k1, k2) < 1:
+        raise ValueError("all three weight entries must be >= 1")
+    if N.k != k0 + k1 + k2:
+        raise ValueError("sequence length must equal the level")
+    values = _gaps(1, N) + _gaps(2, N) + list(N.n2)
+    return _expand(
+        ((_l_exponent(1, bits1, N) + _l_exponent(2, bits2, N),
+          [values[s] for s in slots])
+         for bits1, bits2, slots in _plan(summands, (k0, k1, k2))),
+        q_order,
+    )
+
+
+def _linear_term_summands(k0, k1, k2):
+    for p in patterns(k0 + k1 + k2, k1 + k2):
+        yield _summand(p, flip_last(k1, 1, p), 1, p)
+
+
+def _linear_term_alt_summands(k0, k1, k2):
+    for p in patterns(k0 + k1 + k2, k2):
+        yield _summand(flip_last(k1, 0, p), p, 2, p)
+
+
+def _linear_term_star_summands(k0, k1, k2):
+    for p in patterns(k0 + k1 + k2, k1 + k2):
+        yield _summand(p, flip_last(k1, 1, p), 1, replace(p, right=1),
+                       extra=pos(1, k2 + 1, p))
+
+
+def _m_term_summands(k0, k1, k2):
+    for p in patterns(k0 + k1 + k2, k0 + k2):
+        yield _summand(flip_first(k2, 1, p), p, 2, replace(p, left=1))
+
+
+def _n_term_summands(k0, k1, k2):
+    for p in patterns(k0 + k1 + k2, k0):
+        flipped = flip_first(k2, 0, p)
+        yield _summand(p, flipped, 1, p, extra=pos(0, 1, flipped))
+
+
 def linear_term(w, N, q_order):
     """Sum over patterns with k_1+k_2 ones of l^1_p d^1_p l^2_{g(p)}.
 
     g moves the last k_1 ones to zeros before the axis-2 power is read off.
-    Default boundary bits throughout.
+    Default boundary bits throughout.  Each summand is a monomial times the
+    fired factors (1 - q^gap): the two l-exponents are read as integers and
+    the product is expanded in one sparse dict with nothing above q_order,
+    so a zero gap drops the summand and no series product is taken.  The
+    pattern bits and fired indices per weight are built once and cached.
     """
-    k0, k1, k2 = _check_weight3(w)
-    k = k0 + k1 + k2
-    if N.k != k:
-        raise ValueError("sequence length must equal the level")
-    total = QSeries.zero(q_order)
-    for p in patterns(k, k1 + k2):
-        term = l_term(1, p, N, q_order) * delta_term(1, p, N, q_order)
-        term = term * l_term(2, flip_last(k1, 1, p), N, q_order)
-        total = total + term
-    return total
+    return _pattern_sum(_linear_term_summands, w, N, q_order)
 
 
 def linear_term_alt(w, N, q_order):
     """Equivalent form indexed by patterns with k_2 ones (axis-2 deltas)."""
-    k0, k1, k2 = _check_weight3(w)
-    k = k0 + k1 + k2
-    if N.k != k:
-        raise ValueError("sequence length must equal the level")
-    total = QSeries.zero(q_order)
-    for p in patterns(k, k2):
-        term = l_term(1, flip_last(k1, 0, p), N, q_order)
-        term = term * l_term(2, p, N, q_order) * delta_term(2, p, N, q_order)
-        total = total + term
-    return total
+    return _pattern_sum(_linear_term_alt_summands, w, N, q_order)
 
 
 def linear_term_star(w, N, q_order):
@@ -236,55 +318,17 @@ def linear_term_star(w, N, q_order):
     Each summand for p gains (1 - q^{N_{2,pos}}) where pos locates the
     (k_2+1)-th one of p; defined for strictly positive triples only.
     """
-    k0, k1, k2 = _check_weight3(w)
-    if min(k0, k1, k2) < 1:
-        raise ValueError("all three weight entries must be >= 1")
-    k = k0 + k1 + k2
-    if N.k != k:
-        raise ValueError("sequence length must equal the level")
-    total = QSeries.zero(q_order)
-    for p in patterns(k, k1 + k2):
-        bumped = replace(p, right=1)
-        extra = _one_minus_q(N.N2(pos(1, k2 + 1, p)), q_order)
-        term = l_term(1, p, N, q_order) * delta_term(1, bumped, N, q_order)
-        term = term * l_term(2, flip_last(k1, 1, p), N, q_order) * extra
-        total = total + term
-    return total
+    return _pattern_sum(_linear_term_star_summands, w, N, q_order, positive=True)
 
 
 def m_term(w, N, q_order):
     """Sum over patterns with k_0+k_2 ones, axis-2 deltas with left bit 1."""
-    k0, k1, k2 = _check_weight3(w)
-    if min(k0, k1, k2) < 1:
-        raise ValueError("all three weight entries must be >= 1")
-    k = k0 + k1 + k2
-    if N.k != k:
-        raise ValueError("sequence length must equal the level")
-    total = QSeries.zero(q_order)
-    for p in patterns(k, k0 + k2):
-        bumped = replace(p, left=1)
-        term = l_term(1, flip_first(k2, 1, p), N, q_order)
-        term = term * l_term(2, p, N, q_order) * delta_term(2, bumped, N, q_order)
-        total = total + term
-    return total
+    return _pattern_sum(_m_term_summands, w, N, q_order, positive=True)
 
 
 def n_term(w, N, q_order):
     """Sum over patterns with k_0 ones; equals m_term (tested identity)."""
-    k0, k1, k2 = _check_weight3(w)
-    if min(k0, k1, k2) < 1:
-        raise ValueError("all three weight entries must be >= 1")
-    k = k0 + k1 + k2
-    if N.k != k:
-        raise ValueError("sequence length must equal the level")
-    total = QSeries.zero(q_order)
-    for p in patterns(k, k0):
-        flipped = flip_first(k2, 0, p)
-        extra = _one_minus_q(N.N2(pos(0, 1, flipped)), q_order)
-        term = l_term(1, p, N, q_order) * delta_term(1, p, N, q_order)
-        term = term * l_term(2, flipped, N, q_order) * extra
-        total = total + term
-    return total
+    return _pattern_sum(_n_term_summands, w, N, q_order, positive=True)
 
 
 def n_sequence_pairs(k, n1, n2, q_order):
@@ -337,15 +381,18 @@ def a_coefficient(w, n1, n2, q_order):
     Sums q^{sum N1_i^2 + N2_i^2 + N1_i N2_i} * linear term over the
     NSequences with the given row sums, divided by the Pochhammer factors of
     the successive differences on both axes.  Only the NSequences whose base
-    exponent b is <= q_order are generated, and each summand is evaluated at
-    order q_order - b and then shifted by q^b: every factor has nonnegative
-    exponents, so this equals the product taken at the full order.
+    exponent b is <= q_order are generated.  Each summand is evaluated
+    densely at order q_order - b: the linear term is copied into a
+    coefficient list, divided in place by (q)_g for each nonzero gap g
+    (`divide_pochhammer`, O(g * order) each), and added into one
+    accumulator at offset b.  Every factor has nonnegative exponents, so
+    this equals the product taken at the full order.
     """
     k0, k1, k2 = _check_weight3(w)
     k = k0 + k1 + k2
     if n1 < 0 or n2 < 0:
         raise ValueError("weights must be >= 0")
-    total = QSeries.zero(q_order)
+    total = [0] * (q_order + 1)
     for N in n_sequence_pairs(k, n1, n2, q_order):
         base = sum(
             a * a + b * b + a * b for a, b in zip(N.n1, N.n2)
@@ -354,11 +401,14 @@ def a_coefficient(w, n1, n2, q_order):
         term = linear_term(w, N, order)
         if term.is_zero():
             continue
-        for i in range(1, k + 1):
-            term = term * inv_pochhammer(N.N1(i) - N.N1(i + 1), order)
-            term = term * inv_pochhammer(N.N2(i) - N.N2(i - 1), order)
-        total = total + term.shift(base)
-    return total
+        coeffs = [0] * (order + 1)
+        for e, c in term.coeffs.items():
+            coeffs[e] = c
+        for gap in _gaps(1, N) + _gaps(2, N):
+            if gap:
+                divide_pochhammer(coeffs, gap)
+        total[base:] = map(add, total[base:], coeffs)
+    return QSeries(dict(enumerate(total)), q_order)
 
 
 def character_fermionic(w, q_order, caps):

@@ -204,23 +204,39 @@ def pochhammer(n, q_order, scale=1):
     return out
 
 
+def divide_pochhammer(coeffs, n, scale=1):
+    """Divide the coefficient list `coeffs` by (q^scale; q^scale)_n in place.
+
+    `coeffs[m]` is the coefficient of q^m, and the list's length fixes the
+    truncation.  Dividing by one factor (1 - q^step) is the running sum
+    c[m] += c[m - step] for m from step upward, so the whole division costs
+    O(n * len(coeffs)) where a product with the dense inverse would cost
+    O(len(coeffs)^2).  Factors whose step reaches past the list are
+    congruent to 1 and skipped.
+    """
+    top = len(coeffs)
+    for i in range(1, n + 1):
+        step = scale * i
+        if step >= top:
+            break
+        for m in range(step, top):
+            coeffs[m] += coeffs[m - step]
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def inv_pochhammer(n, q_order, scale=1):
     """Series inverse of (q^scale; q^scale)_n.
 
     Coefficient of q^{scale*m} counts partitions of m into parts <= n, so all
-    coefficients are nonnegative.
+    coefficients are nonnegative.  Built by `divide_pochhammer` on the
+    coefficient list of 1.
     """
     if n < 0:
         raise ValueError("inv_pochhammer needs n >= 0")
     coeffs = [0] * (q_order + 1)
-    coeffs[0] = 1
-    for i in range(1, n + 1):
-        step = scale * i
-        if step > q_order:
-            break
-        for m in range(step, q_order + 1):
-            coeffs[m] += coeffs[m - step]
+    if coeffs:
+        coeffs[0] = 1
+    divide_pochhammer(coeffs, n, scale)
     return QSeries({e: c for e, c in enumerate(coeffs) if c}, q_order)
 
 

@@ -15,10 +15,12 @@ specialized double sum over (q^2)-Pochhammer denominators (k_2 = 0 only,
 ("fjmmt2" below, finite or stabilized infinite site count).
 """
 
+from operator import add
+
 from .admissible import HighestWeight, character_oracle, energy, enumerate_configs
 from .charseries import SpecializedSeries, specialize
 from .fermionic import character_fermionic
-from .qseries import QSeries, gaussian_binomial, inv_pochhammer
+from .qseries import QSeries, divide_pochhammer, gaussian_binomial
 from .reporting import CheckReport
 
 SPEC1_VARS = ((-2, "z"), (-1, "z"))
@@ -77,8 +79,11 @@ def chi_fjmmt(k0, k1, z_cap, q_order):
     second block), which is >= 0, and raises n by the part size, so the
     vectors m are enumerated entry by entry and each entry stops growing
     once the exponent exceeds q_order or n exceeds z_cap.  The denominator
-    depends only on the nonzero multiplicities, so each distinct product is
-    built once per call.
+    depends only on the nonzero multiplicities, so each distinct one is
+    built once per call, as a coefficient list: the list of its prefix key
+    divided in place by (q^2; q^2)_{m} (`divide_pochhammer` at scale 2).
+    Each z-degree keeps one accumulator list, and a term adds its
+    denominator into it at offset `expo`; no series product is taken.
     """
     if k0 < 0 or k1 < 0 or k0 + k1 < 1:
         raise ValueError("need k0, k1 >= 0 with level k0 + k1 >= 1")
@@ -88,22 +93,25 @@ def chi_fjmmt(k0, k1, z_cap, q_order):
     sizes = [j % k + 1 for j in range(2 * k)]  # part size of m_j in l_1 or l_2
     # one more unit of m_i adds 2 sum_j A_ij m_j + A_ii + linear_i
     steps = [matrix[i][i] + linear[i] for i in range(2 * k)]
-    terms = {n: QSeries.zero(q_order) for n in range(z_cap + 1)}
-    denominators = {(): QSeries.one(q_order)}
+    terms = {n: [0] * (q_order + 1) for n in range(z_cap + 1)}
+    # terms are reached only with 0 <= expo <= q_order
+    denominators = {(): [1] + [0] * q_order}
     m = [0] * (2 * k)
 
     def denominator(key):
         # key: sorted nonzero multiplicities; its prefixes are keys as well
         denom = denominators.get(key)
         if denom is None:
-            denom = denominator(key[:-1]) * inv_pochhammer(key[-1], q_order, scale=2)
+            denom = denominator(key[:-1])[:]
+            divide_pochhammer(denom, key[-1], scale=2)
             denominators[key] = denom
         return denom
 
     def extend(i, n, expo):
         if i == 2 * k:
             denom = denominator(tuple(sorted(x for x in m if x)))
-            terms[n] = terms[n] + denom.shift(expo).truncate(q_order)
+            acc = terms[n]
+            acc[expo:] = map(add, acc[expo:], denom)
             return
         row = matrix[i]
         while n <= z_cap and expo <= q_order:
@@ -115,7 +123,9 @@ def chi_fjmmt(k0, k1, z_cap, q_order):
         m[i] = 0
 
     extend(0, 0, 0)
-    return SpecializedSeries(terms=terms)
+    return SpecializedSeries(terms={
+        n: QSeries(dict(enumerate(acc)), q_order) for n, acc in terms.items()
+    })
 
 
 # -- level-k fermionic sum with Gaussian binomials ---------------------------

@@ -349,3 +349,84 @@ class TestConfigFile:
             "--weight", "1,0,0",
         )
         assert code == 2
+
+
+class TestSettingsCheck:
+    """Every subcommand rejects a bad window, l or worker count with exit 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--suite", "system", "--zmax", "-1"], "--zmax must be >= 0"),
+        (["verify", "--suite", "system", "--level", "1", "--qmax", "-1"],
+         "--qmax must be >= 0"),
+        (["list-admissible", "--weight", "1,0,0", "--energy-max", "-1"],
+         "--energy-max must be >= 0"),
+        (["list-admissible", "--weight", "1,0,0", "--zmax", "-1", "--qmax", "3"],
+         "--zmax must be >= 0"),
+        (["list-admissible", "--weight", "1,0,0", "--qmax", "-1"],
+         "--qmax must be >= 0"),
+        (["character", "--method", "oracle", "--weight", "1,0,0", "--zmax", "-1"],
+         "--zmax must be >= 0"),
+        (["verify", "--suite", "fjmmt", "--l", "3"], "suite fjmmt requires --l 2"),
+        (["verify", "--suite", "fjmmt2", "--l", "3"],
+         "suite fjmmt2 requires --l 2"),
+        (["verify", "--suite", "system", "--l", "0"], "--l must be >= 1"),
+        (["character", "--method", "oracle", "--l", "0", "--weight", "1"],
+         "--l must be >= 1"),
+        (["list-admissible", "--l", "0", "--weight", "1"], "--l must be >= 1"),
+        (["verify", "--suite", "lemmas", "--level", "1", "--jobs", "0"],
+         "--jobs must be >= 1"),
+        (["verify", "--suite", "lemmas", "--level", "1", "--jobs", "-3"],
+         "--jobs must be >= 1"),
+        (["character", "--method", "fermionic", "--weight", "1,0,0",
+          "--jobs", "0"], "--jobs must be >= 1"),
+        (["list-admissible", "--weight", "1,0,0", "--jobs", "0"],
+         "--jobs must be >= 1"),
+        (["list-admissible", "--l", "3", "--weight", "1,0,0,0", "--init", "0,0"],
+         "--init requires --l 2"),
+    ])
+    def test_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_config_window_checked_too(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("qmax=-2\n")
+        code, _, err = run(
+            capsys, "--config", str(cfg), "list-admissible", "--weight", "1,0,0",
+        )
+        assert code == 2
+        assert "--qmax must be >= 0" in err
+
+
+class TestTraceback:
+    ARGV = ["character", "--method", "oracle", "--weight", "1,0,0",
+            "--zmax", "1", "--qmax", "2"]
+
+    @pytest.fixture(autouse=True)
+    def broken_oracle(self, monkeypatch):
+        from fstchar import cli
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli.admissible, "character_oracle", boom)
+
+    def test_one_line_by_default(self, capsys):
+        code, out, err = run(capsys, *self.ARGV)
+        assert (code, out, err) == (1, "", "internal error: boom\n")
+
+    def test_flag_prints_the_traceback(self, capsys):
+        code, out, err = run(capsys, "--traceback", *self.ARGV)
+        assert (code, out) == (1, "")
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert "RuntimeError: boom\n" in err
+        assert err.endswith("internal error: boom\n")
+
+    def test_flag_leaves_a_good_run_alone(self, capsys, monkeypatch):
+        monkeypatch.undo()
+        plain = run(capsys, *self.ARGV)
+        flagged = run(capsys, "--traceback", *self.ARGV)
+        assert plain == flagged
+        assert plain[0] == 0 and plain[2] == ""

@@ -1,8 +1,9 @@
 import itertools
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import POLY_ORDER, nsequence_battery
@@ -378,3 +379,188 @@ class TestCharacterFermionic:
             assert character_fermionic(w, 12, (5, 5)) == character_oracle(
                 2, w, 12, (5, 5)
             )
+
+
+# -- the series-product forms, kept here as references ------------------------
+#
+# These are the QSeries product loops the closed formula used before it was
+# evaluated on coefficient lists; the tests compare the dense code with them.
+
+
+def _product_l_term(axis, p, N, q_order):
+    seq = N.n1 if axis == 1 else N.n2
+    return QSeries.monomial(sum(b * x for b, x in zip(p.bits, seq)), q_order)
+
+
+def _product_one_minus_q(exponent, q_order):
+    return QSeries.one(q_order) - QSeries.monomial(exponent, q_order)
+
+
+def _product_delta_term(axis, p, N, q_order):
+    k = p.k
+    out = QSeries.one(q_order)
+    for i in range(1, k + 1):
+        here = p.bits[i - 1]
+        if axis == 1:
+            neighbor = p.bits[i] if i < k else p.right
+            gap = N.N1(i) - N.N1(i + 1)
+        else:
+            neighbor = p.bits[i - 2] if i >= 2 else p.left
+            gap = N.N2(i) - N.N2(i - 1)
+        if here == 0 and neighbor == 1:
+            out = out * _product_one_minus_q(gap, q_order)
+    return out
+
+
+def _product_linear_term(w, N, q_order):
+    k0, k1, k2 = w
+    total = QSeries.zero(q_order)
+    for p in patterns(sum(w), k1 + k2):
+        term = _product_l_term(1, p, N, q_order) * _product_delta_term(
+            1, p, N, q_order)
+        total = total + term * _product_l_term(2, flip_last(k1, 1, p), N, q_order)
+    return total
+
+
+def _product_linear_term_alt(w, N, q_order):
+    k0, k1, k2 = w
+    total = QSeries.zero(q_order)
+    for p in patterns(sum(w), k2):
+        term = _product_l_term(1, flip_last(k1, 0, p), N, q_order)
+        term = term * _product_l_term(2, p, N, q_order)
+        total = total + term * _product_delta_term(2, p, N, q_order)
+    return total
+
+
+def _product_linear_term_star(w, N, q_order):
+    k0, k1, k2 = w
+    total = QSeries.zero(q_order)
+    for p in patterns(sum(w), k1 + k2):
+        extra = _product_one_minus_q(N.N2(pos(1, k2 + 1, p)), q_order)
+        term = _product_l_term(1, p, N, q_order) * _product_delta_term(
+            1, replace(p, right=1), N, q_order)
+        term = term * _product_l_term(2, flip_last(k1, 1, p), N, q_order)
+        total = total + term * extra
+    return total
+
+
+def _product_m_term(w, N, q_order):
+    k0, k1, k2 = w
+    total = QSeries.zero(q_order)
+    for p in patterns(sum(w), k0 + k2):
+        term = _product_l_term(1, flip_first(k2, 1, p), N, q_order)
+        term = term * _product_l_term(2, p, N, q_order)
+        total = total + term * _product_delta_term(
+            2, replace(p, left=1), N, q_order)
+    return total
+
+
+def _product_n_term(w, N, q_order):
+    k0, k1, k2 = w
+    total = QSeries.zero(q_order)
+    for p in patterns(sum(w), k0):
+        flipped = flip_first(k2, 0, p)
+        extra = _product_one_minus_q(N.N2(pos(0, 1, flipped)), q_order)
+        term = _product_l_term(1, p, N, q_order) * _product_delta_term(
+            1, p, N, q_order)
+        term = term * _product_l_term(2, flipped, N, q_order)
+        total = total + term * extra
+    return total
+
+
+def _product_a_coefficient(w, n1, n2, q_order):
+    """linear term times prod inv_pochhammer at order q - b, shifted by q^b."""
+    k = sum(w)
+    total = QSeries.zero(q_order)
+    for N in n_sequence_pairs(k, n1, n2, q_order):
+        base = _base(N)
+        order = q_order - base
+        term = _product_linear_term(w, N, order)
+        if term.is_zero():
+            continue
+        for i in range(1, k + 1):
+            term = term * inv_pochhammer(N.N1(i) - N.N1(i + 1), order)
+            term = term * inv_pochhammer(N.N2(i) - N.N2(i - 1), order)
+        total = total + term.shift(base)
+    return total
+
+
+def _triples(level):
+    return [(k0, k1, level - k0 - k1)
+            for k0 in range(level + 1) for k1 in range(level - k0 + 1)]
+
+
+WEIGHTS_1_TO_4 = [w for level in range(1, 5) for w in _triples(level)]
+POSITIVE_WEIGHTS = [w for w in WEIGHTS_1_TO_4 if min(w) >= 1]
+
+
+@st.composite
+def weight_and_sequences(draw, weights=WEIGHTS_1_TO_4, entry_max=6):
+    """A weight and NSequences of its level; small entries make zero gaps common."""
+    w = draw(st.sampled_from(weights))
+    k = sum(w)
+    rows = st.lists(st.integers(0, entry_max), min_size=k, max_size=k)
+    n1 = tuple(sorted(draw(rows), reverse=True))
+    n2 = tuple(sorted(draw(rows)))
+    return w, NSequences(n1, n2)
+
+
+# q_order: below every exponent, at zero, or anywhere up to past the largest
+orders = st.one_of(st.sampled_from([-1, 0]), st.integers(-1, 70))
+
+
+class TestAgainstSeriesProducts:
+    ZERO_GAPS = ((1, 1, 1), NSequences((3, 3, 0), (0, 2, 2)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(weight_and_sequences(), orders)
+    @example(ZERO_GAPS, 40)
+    @example(ZERO_GAPS, -1)
+    def test_linear_term_and_alt(self, wN, q_order):
+        w, N = wN
+        assert linear_term(w, N, q_order) == _product_linear_term(w, N, q_order)
+        assert linear_term_alt(w, N, q_order) == _product_linear_term_alt(
+            w, N, q_order)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weight_and_sequences(POSITIVE_WEIGHTS), orders)
+    @example(ZERO_GAPS, 40)
+    def test_star_m_and_n_terms(self, wN, q_order):
+        w, N = wN
+        assert linear_term_star(w, N, q_order) == _product_linear_term_star(
+            w, N, q_order)
+        assert m_term(w, N, q_order) == _product_m_term(w, N, q_order)
+        assert n_term(w, N, q_order) == _product_n_term(w, N, q_order)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weight_and_sequences(entry_max=4), orders, st.data())
+    def test_l_and_delta_terms(self, wN, q_order, data):
+        _, N = wN
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=N.k, max_size=N.k))
+        left, right = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+        p = BinaryPattern(tuple(bits), left, right)
+        for axis in (1, 2):
+            assert l_term(axis, p, N, q_order) == _product_l_term(
+                axis, p, N, q_order)
+            assert delta_term(axis, p, N, q_order) == _product_delta_term(
+                axis, p, N, q_order)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(WEIGHTS_1_TO_4), st.integers(0, 6), st.integers(0, 6),
+           orders)
+    @example((1, 1, 1), 0, 0, 0)
+    @example((1, 1, 1), 0, 0, -1)
+    @example((2, 1, 1), 3, 3, 0)
+    def test_a_coefficient(self, w, n1, n2, q_order):
+        assert a_coefficient(w, n1, n2, q_order) == _product_a_coefficient(
+            w, n1, n2, q_order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weight_and_sequences(entry_max=4), st.integers(0, 3))
+    def test_a_coefficient_at_base_equal_to_order(self, wN, slack):
+        """Order q_order - b is 0 (or a little more) for the N that sets it."""
+        w, N = wN
+        q_order = _base(N) + slack
+        n1, n2 = sum(N.n1), sum(N.n2)
+        assert a_coefficient(w, n1, n2, q_order) == _product_a_coefficient(
+            w, n1, n2, q_order)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from fstchar.qseries import (
     QSeries,
+    divide_pochhammer,
     gaussian_binomial,
     inv_pochhammer,
     pochhammer,
@@ -153,6 +154,40 @@ class TestPochhammer:
         assert [fn(3, q) for q in orders] == first
         assert fn.cache_info().currsize <= maxsize
         assert first == [fn.__wrapped__(3, q) for q in orders]
+
+
+def dense(series):
+    """Coefficient list of a series with nonnegative support, up to its trunc."""
+    return [series.coeffs.get(e, 0) for e in range(series.trunc + 1)]
+
+
+class TestDividePochhammer:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 12), st.integers(-1, 40), st.integers(1, 3))
+    def test_undoes_pochhammer(self, n, q_order, scale):
+        coeffs = dense(pochhammer(n, q_order, scale))
+        divide_pochhammer(coeffs, n, scale)
+        assert coeffs == dense(QSeries.one(q_order))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.integers(0, 30), st.integers(-9, 9), max_size=8),
+           st.integers(0, 12), st.integers(-1, 30), st.integers(1, 3))
+    def test_equals_product_with_inverse(self, terms, n, q_order, scale):
+        a = QSeries(terms, q_order)
+        coeffs = dense(a)
+        divide_pochhammer(coeffs, n, scale)
+        assert coeffs == dense(a * inv_pochhammer(n, q_order, scale))
+
+    def test_zero_factors_leave_the_list(self):
+        coeffs = [3, -1, 4]
+        divide_pochhammer(coeffs, 0)
+        assert coeffs == [3, -1, 4]
+        divide_pochhammer(coeffs, 5, scale=3)  # every step reaches past q^2
+        assert coeffs == [3, -1, 4]
+
+    def test_inv_pochhammer_below_order_zero(self):
+        assert inv_pochhammer(3, -1) == QSeries.zero(-1)
+        assert inv_pochhammer(3, 0) == QSeries.one(0)
 
 
 class TestGaussianBinomial:

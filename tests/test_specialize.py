@@ -3,6 +3,8 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fstchar.admissible import character_oracle
 from fstchar.qseries import QSeries, inv_pochhammer
@@ -90,7 +92,58 @@ def _chi_fjmmt_unpruned(k0, k1, z_cap, q_order):
     return terms
 
 
+def _chi_fjmmt_products(k0, k1, z_cap, q_order):
+    """Terms of the pruned principal sum, built by series products.
+
+    Each term adds denom.shift(expo).truncate(q_order), the form chi_fjmmt
+    took before its terms were kept as coefficient lists.
+    """
+    k = k0 + k1
+    matrix = fjmmt_matrix(k)
+    linear = fjmmt_linear_coeffs(k, k0)
+    sizes = [j % k + 1 for j in range(2 * k)]
+    steps = [matrix[i][i] + linear[i] for i in range(2 * k)]
+    terms = {n: QSeries.zero(q_order) for n in range(z_cap + 1)}
+    denominators = {(): QSeries.one(q_order)}
+    m = [0] * (2 * k)
+
+    def denominator(key):
+        denom = denominators.get(key)
+        if denom is None:
+            denom = denominator(key[:-1]) * inv_pochhammer(key[-1], q_order, scale=2)
+            denominators[key] = denom
+        return denom
+
+    def extend(i, n, expo):
+        if i == 2 * k:
+            denom = denominator(tuple(sorted(x for x in m if x)))
+            terms[n] = terms[n] + denom.shift(expo).truncate(q_order)
+            return
+        row = matrix[i]
+        while n <= z_cap and expo <= q_order:
+            extend(i + 1, n, expo)
+            expo += 2 * sum(row[j] * m[j] for j in range(i + 1)) + steps[i]
+            m[i] += 1
+            n += sizes[i]
+        m[i] = 0
+
+    extend(0, 0, 0)
+    return terms
+
+
 class TestChiFjmmt:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+               lambda level: st.tuples(st.integers(0, level), st.just(level))),
+           st.integers(0, 6), st.integers(-1, 40))
+    @example((0, 1), 0, -1)
+    @example((2, 3), 4, 0)
+    def test_matches_series_products(self, k0_level, z_cap, q_order):
+        k0, level = k0_level
+        k1 = level - k0
+        assert chi_fjmmt(k0, k1, z_cap, q_order).terms == (
+            _chi_fjmmt_products(k0, k1, z_cap, q_order))
+
     @pytest.mark.parametrize("k0, k1", [
         (k0, level - k0) for level in range(1, 4) for k0 in range(level + 1)
     ])
