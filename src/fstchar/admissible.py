@@ -90,6 +90,16 @@ def energy(config):
     return sum(t * a for t, a in enumerate(config))
 
 
+def _start(l, weight, init_prefix):
+    """The level and the start of a walk: the weight's bounds or the exact prefix."""
+    weight = HighestWeight.coerce(weight)
+    if init_prefix is None:
+        return weight.level, weight.initial_bounds(l), None
+    if l != 2:
+        raise ValueError("init_prefix is defined for l = 2 only")
+    return weight.level, None, tuple(init_prefix)
+
+
 def enumerate_configs(l, weight, q_order=None, caps=None, init_prefix=None,
                       energy_max=None):
     """Stream the admissible configurations for `weight` inside the window.
@@ -101,16 +111,9 @@ def enumerate_configs(l, weight, q_order=None, caps=None, init_prefix=None,
     the exact prefix a_0 = a, a_1 = b (only meaningful for l = 2; the weight
     then only supplies the level).
     """
-    weight = HighestWeight.coerce(weight)
-    if init_prefix is not None:
-        if l != 2:
-            raise ValueError("init_prefix is defined for l = 2 only")
-        init_bounds = None
-        init_prefix = tuple(init_prefix)
-    else:
-        init_bounds = weight.initial_bounds(l)
+    level, init_bounds, init_prefix = _start(l, weight, init_prefix)
     return _enumpure.iter_configs(
-        l, weight.level, init_bounds=init_bounds, init_prefix=init_prefix,
+        l, level, init_bounds=init_bounds, init_prefix=init_prefix,
         q_order=q_order, caps=caps, energy_max=energy_max,
     )
 
@@ -122,16 +125,9 @@ def weight_degree_counts(l, weight, q_order=None, caps=None, init_prefix=None,
     Counted by the transfer-matrix DP; the result equals counting the stream
     of enumerate_configs.
     """
-    weight = HighestWeight.coerce(weight)
-    if init_prefix is not None:
-        if l != 2:
-            raise ValueError("init_prefix is defined for l = 2 only")
-        init_bounds = None
-        init_prefix = tuple(init_prefix)
-    else:
-        init_bounds = weight.initial_bounds(l)
+    level, init_bounds, init_prefix = _start(l, weight, init_prefix)
     return _enumpure.count_weight_degree(
-        l, weight.level, init_bounds=init_bounds, init_prefix=init_prefix,
+        l, level, init_bounds=init_bounds, init_prefix=init_prefix,
         q_order=q_order, caps=caps, energy_max=energy_max,
     )
 

@@ -83,12 +83,12 @@ def _merged(args, key, cast=int):
     return DEFAULTS.get(key) if value is None else value
 
 
-def _check_settings(l, jobs, l2_only=None, **bounds):
+def _check_settings(l, jobs, l2_only=None, level=None, **bounds):
     """Reject the run settings that no subcommand accepts (exit 2).
 
     l and jobs must be >= 1; `l2_only`, when given, names the method, suite
-    or flag that is defined only for l = 2; every bound (zmax, qmax,
-    energy_max) must be None or >= 0.
+    or flag that is defined only for l = 2; level must be None or >= 1;
+    every bound (zmax, qmax, energy_max, sites) must be None or >= 0.
     """
     if l < 1:
         raise CliError(f"--l must be >= 1, got {l}")
@@ -96,6 +96,8 @@ def _check_settings(l, jobs, l2_only=None, **bounds):
         raise CliError(f"{l2_only} requires --l 2")
     if jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {jobs}")
+    if level is not None and level < 1:
+        raise CliError("need level >= 1")
     for name, value in bounds.items():
         if value is not None and value < 0:
             raise CliError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
@@ -162,7 +164,16 @@ def cmd_character(args):
     l2_only = None
     if method in ("fermionic", "fjmmt", "fjmmt2"):
         l2_only = f"method {method}"
-    _check_settings(l, jobs, l2_only, zmax=zmax, qmax=qmax)
+    level = sites = None
+    if method == "fjmmt2":
+        level = _merged(args, "level")
+        if args.sites not in (None, "inf"):
+            try:
+                sites = int(args.sites)
+            except ValueError:
+                raise CliError(
+                    f"--sites must be an integer or 'inf', got {args.sites!r}")
+    _check_settings(l, jobs, l2_only, level, zmax=zmax, qmax=qmax, sites=sites)
     jobs = _job_count(jobs)
 
     if method in ("oracle", "fermionic"):
@@ -204,17 +215,6 @@ def cmd_character(args):
         if len(ab) != 2:
             raise CliError(f"--ab must be a pair a,b, got {args.ab!r}")
         a, b = ab
-        level = _merged(args, "level")
-        if level < 1:
-            raise CliError("need level >= 1")
-        sites = None
-        if args.sites not in (None, "inf"):
-            try:
-                sites = int(args.sites)
-            except ValueError:
-                raise CliError(f"--sites must be an integer or 'inf', got {args.sites!r}")
-            if sites < 0:
-                raise CliError(f"--sites must be >= 0, got {sites}")
         if not 0 <= a <= level or b < 0:
             raise CliError(f"--ab out of range for level {level}")
         series = specialize.chi_fjmmt2(a, b, level, sites, qmax)
@@ -294,11 +294,10 @@ def cmd_verify(args):
     zmax = _merged(args, "zmax")
     qmax = _merged(args, "qmax")
     jobs = _merged(args, "jobs")
-    l2_only = f"suite {suite}" if suite in ("fjmmt", "fjmmt2") else None
-    _check_settings(l, jobs, l2_only, zmax=zmax, qmax=qmax)
+    # only the system suite is defined for every l
+    l2_only = None if suite == "system" else f"suite {suite}"
+    _check_settings(l, jobs, l2_only, level, zmax=zmax, qmax=qmax)
     jobs = _job_count(jobs)
-    if level < 1:
-        raise CliError("need level >= 1")
     reports = []
     if suite in ("system", "all"):
         reports.extend(_system_suite(l, level, zmax, qmax, jobs, args.golden))

@@ -230,7 +230,7 @@ def _summand(p1, p2, axis, p_delta, extra=None):
     """l^1_{p1} l^2_{p2} d^axis_{p_delta}, times (1 - q^{N_{2,extra}}) if given.
 
     Kept as the bits of p1 and p2 and the slots of its factors' gaps in
-    `_gaps(1, N) + _gaps(2, N) + N.n2`, which `_pattern_sum` reads.
+    `_gaps(1, N) + _gaps(2, N) + N.n2`, which `_evaluate` reads.
     """
     k = p1.k
     offset = 0 if axis == 1 else k
@@ -249,8 +249,8 @@ def _plan(summands, w):
 def _pattern_sum(summands, w, N, q_order, positive=False):
     """Evaluate the pattern sum `summands` at weight w on N, to q_order.
 
-    `summands(k0, k1, k2)` yields one `_summand` per pattern; the exponents
-    and gaps are read off N as integers and the sum is expanded sparsely.
+    `summands(k0, k1, k2)` yields one `_summand` per pattern; once the
+    weight and N are checked, `_evaluate` sums the cached templates.
     With `positive`, every weight entry must be >= 1.
     """
     k0, k1, k2 = _check_weight3(w)
@@ -258,11 +258,20 @@ def _pattern_sum(summands, w, N, q_order, positive=False):
         raise ValueError("all three weight entries must be >= 1")
     if N.k != k0 + k1 + k2:
         raise ValueError("sequence length must equal the level")
+    return _evaluate(_plan(summands, (k0, k1, k2)), N, q_order)
+
+
+def _evaluate(templates, N, q_order):
+    """Sum of the `_summand` templates on N, expanded sparsely to q_order.
+
+    The l-exponents are read off N as integers and each factor's gap from
+    its slot; the templates must have N's length.
+    """
     values = _gaps(1, N) + _gaps(2, N) + list(N.n2)
     return _expand(
         ((_l_exponent(1, bits1, N) + _l_exponent(2, bits2, N),
           [values[s] for s in slots])
-         for bits1, bits2, slots in _plan(summands, (k0, k1, k2))),
+         for bits1, bits2, slots in templates),
         q_order,
     )
 
@@ -452,6 +461,9 @@ def identity_battery(k, instance_count=20, entry_max=30, seed=None):
     with i + j <= k, agreement of the two linear-term forms for every weight
     triple, and for strictly positive triples the four-term difference
     against the starred variant and the equality of the two flipped sums.
+    The two sides of each prefix-sum and axis-interchange identity are
+    `_summand` template lists, built once per k (they do not depend on N)
+    and evaluated on every instance by `_evaluate`, as the pattern sums are.
     """
     instances = random_instances(k, instance_count, entry_max, seed)
     q_order = 2 * k * entry_max + 2 * entry_max + 16  # above any exponent used
@@ -467,41 +479,36 @@ def identity_battery(k, instance_count=20, entry_max=30, seed=None):
                 where={"identity": tag, **where}, expected=rhs, actual=lhs
             )
 
+    zero = BinaryPattern((0,) * k)
+    sides = []  # (tag, where, lhs templates, rhs templates), in check order
+    for i in range(k + 1):
+        for p in patterns(k, i):
+            sides.append((
+                "prefix-sum-expansion-axis1", {"p": p.bits},
+                [_summand(p, zero, 1, zero)],
+                [_summand(p2, zero, 1, p2)
+                 for p2 in patterns(k, i) if pattern_le(p2, p)],
+            ))
+            sides.append((
+                "prefix-sum-expansion-axis2", {"p": p.bits},
+                [_summand(zero, p, 2, zero)],
+                [_summand(zero, p2, 2, p2)
+                 for p2 in patterns(k, i) if pattern_le(p, p2)],
+            ))
+    for i in range(k + 1):
+        for j in range(k - i + 1):
+            sides.append((
+                "axis-interchange", {"i": i, "j": j},
+                [_summand(p, flip_last(i, 1, p), 1, p)
+                 for p in patterns(k, i + j)],
+                [_summand(flip_last(i, 0, p), p, 2, p)
+                 for p in patterns(k, j)],
+            ))
+
     for N in instances:
-        for i in range(k + 1):
-            for p in patterns(k, i):
-                rhs1 = QSeries.zero(q_order)
-                rhs2 = QSeries.zero(q_order)
-                for p2 in patterns(k, i):
-                    if pattern_le(p2, p):
-                        rhs1 = rhs1 + l_term(1, p2, N, q_order) * delta_term(
-                            1, p2, N, q_order
-                        )
-                    if pattern_le(p, p2):
-                        rhs2 = rhs2 + l_term(2, p2, N, q_order) * delta_term(
-                            2, p2, N, q_order
-                        )
-                check("prefix-sum-expansion-axis1", {"p": p.bits},
-                      l_term(1, p, N, q_order), rhs1)
-                check("prefix-sum-expansion-axis2", {"p": p.bits},
-                      l_term(2, p, N, q_order), rhs2)
-        for i in range(k + 1):
-            for j in range(k - i + 1):
-                lhs = QSeries.zero(q_order)
-                for p in patterns(k, i + j):
-                    lhs = lhs + (
-                        l_term(1, p, N, q_order)
-                        * delta_term(1, p, N, q_order)
-                        * l_term(2, flip_last(i, 1, p), N, q_order)
-                    )
-                rhs = QSeries.zero(q_order)
-                for p in patterns(k, j):
-                    rhs = rhs + (
-                        l_term(1, flip_last(i, 0, p), N, q_order)
-                        * l_term(2, p, N, q_order)
-                        * delta_term(2, p, N, q_order)
-                    )
-                check("axis-interchange", {"i": i, "j": j}, lhs, rhs)
+        for tag, where, lhs, rhs in sides:
+            check(tag, where, _evaluate(lhs, N, q_order),
+                  _evaluate(rhs, N, q_order))
         for k0 in range(k + 1):
             for k1 in range(k - k0 + 1):
                 w = (k0, k1, k - k0 - k1)

@@ -79,24 +79,6 @@ class QSeries:
         result = self.__eq__(other)
         return result if result is NotImplemented else not result
 
-    def agrees_with(self, other, through=None):
-        """Exact equality of all retained coefficients up to `through`.
-
-        Defaults to the largest order on which both operands are trustworthy.
-        """
-        limit = min(self.trunc, other.trunc)
-        if through is not None:
-            if through > limit:
-                raise ValueError(f"order {through} exceeds common trunc {limit}")
-            limit = through
-        for e, c in self.coeffs.items():
-            if e <= limit and other.coeffs.get(e, 0) != c:
-                return False
-        for e, c in other.coeffs.items():
-            if e <= limit and self.coeffs.get(e, 0) != c:
-                return False
-        return True
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):

@@ -26,11 +26,6 @@ class CheckReport:
             {"where": where, "expected": str(expected), "actual": str(actual)}
         )
 
-    def merge(self, other):
-        self.checked += other.checked
-        self.violations.extend(other.violations)
-        return self
-
     def to_json(self):
         return {
             "name": self.name,

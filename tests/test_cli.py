@@ -383,6 +383,10 @@ class TestSettingsCheck:
          "--jobs must be >= 1"),
         (["list-admissible", "--l", "3", "--weight", "1,0,0,0", "--init", "0,0"],
          "--init requires --l 2"),
+        (["verify", "--suite", "all", "--l", "3"], "suite all requires --l 2"),
+        (["verify", "--suite", "lemmas", "--l", "3"],
+         "suite lemmas requires --l 2"),
+        (["verify", "--suite", "system", "--level", "0"], "need level >= 1"),
     ])
     def test_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

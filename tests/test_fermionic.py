@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import POLY_ORDER, nsequence_battery
 
+from fstchar import fermionic
 from fstchar.admissible import character_oracle
 from fstchar.fermionic import (
     BinaryPattern,
@@ -564,3 +565,75 @@ class TestAgainstSeriesProducts:
         n1, n2 = sum(N.n1), sum(N.n2)
         assert a_coefficient(w, n1, n2, q_order) == _product_a_coefficient(
             w, n1, n2, q_order)
+
+
+def _patterns_of_length(k):
+    """Any pattern of length k, with any boundary bits."""
+    bits = st.lists(st.integers(0, 1), min_size=k, max_size=k).map(tuple)
+    return st.builds(BinaryPattern, bits, st.integers(0, 1), st.integers(0, 1))
+
+
+@st.composite
+def single_summands(draw):
+    """N, then p1, p2, axis, p_delta and extra of one `_summand` on it."""
+    _, N = draw(weight_and_sequences())
+    p1, p2, p_delta = (draw(_patterns_of_length(N.k)) for _ in range(3))
+    axis = draw(st.sampled_from([1, 2]))
+    extra = draw(st.one_of(st.none(), st.integers(1, N.k)))
+    return N, p1, p2, axis, p_delta, extra
+
+
+ZERO3 = BinaryPattern((0, 0, 0))
+ONES3 = BinaryPattern((1, 1, 1), left=1, right=1)
+EDGES = BinaryPattern((0, 0, 0), left=1, right=1)
+
+
+class TestEvaluator:
+    """One `_summand` template evaluated by `_evaluate` is its product form."""
+
+    ZERO_GAPS = TestAgainstSeriesProducts.ZERO_GAPS[1]
+    SPREAD = NSequences((9, 4, 1), (2, 3, 8))
+
+    @settings(max_examples=300, deadline=None)
+    @given(single_summands(), orders)
+    @example((SPREAD, ZERO3, ZERO3, 1, ZERO3, None), 40)
+    @example((SPREAD, ZERO3, ZERO3, 2, ZERO3, 1), 40)
+    @example((SPREAD, ONES3, ZERO3, 1, EDGES, None), 40)
+    @example((SPREAD, ZERO3, ONES3, 2, EDGES, 3), 40)
+    @example((ZERO_GAPS, ONES3, ONES3, 2, EDGES, 1), 40)
+    @example((SPREAD, ONES3, ONES3, 1, EDGES, 2), -1)
+    def test_single_template(self, summand, q_order):
+        N, p1, p2, axis, p_delta, extra = summand
+        template = fermionic._summand(p1, p2, axis, p_delta, extra)
+        expected = (
+            _product_l_term(1, p1, N, q_order)
+            * _product_l_term(2, p2, N, q_order)
+            * _product_delta_term(axis, p_delta, N, q_order)
+        )
+        if extra is not None:
+            expected = expected * _product_one_minus_q(N.N2(extra), q_order)
+        assert fermionic._evaluate([template], N, q_order) == expected
+
+
+class TestBatteryCanFail:
+    """A broken pattern order or flip shows up in the battery's report."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_plans(self):
+        # the pattern sums cache templates built with the patched flips
+        fermionic._plan.cache_clear()
+        yield
+        fermionic._plan.cache_clear()
+
+    def test_reversed_pattern_order(self, monkeypatch):
+        monkeypatch.setattr(fermionic, "pattern_le", lambda p, p2: pattern_le(p2, p))
+        report = fermionic.identity_battery(2, instance_count=3)
+        assert not report.ok
+        first = report.violations[0]["where"]["identity"]
+        assert first.startswith("prefix-sum-expansion-axis")
+
+    def test_wrong_flip(self, monkeypatch):
+        monkeypatch.setattr(fermionic, "flip_last", flip_first)
+        report = fermionic.identity_battery(2, instance_count=3)
+        assert not report.ok
+        assert report.violations[0]["where"]["identity"] == "axis-interchange"
