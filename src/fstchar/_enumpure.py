@@ -15,10 +15,17 @@ within a finite search window given by any combination of
 
 At least one of q_order / energy_max must be set, otherwise the window is
 infinite.  `count_weight_degree` is a transfer-matrix DP over positions whose
-cost grows with the window, not with the number of configurations.
+cost grows with the window, not with the number of configurations.  Its
+state is the last l entries and the n-vector (and the energy, if bounded);
+the degree is not part of the state but the index into a list of counts that
+the state carries.  Degrees that can no longer grow move out of the state's
+list into a finished list per n-vector; for a window bounded only by the
+energy the lists stop at degree level + 2 * energy_max.
 `iter_configs` streams the configurations one at a time from a depth-first
 walk; the tests count that stream as the reference for the DP.
 """
+
+from operator import add
 
 
 def _validate(l, level, init_bounds, init_prefix, q_order, caps, energy_max):
@@ -127,45 +134,61 @@ def count_weight_degree(l, level, init_bounds=None, init_prefix=None,
                         q_order=None, caps=None, energy_max=None):
     """Histogram of admissible configurations by (n_1, ..., n_l, degree).
 
-    The DP advances a table {state: count} one position s at a time.  A state
-    is the flat tuple (a_{s-l}, ..., a_{s-1}, n_1, ..., n_l, degree[, energy])
-    -- the energy only when energy_max is set -- and its count is the number
-    of partial configurations on positions < s that reach it.  At s each state
-    places a_s = 0, or a_s = v >= 1 within the same bounds as the walk.
-    A state moves into the histogram once it can place no further unit at s
-    or beyond: degree + (s // l + 1) > q_order or energy + s > energy_max.
+    The DP advances a table {state: degree list} one position s at a time.
+    A state is the flat tuple (a_{s-l}, ..., a_{s-1}, n_1, ..., n_l[, energy])
+    -- the energy only when energy_max is set -- and entry d of its list is
+    the number of partial configurations on positions < s that reach it with
+    degree d < Q.  Q is q_order + 1, or level + 2 * energy_max + 1 when only
+    the energy bounds the window, since degree <= a_0 + 2 * sum t * a_t.
+    At s the degrees >= Q - (s // l + 1) can place no further unit: that tail
+    moves into a finished list per n-vector, and the whole list moves once
+    energy + s > energy_max.  A state with no live degree left is dropped.
+    The rest places a_s = 0, or a_s = v >= 1 within the same bounds as the
+    walk, by shifting the list v * (s // l + 1) degrees up; v stops early
+    once the shift pushes every live degree past Q - 1.
     """
     root = _root(l, level, init_bounds, init_prefix, q_order, caps, energy_max)
     if root is None:
         return {}
     prefix, counts, degree, energy = root
+    if q_order is not None:
+        Q = q_order + 1
+    else:  # a negative energy_max still admits a_0 <= level alone
+        Q = level + 2 * max(energy_max, 0) + 1
+    start = [0] * Q
+    start[degree] = 1
     window = ([0] * l + prefix)[-l:]
-    tail = (degree, energy) if energy_max is not None else (degree,)
-    table = {tuple(window + counts) + tail: 1}
-    hist = {}
-    D = 2 * l  # index of the degree in a state
+    etail = (energy,) if energy_max is not None else ()
+    table = {tuple(window + counts) + etail: start}
+    finished = {}
+    D = 2 * l  # end of the n-vector in a state
     s = len(prefix)
     while table:
         tf = s // l + 1
+        cut = max(Q - tf, 0)  # degrees from cut on can place no further unit
+        vq = (Q - 1) // tf  # a larger a_s shifts every degree past Q - 1
         color = s % l
         ci = l + color  # index of this position's color count
         cap = caps[color] if caps is not None else None
         init_cap = init_bounds[s] if init_bounds is not None and s < l else None
         nxt = {}
-        for key, count in table.items():
-            degree = key[D]
-            energy = key[D + 1] if energy_max is not None else 0
-            if ((q_order is not None and degree + tf > q_order)
-                    or (energy_max is not None and s >= 1
-                        and energy + s > energy_max)):
-                hk = key[l:D + 1]
-                hist[hk] = hist.get(hk, 0) + count
-                continue
-            vmax = level - sum(key[:l])
-            if q_order is not None:
-                vmax = min(vmax, (q_order - degree) // tf)
+        for key, lst in table.items():
+            live = cut
+            if energy_max is not None and s >= 1 and key[D] + s > energy_max:
+                live = 0
+            m = len(lst)
+            if m > live:
+                n = key[l:D]
+                fin = finished.get(n)
+                if fin is None:
+                    fin = finished[n] = [0] * Q
+                fin[live:m] = map(add, fin[live:m], lst[live:])
+                del lst[live:]
+                if not any(lst):
+                    continue
+            vmax = min(level - sum(key[:l]), vq)
             if energy_max is not None and s >= 1:
-                vmax = min(vmax, (energy_max - energy) // s)
+                vmax = min(vmax, (energy_max - key[D]) // s)
             if cap is not None:
                 vmax = min(vmax, cap - key[ci])
             if init_cap is not None:
@@ -173,17 +196,22 @@ def count_weight_degree(l, level, init_bounds=None, init_prefix=None,
                 vmax = min(vmax, init_cap - sum(key[:l]))
             shifted = key[1:l]
             k0 = shifted + (0,) + key[l:]
-            nxt[k0] = nxt.get(k0, 0) + count
+            old = nxt.get(k0)
+            nxt[k0] = lst if old is None else list(map(add, old, lst))
             before = key[l:ci]
             after = key[ci + 1:D]
             c = key[ci]
             for v in range(1, vmax + 1):
+                shift = tf * v
+                new = [0] * shift + lst[:Q - shift]
+                if not any(new):
+                    break  # a larger v shifts every live degree out too
                 if energy_max is not None:
-                    tail = (degree + tf * v, energy + s * v)
-                else:
-                    tail = (degree + tf * v,)
-                k = shifted + (v,) + before + (c + v,) + after + tail
-                nxt[k] = nxt.get(k, 0) + count
+                    etail = (key[D] + s * v,)
+                k = shifted + (v,) + before + (c + v,) + after + etail
+                old = nxt.get(k)
+                nxt[k] = new if old is None else list(map(add, old, new))
         table = nxt
         s += 1
-    return hist
+    return {n + (d,): c for n, fin in finished.items()
+            for d, c in enumerate(fin) if c}

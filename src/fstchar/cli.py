@@ -10,7 +10,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 from . import admissible, fermionic, recurrence, specialize
@@ -116,7 +115,11 @@ def _job_count(jobs):
 
 def _worker_count(jobs, n_items):
     """Pool size for n_items tasks: no more workers than tasks or CPUs."""
-    return max(1, min(jobs, n_items, os.cpu_count() or 1))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, n_items, cpus))
 
 
 def _pmap(fn, items, jobs):
@@ -125,6 +128,8 @@ def _pmap(fn, items, jobs):
     workers = _worker_count(jobs, len(items))
     if workers == 1:
         return [fn(item) for item in items]
+    # imported here so that a --jobs 1 run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

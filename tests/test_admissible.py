@@ -2,7 +2,7 @@ import json
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fstchar import _enumpure
@@ -186,6 +186,21 @@ class TestKernels:
             with pytest.raises(ValueError):
                 list(_enumpure.iter_configs(**case))
 
+    def test_edge_windows(self):
+        # each result is also checked against the stream in the examples of
+        # test_dp_matches_stream_on_random_windows
+        count = _enumpure.count_weight_degree
+        assert count(l=2, level=2, init_bounds=(1, 2), q_order=0) == {
+            (0, 0, 0): 1
+        }
+        # (0, 0, 2) places 2 units at tf = 2 and lands exactly on q_order
+        assert count(l=2, level=2, init_bounds=(0, 0), q_order=4)[2, 0, 4] == 1
+        # with the energy alone bounding the window the degree outgrows it
+        hist = count(l=1, level=3, init_bounds=(3,), energy_max=3)
+        assert max(d for _, d in hist) == 7
+        assert count(l=2, level=2, init_prefix=(2, 1), q_order=6) == {}
+        assert count(l=2, level=2, init_prefix=(1, 1), q_order=1) == {}
+
     def test_kernel_reports_kind(self):
         assert KERNEL == "pure"
 
@@ -228,5 +243,15 @@ def random_windows(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(random_windows())
+@example(dict(l=2, level=2, init_bounds=(1, 2), q_order=0))
+@example(dict(l=2, level=2, init_bounds=(0, 0), q_order=4))
+@example(dict(l=1, level=3, init_bounds=(3,), energy_max=3))
+@example(dict(l=2, level=3, init_bounds=(3, 3), energy_max=2))
+@example(dict(l=2, level=2, init_prefix=(2, 1), q_order=6))
+@example(dict(l=2, level=2, init_prefix=(1, 1), q_order=1))
+@example(dict(l=3, level=2, init_bounds=(1, 2, 2), q_order=10))
 def test_dp_matches_stream_on_random_windows(kwargs):
-    assert _enumpure.count_weight_degree(**kwargs) == streamed_histogram(kwargs)
+    hist = _enumpure.count_weight_degree(**kwargs)
+    # the degree lists carry zero counts; none may reach the histogram
+    assert all(hist.values())
+    assert hist == streamed_histogram(kwargs)

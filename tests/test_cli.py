@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,11 +236,30 @@ class TestVerify:
         assert code == 0
 
     def test_worker_count_bounded_by_tasks_and_cpus(self):
-        cpus = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
         assert _worker_count(64, 3) == min(3, cpus)
         assert _worker_count(64, 1000) == min(64, cpus)
         assert _worker_count(2, 0) == 1
         assert _worker_count(1, 10) == 1
+
+    def test_worker_count_follows_cpu_affinity(self, monkeypatch):
+        # a process pinned to one CPU gets no pool however many os.cpu_count()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert _worker_count(8, 8) == 1
+
+    def test_import_loads_no_process_pool(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, fstchar.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_bad_env_cap_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("FSTCHAR_MAX_JOBS", "many")
