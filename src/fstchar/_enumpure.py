@@ -1,4 +1,4 @@
-"""Counting kernel and configuration stream for admissible configurations.
+"""Configuration stream and counting kernel for admissible configurations.
 
 The configurations are the finitely supported sequences (a_0, a_1, ...) of
 nonnegative integers subject to
@@ -14,21 +14,28 @@ within a finite search window given by any combination of
   * energy_max: first moment sum t * a_t <= energy_max.
 
 At least one of q_order / energy_max must be set, otherwise the window is
-infinite.  `count_weight_degree` is a transfer-matrix DP over positions whose
-cost grows with the window, not with the number of configurations.  Its
-state is the last l entries and the n-vector (and the energy, if bounded);
-the degree is not part of the state but the index into a list of counts that
+infinite; a negative bound leaves the window empty.  `iter_configs` streams
+the configurations of any such window one at a time from a depth-first walk.
+`count_weight_degree` counts only the window the character oracle asks for
+-- initial bounds, q_order and caps -- with a transfer-matrix DP over
+positions whose cost grows with the window, not with the number of
+configurations.  Its state is the last l entries and the n-vector; the
+degree is not part of the state but the index into a list of counts that
 the state carries.  Degrees that can no longer grow move out of the state's
-list into a finished list per n-vector; for a window bounded only by the
-energy the lists stop at degree level + 2 * energy_max.
-`iter_configs` streams the configurations one at a time from a depth-first
-walk; the tests count that stream as the reference for the DP.
+list into a finished list per n-vector.  The tests count the stream as the
+reference for the DP, and check the stream against brute force.
 """
 
 from operator import add
 
 
-def _validate(l, level, init_bounds, init_prefix, q_order, caps, energy_max):
+def _walk(l, level, init_bounds, init_prefix, q_order, caps, energy_max):
+    """Yield the live dense list at every admissible node of the window.
+
+    The list is reused between yields; consumers must copy it if they keep
+    it.  Every yielded node is one admissible configuration (the list never
+    has trailing zeros), and each configuration appears exactly once.
+    """
     if l < 1:
         raise ValueError("need l >= 1")
     if level < 0:
@@ -43,59 +50,33 @@ def _validate(l, level, init_bounds, init_prefix, q_order, caps, energy_max):
         raise ValueError("need q_order or energy_max to make the search finite")
     if caps is not None and len(caps) != l:
         raise ValueError(f"caps must have length l={l}")
-
-
-def _root(l, level, init_bounds, init_prefix, q_order, caps, energy_max):
-    """Validated start: (placed prefix, color counts, degree, energy), or None.
-
-    None means the forced prefix already leaves the window, so the window
-    holds no configuration at all.
-    """
-    _validate(l, level, init_bounds, init_prefix, q_order, caps, energy_max)
-    if init_prefix is None:
-        return [], [0] * l, 0, 0
-    a0, b0 = init_prefix
-    if a0 < 0 or b0 < 0:
+    dense = list(init_prefix or ())
+    if any(a < 0 for a in dense):
         raise ValueError("init_prefix entries must be >= 0")
-    if a0 + b0 > level:
-        return None  # the window sum over positions 0..l already fails
-    counts = [0] * l
-    counts[0] += a0
-    counts[1 % l] += b0
-    degree = a0 + (1 // l + 1) * b0
-    energy = b0
-    if q_order is not None and degree > q_order:
-        return None
-    if energy_max is not None and energy > energy_max:
-        return None
-    if caps is not None and any(c > cap for c, cap in zip(counts, caps)):
-        return None
-    return [a0, b0], counts, degree, energy
-
-
-def _walk(l, level, init_bounds, init_prefix, q_order, caps, energy_max):
-    """Yield (degree, weight-tuple, live dense list) at every admissible node.
-
-    The dense list is reused between yields; consumers must copy it if they
-    keep it.  Every yielded node is one admissible configuration (the list
-    never has trailing zeros), and each configuration appears exactly once.
-    """
-    root = _root(l, level, init_bounds, init_prefix, q_order, caps, energy_max)
-    if root is None:
-        return
-    dense, counts, degree, energy = root
+    if sum(dense) > level:
+        return  # the window sum over positions 0..l already fails
+    counts, degree, energy = [0] * l, 0, 0
+    for t, a in enumerate(dense):
+        counts[t % l] += a
+        degree += (t // l + 1) * a
+        energy += t * a
+    if ((q_order is not None and degree > q_order)
+            or (energy_max is not None and energy > energy_max)
+            or (caps is not None
+                and any(c > cap for c, cap in zip(counts, caps)))):
+        return  # the start already leaves the window
     start = len(dense)
     while dense and dense[-1] == 0:
         dense.pop()
 
     def rec(start, degree, energy):
-        yield degree, tuple(counts), dense
+        yield dense
         s = start
         while True:
             tf = s // l + 1
             if q_order is not None and degree + tf > q_order:
                 break
-            if energy_max is not None and s >= 1 and energy + s > energy_max:
+            if energy_max is not None and energy + s > energy_max:
                 break
             vmax = level - sum(dense[max(0, s - l):s])
             if q_order is not None:
@@ -124,91 +105,75 @@ def _walk(l, level, init_bounds, init_prefix, q_order, caps, energy_max):
 
 def iter_configs(l, level, init_bounds=None, init_prefix=None, q_order=None,
                  caps=None, energy_max=None):
-    """Yield each admissible configuration in the window once, as a tuple."""
-    for _, _, dense in _walk(l, level, init_bounds, init_prefix, q_order,
-                             caps, energy_max):
+    """Yield each admissible configuration in the window once, as a tuple.
+
+    Any combination of the bounds in the module docstring is accepted.
+    """
+    for dense in _walk(l, level, init_bounds, init_prefix, q_order, caps,
+                       energy_max):
         yield tuple(dense)
 
 
-def count_weight_degree(l, level, init_bounds=None, init_prefix=None,
-                        q_order=None, caps=None, energy_max=None):
-    """Histogram of admissible configurations by (n_1, ..., n_l, degree).
+def count_weight_degree(l, level, init_bounds, q_order, caps):
+    """Histogram of the oracle's window by (n_1, ..., n_l, degree).
 
-    The DP advances a table {state: degree list} one position s at a time.
-    A state is the flat tuple (a_{s-l}, ..., a_{s-1}, n_1, ..., n_l[, energy])
-    -- the energy only when energy_max is set -- and entry d of its list is
-    the number of partial configurations on positions < s that reach it with
-    degree d < Q.  Q is q_order + 1, or level + 2 * energy_max + 1 when only
-    the energy bounds the window, since degree <= a_0 + 2 * sum t * a_t.
-    At s the degrees >= Q - (s // l + 1) can place no further unit: that tail
-    moves into a finished list per n-vector, and the whole list moves once
-    energy + s > energy_max.  A state with no live degree left is dropped.
-    The rest places a_s = 0, or a_s = v >= 1 within the same bounds as the
-    walk, by shifting the list v * (s // l + 1) degrees up; v stops early
-    once the shift pushes every live degree past Q - 1.
+    The window holds the configurations under the initial bounds with
+    degree <= q_order and color weights <= caps.  The DP advances a table
+    {state: degree list} one position s at a time.  A state is the flat
+    tuple (a_{s-l}, ..., a_{s-1}, n_1, ..., n_l), and entry d of its list is
+    the number of partial configurations on positions < s that reach it
+    with degree d <= q_order.  At s the degrees > q_order - (s // l + 1) can
+    place no further unit: that tail moves into a finished list per
+    n-vector, and a state with no live degree left is dropped.  The rest
+    places a_s = 0, or a_s = v >= 1 within the same bounds as the walk, by
+    shifting the list v * (s // l + 1) degrees up; v stops early once the
+    shift pushes every live degree past q_order.
     """
-    root = _root(l, level, init_bounds, init_prefix, q_order, caps, energy_max)
-    if root is None:
+    if l < 1 or len(init_bounds) != l or len(caps) != l:
+        raise ValueError(f"need l >= 1 and init_bounds, caps of length l={l}")
+    if q_order < 0 or min(caps) < 0:
         return {}
-    prefix, counts, degree, energy = root
-    if q_order is not None:
-        Q = q_order + 1
-    else:  # a negative energy_max still admits a_0 <= level alone
-        Q = level + 2 * max(energy_max, 0) + 1
-    start = [0] * Q
-    start[degree] = 1
-    window = ([0] * l + prefix)[-l:]
-    etail = (energy,) if energy_max is not None else ()
-    table = {tuple(window + counts) + etail: start}
+    Q = q_order + 1
+    table = {(0,) * (2 * l): [1] + [0] * q_order}
     finished = {}
-    D = 2 * l  # end of the n-vector in a state
-    s = len(prefix)
+    s = 0
     while table:
         tf = s // l + 1
         cut = max(Q - tf, 0)  # degrees from cut on can place no further unit
-        vq = (Q - 1) // tf  # a larger a_s shifts every degree past Q - 1
+        vq = q_order // tf  # a larger a_s shifts every degree past q_order
         color = s % l
         ci = l + color  # index of this position's color count
-        cap = caps[color] if caps is not None else None
-        init_cap = init_bounds[s] if init_bounds is not None and s < l else None
+        cap = caps[color]
         nxt = {}
         for key, lst in table.items():
-            live = cut
-            if energy_max is not None and s >= 1 and key[D] + s > energy_max:
-                live = 0
             m = len(lst)
-            if m > live:
-                n = key[l:D]
+            if m > cut:
+                n = key[l:]
                 fin = finished.get(n)
                 if fin is None:
                     fin = finished[n] = [0] * Q
-                fin[live:m] = map(add, fin[live:m], lst[live:])
-                del lst[live:]
+                fin[cut:m] = map(add, fin[cut:m], lst[cut:])
+                del lst[cut:]
                 if not any(lst):
                     continue
-            vmax = min(level - sum(key[:l]), vq)
-            if energy_max is not None and s >= 1:
-                vmax = min(vmax, (energy_max - key[D]) // s)
-            if cap is not None:
-                vmax = min(vmax, cap - key[ci])
-            if init_cap is not None:
+            used = sum(key[:l])
+            vmax = min(level - used, vq, cap - key[ci])
+            if s < l:
                 # positions before s < l all sit in the window
-                vmax = min(vmax, init_cap - sum(key[:l]))
+                vmax = min(vmax, init_bounds[s] - used)
             shifted = key[1:l]
             k0 = shifted + (0,) + key[l:]
             old = nxt.get(k0)
             nxt[k0] = lst if old is None else list(map(add, old, lst))
             before = key[l:ci]
-            after = key[ci + 1:D]
+            after = key[ci + 1:]
             c = key[ci]
             for v in range(1, vmax + 1):
                 shift = tf * v
                 new = [0] * shift + lst[:Q - shift]
                 if not any(new):
                     break  # a larger v shifts every live degree out too
-                if energy_max is not None:
-                    etail = (key[D] + s * v,)
-                k = shifted + (v,) + before + (c + v,) + after + etail
+                k = shifted + (v,) + before + (c + v,) + after
                 old = nxt.get(k)
                 nxt[k] = new if old is None else list(map(add, old, new))
         table = nxt

@@ -5,9 +5,10 @@ nonnegative integers, stored as a tuple with no trailing zeros.  Position t
 carries color (t mod l) + 1 and contributes (t // l + 1) to the degree per
 unit, so that the configuration of the vacuum is the empty tuple.
 
-Histograms come from the transfer-matrix DP in _enumpure, which counts
-without visiting each configuration; enumerate_configs streams them one at a
-time from the depth-first walk beside it.
+Histograms come from the transfer-matrix DP in _enumpure, which counts the
+oracle's window without visiting each configuration; enumerate_configs
+streams the configurations of any window one at a time from the depth-first
+walk beside it.
 """
 
 from dataclasses import dataclass
@@ -90,46 +91,41 @@ def energy(config):
     return sum(t * a for t, a in enumerate(config))
 
 
-def _start(l, weight, init_prefix):
-    """The level and the start of a walk: the weight's bounds or the exact prefix."""
-    weight = HighestWeight.coerce(weight)
-    if init_prefix is None:
-        return weight.level, weight.initial_bounds(l), None
-    if l != 2:
-        raise ValueError("init_prefix is defined for l = 2 only")
-    return weight.level, None, tuple(init_prefix)
-
-
 def enumerate_configs(l, weight, q_order=None, caps=None, init_prefix=None,
                       energy_max=None):
     """Stream the admissible configurations for `weight` inside the window.
 
-    The window keeps configurations with degree <= q_order, color weights
-    componentwise <= caps and energy <= energy_max; omitted bounds are
-    unrestricted, but at least one of q_order/energy_max must be given.
-    With init_prefix=(a, b) the weight's initial conditions are replaced by
-    the exact prefix a_0 = a, a_1 = b (only meaningful for l = 2; the weight
-    then only supplies the level).
+    The stream takes any combination of bounds: it keeps configurations
+    with degree <= q_order, color weights componentwise <= caps and energy
+    <= energy_max; omitted bounds are unrestricted, but at least one of
+    q_order/energy_max must be given, and a negative bound leaves the window
+    empty.  With init_prefix=(a, b) the weight's initial conditions are
+    replaced by the exact prefix a_0 = a, a_1 = b (only meaningful for l = 2;
+    the weight then only supplies the level).
     """
-    level, init_bounds, init_prefix = _start(l, weight, init_prefix)
+    weight = HighestWeight.coerce(weight)
+    init_bounds = None
+    if init_prefix is None:
+        init_bounds = weight.initial_bounds(l)
+    elif l != 2:
+        raise ValueError("init_prefix is defined for l = 2 only")
     return _enumpure.iter_configs(
-        l, level, init_bounds=init_bounds, init_prefix=init_prefix,
+        l, weight.level, init_bounds=init_bounds, init_prefix=init_prefix,
         q_order=q_order, caps=caps, energy_max=energy_max,
     )
 
 
-def weight_degree_counts(l, weight, q_order=None, caps=None, init_prefix=None,
-                         energy_max=None):
-    """Histogram {(n_1, ..., n_l, degree): count} over the same window.
+def weight_degree_counts(l, weight, q_order, caps):
+    """Histogram {(n_1, ..., n_l, degree): count} over the oracle's window.
 
-    Counted by the transfer-matrix DP; the result equals counting the stream
-    of enumerate_configs.
+    The window is the weight's initial bounds with degree <= q_order and
+    color weights <= caps, the one the character oracle needs.  Counted by
+    the transfer-matrix DP; the result equals counting the stream of
+    enumerate_configs over the same window.
     """
-    level, init_bounds, init_prefix = _start(l, weight, init_prefix)
+    weight = HighestWeight.coerce(weight)
     return _enumpure.count_weight_degree(
-        l, level, init_bounds=init_bounds, init_prefix=init_prefix,
-        q_order=q_order, caps=caps, energy_max=energy_max,
-    )
+        l, weight.level, weight.initial_bounds(l), q_order, caps)
 
 
 def character_oracle(l, weight, q_order, caps):

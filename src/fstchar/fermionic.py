@@ -152,13 +152,6 @@ def pos(value, j, p):
     raise ValueError(f"pattern {p.bits} has fewer than {j} entries equal to {value}")
 
 
-def _check_axis(axis, p, N):
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    if p.k != N.k:
-        raise ValueError("pattern/sequence length mismatch")
-
-
 def _l_exponent(axis, bits, N):
     """The exponent sum p_i N_{axis,i} of l^axis_p, for the bits of p."""
     seq = N.n1 if axis == 1 else N.n2
@@ -166,7 +159,12 @@ def _l_exponent(axis, bits, N):
 
 
 def _fired(axis, p):
-    """0-based indices i - 1 of the factors d^axis_p fires (see `delta_term`)."""
+    """0-based indices i - 1 of the factors (1 - q^{gap}) that d^axis_p fires.
+
+    Axis 1 fires factor i when p_i = 0, p_{i+1} = 1 (the right boundary bit
+    stands in for p_{k+1}); axis 2 fires when p_i = 0, p_{i-1} = 1 (the left
+    boundary bit stands in for p_0).
+    """
     bits = (p.left,) + p.bits + (p.right,)
     step = 1 if axis == 1 else -1
     return [i - 1 for i in range(1, p.k + 1) if not bits[i] and bits[i + step]]
@@ -199,24 +197,6 @@ def _expand(summands, q_order):
         for x, c in term.items():
             total[x] = total.get(x, 0) + c
     return QSeries(total, q_order)
-
-
-def l_term(axis, p, N, q_order):
-    """The pure power q^{sum p_i N_{axis,i}}."""
-    _check_axis(axis, p, N)
-    return QSeries.monomial(_l_exponent(axis, p.bits, N), q_order)
-
-
-def delta_term(axis, p, N, q_order):
-    """Product of the fired factors (1 - q^{gap}).
-
-    Axis 1 fires factor i when p_i = 0, p_{i+1} = 1 (the right boundary bit
-    stands in for p_{k+1}); axis 2 fires when p_i = 0, p_{i-1} = 1 (the left
-    boundary bit stands in for p_0).  A zero gap makes the factor vanish.
-    """
-    _check_axis(axis, p, N)
-    gaps = _gaps(axis, N)
-    return _expand([(0, [gaps[i] for i in _fired(axis, p)])], q_order)
 
 
 def _check_weight3(w):

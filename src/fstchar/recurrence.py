@@ -165,14 +165,12 @@ def verify_equation(equation, provider, caps, q_order, report=None):
     return report
 
 
-def verify_system(provider, k, l, caps, q_order, equations=None):
+def verify_system(provider, k, l, caps, q_order):
     """Verify the whole level-k system; returns a merged CheckReport."""
-    if equations is None:
-        equations = build_system(k, l)
     report = CheckReport(
         name=f"recurrence-system[k={k},l={l}]",
         window={"caps": list(caps), "q_order": q_order},
     )
-    for eq in equations:
+    for eq in build_system(k, l):
         verify_equation(eq, provider, caps, q_order, report=report)
     return report

@@ -1,4 +1,6 @@
+import itertools
 import json
+from functools import lru_cache
 from importlib import resources
 
 import pytest
@@ -16,6 +18,8 @@ from fstchar.admissible import (
     is_admissible,
     weight_degree_counts,
 )
+from fstchar.charseries import CharSeries
+from fstchar.fermionic import character_fermionic
 from fstchar.qseries import QSeries
 
 
@@ -99,6 +103,10 @@ class TestEnumerate:
         for c in enumerate_configs(2, (2, 0, 0), q_order=6, init_prefix=(1, 1)):
             assert c[:2] == (1, 1)
 
+    def test_negative_prefix_rejected(self):
+        with pytest.raises(ValueError):
+            list(enumerate_configs(2, (2, 0, 0), q_order=6, init_prefix=(-1, 0)))
+
     def test_init_prefix_requires_l2(self):
         with pytest.raises(ValueError):
             list(enumerate_configs(3, (1, 0, 0, 0), q_order=2, init_prefix=(0, 0)))
@@ -119,11 +127,25 @@ class TestEnumerate:
         for c in enumerate_configs(2, (2, 0, 0), energy_max=6, init_prefix=(1, 0)):
             assert energy(c) <= 6
 
+    def test_negative_energy_max_is_empty(self):
+        assert list(enumerate_configs(2, (1, 1, 0), energy_max=-1)) == []
+
+    def test_negative_q_order_is_empty(self):
+        assert list(
+            enumerate_configs(2, (1, 0, 0), q_order=-1, caps=(2, 2))
+        ) == []
+
 
 class TestCharacterOracle:
     def test_vacuum_coefficient(self):
         ch = character_oracle(2, (1, 0, 0), 6, (3, 3))
         assert ch.coefficient((0, 0)) == QSeries.one(6)
+
+    def test_negative_q_order_is_zero(self):
+        # the closed formula gives the zero series on the same window
+        ch = character_oracle(2, (1, 0, 0), -1, (2, 2))
+        assert ch == CharSeries(2, (2, 2), -1, {})
+        assert ch == character_fermionic((1, 0, 0), -1, (2, 2))
 
     def test_level1_coefficient(self):
         ch = character_oracle(2, (1, 0, 0), 3, (3, 3))
@@ -158,20 +180,16 @@ class TestCharacterOracle:
 
 
 class TestKernels:
+    """The DP on the oracle's window: initial bounds, q_order and caps."""
+
     CASES = [
         dict(l=2, level=1, init_bounds=(1, 1), q_order=10, caps=(5, 5)),
-        dict(l=2, level=2, init_bounds=(1, 2), q_order=9, caps=None),
-        dict(l=2, level=2, init_bounds=None, init_prefix=(1, 1),
-             q_order=None, energy_max=12),
+        dict(l=2, level=2, init_bounds=(1, 2), q_order=9, caps=(9, 9)),
         dict(l=3, level=2, init_bounds=(0, 1, 2), q_order=8, caps=(4, 4, 4)),
         dict(l=1, level=3, init_bounds=(2,), q_order=8, caps=(8,)),
-        dict(l=2, level=3, init_bounds=(3, 3), q_order=8, caps=(5, 5),
-             energy_max=9),
     ]
 
     BAD_CASES = [
-        dict(l=2, level=2, init_prefix=(-1, 0), q_order=6),
-        dict(l=2, level=2, init_bounds=(1, 2)),
         dict(l=2, level=2, init_bounds=(1, 2), q_order=6, caps=(3,)),
     ]
 
@@ -190,16 +208,16 @@ class TestKernels:
         # each result is also checked against the stream in the examples of
         # test_dp_matches_stream_on_random_windows
         count = _enumpure.count_weight_degree
-        assert count(l=2, level=2, init_bounds=(1, 2), q_order=0) == {
-            (0, 0, 0): 1
-        }
+        assert count(l=2, level=2, init_bounds=(1, 2), q_order=0,
+                     caps=(3, 3)) == {(0, 0, 0): 1}
         # (0, 0, 2) places 2 units at tf = 2 and lands exactly on q_order
-        assert count(l=2, level=2, init_bounds=(0, 0), q_order=4)[2, 0, 4] == 1
-        # with the energy alone bounding the window the degree outgrows it
-        hist = count(l=1, level=3, init_bounds=(3,), energy_max=3)
-        assert max(d for _, d in hist) == 7
-        assert count(l=2, level=2, init_prefix=(2, 1), q_order=6) == {}
-        assert count(l=2, level=2, init_prefix=(1, 1), q_order=1) == {}
+        assert count(l=2, level=2, init_bounds=(0, 0), q_order=4,
+                     caps=(4, 4))[2, 0, 4] == 1
+        # a negative bound holds not even the vacuum
+        assert count(l=2, level=1, init_bounds=(1, 1), q_order=-1,
+                     caps=(2, 2)) == {}
+        assert count(l=2, level=1, init_bounds=(1, 1), q_order=3,
+                     caps=(2, -1)) == {}
 
     def test_kernel_reports_kind(self):
         assert KERNEL == "pure"
@@ -215,43 +233,113 @@ class TestKernels:
 
 @st.composite
 def random_windows(draw):
+    """An oracle window: initial bounds, q_order from -1 and caps."""
     l = draw(st.integers(1, 3))
     level = draw(st.integers(1, 4))
-    kwargs = dict(l=l, level=level)
-    if l == 2 and draw(st.booleans()):
-        kwargs["init_prefix"] = (
-            draw(st.integers(0, level)),
-            draw(st.integers(0, level)),
-        )
-    else:
-        parts = draw(st.lists(st.integers(0, level), min_size=l, max_size=l))
-        acc, bounds = 0, []
-        for p in parts:
-            acc += p
-            bounds.append(acc)
-        kwargs["init_bounds"] = tuple(bounds)
-    kwargs["q_order"] = draw(st.one_of(st.none(), st.integers(0, 9)))
-    kwargs["energy_max"] = draw(st.one_of(st.none(), st.integers(0, 12)))
-    if kwargs["q_order"] is None and kwargs["energy_max"] is None:
-        kwargs["q_order"] = draw(st.integers(0, 9))
-    if draw(st.booleans()):
-        kwargs["caps"] = tuple(
-            draw(st.lists(st.integers(0, 6), min_size=l, max_size=l))
-        )
-    return kwargs
+    parts = draw(st.lists(st.integers(0, level), min_size=l, max_size=l))
+    acc, bounds = 0, []
+    for p in parts:
+        acc += p
+        bounds.append(acc)
+    return dict(
+        l=l, level=level, init_bounds=tuple(bounds),
+        q_order=draw(st.integers(-1, 9)),
+        caps=tuple(draw(st.lists(st.integers(0, 6), min_size=l, max_size=l))),
+    )
 
 
 @settings(max_examples=120, deadline=None)
 @given(random_windows())
-@example(dict(l=2, level=2, init_bounds=(1, 2), q_order=0))
-@example(dict(l=2, level=2, init_bounds=(0, 0), q_order=4))
-@example(dict(l=1, level=3, init_bounds=(3,), energy_max=3))
-@example(dict(l=2, level=3, init_bounds=(3, 3), energy_max=2))
-@example(dict(l=2, level=2, init_prefix=(2, 1), q_order=6))
-@example(dict(l=2, level=2, init_prefix=(1, 1), q_order=1))
-@example(dict(l=3, level=2, init_bounds=(1, 2, 2), q_order=10))
+@example(dict(l=2, level=2, init_bounds=(1, 2), q_order=0, caps=(3, 3)))
+@example(dict(l=2, level=2, init_bounds=(0, 0), q_order=4, caps=(4, 4)))
+@example(dict(l=3, level=2, init_bounds=(1, 2, 2), q_order=10,
+              caps=(10, 10, 10)))
+@example(dict(l=2, level=1, init_bounds=(1, 1), q_order=-1, caps=(2, 2)))
 def test_dp_matches_stream_on_random_windows(kwargs):
     hist = _enumpure.count_weight_degree(**kwargs)
     # the degree lists carry zero counts; none may reach the histogram
     assert all(hist.values())
     assert hist == streamed_histogram(kwargs)
+
+
+# -- the stream against brute force on every window shape ---------------------
+
+REACH = 6  # no window below places a unit at a position >= REACH
+
+
+@lru_cache(maxsize=None)
+def short_configs(l, level):
+    """Every tuple of entries <= level, no trailing zeros, length <= REACH,
+    whose window sums are all <= level."""
+    out = []
+    for t in itertools.product(range(level + 1), repeat=REACH):
+        c = list(t)
+        while c and c[-1] == 0:
+            c.pop()
+        c = tuple(c)
+        if all(sum(c[i:i + l + 1]) <= level for i in range(len(c))):
+            out.append(c)
+    return out
+
+
+def brute_force(l, level, init_bounds=None, init_prefix=None, q_order=None,
+                caps=None, energy_max=None):
+    """The configurations of a window, filtered from `short_configs`."""
+    reach = []  # one past the last position a unit can reach
+    if q_order is not None:
+        reach.append(l * q_order)  # a unit at t has degree t // l + 1
+    if energy_max is not None:
+        reach.append(energy_max + 1)  # and energy t
+    assert max(min(reach), 2 if init_prefix else 0) <= REACH
+    out = []
+    for c in short_configs(l, level):
+        if init_prefix is not None:
+            if (c + (0, 0))[:2] != tuple(init_prefix):
+                continue
+        elif any(sum(c[:r + 1]) > init_bounds[r] for r in range(l)):
+            continue
+        d, n = degree_weight(c, l)
+        if q_order is not None and d > q_order:
+            continue
+        if energy_max is not None and energy(c) > energy_max:
+            continue
+        if caps is not None and any(x > cap for x, cap in zip(n, caps)):
+            continue
+        out.append(c)
+    return out
+
+
+def stream_windows():
+    """Windows of all 12 shapes: {bounds, prefix} x {q, energy, both} x caps."""
+    for l in (1, 2, 3):
+        q_top = REACH // l
+        for level in (1, 2, 3):
+            starts = [dict(init_bounds=(level,) * l),
+                      dict(init_bounds=tuple(min(r, level) for r in range(l)))]
+            if l == 2:
+                starts += [dict(init_prefix=p)
+                           for p in ((0, 0), (1, 1), (level, 0), (0, level))]
+            bounds = [dict(q_order=q) for q in (-1, 0, q_top)]
+            bounds += [dict(energy_max=e) for e in (-1, 0, REACH - 1)]
+            bounds += [dict(q_order=q_top, energy_max=3),
+                       dict(q_order=-1, energy_max=3),
+                       dict(q_order=q_top, energy_max=-1)]
+            for start in starts:
+                for bound in bounds:
+                    for caps in (None, (1,) * l, tuple(range(l, 0, -1))):
+                        yield dict(l=l, level=level, caps=caps, **start, **bound)
+
+
+class TestStreamAgainstBruteForce:
+    def test_every_window_shape(self):
+        shapes = set()
+        for case in stream_windows():
+            got = list(_enumpure.iter_configs(**case))
+            assert sorted(got) == sorted(brute_force(**case)), case
+            shapes.add((
+                "init_prefix" in case,
+                case.get("q_order") is not None,
+                case.get("energy_max") is not None,
+                case["caps"] is not None,
+            ))
+        assert len(shapes) == 12

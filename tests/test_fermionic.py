@@ -15,10 +15,8 @@ from fstchar.fermionic import (
     NSequences,
     a_coefficient,
     character_fermionic,
-    delta_term,
     flip_first,
     flip_last,
-    l_term,
     linear_term,
     linear_term_alt,
     linear_term_star,
@@ -108,33 +106,44 @@ class TestNSequences:
 
 
 class TestTerms:
+    """Hand examples of l^axis_p and d^axis_p as `_evaluate` sums them."""
+
     N = NSequences((5, 2), (3, 7))
+    ZERO = BinaryPattern((0, 0))
+
+    def term(self, p1, p2, axis, p_delta, N=None):
+        template = fermionic._summand(p1, p2, axis, p_delta)
+        return fermionic._evaluate([template], N or self.N, POLY_ORDER)
 
     def test_l_term_all_zero_pattern(self):
-        p = BinaryPattern((0, 0))
-        assert l_term(1, p, self.N, POLY_ORDER) == one()
+        assert self.term(self.ZERO, self.ZERO, 1, self.ZERO) == one()
+
+    def test_l_terms_by_hand(self):
+        # l^1_{10} l^2_{01} = q^{N_{1,1} + N_{2,2}}
+        p1, p2 = BinaryPattern((1, 0)), BinaryPattern((0, 1))
+        assert self.term(p1, p2, 1, self.ZERO) == mono(5 + 7)
 
     def test_delta_axis1_example(self):
         # fires on the 01 descent: 1 - q^{N_{1,1}-N_{1,2}}
         p = BinaryPattern((0, 1))
-        assert delta_term(1, p, self.N, POLY_ORDER) == one() - mono(3)
+        assert self.term(self.ZERO, self.ZERO, 1, p) == one() - mono(3)
 
     def test_delta_axis2_default_boundary(self):
         p = BinaryPattern((0, 1))
-        assert delta_term(2, p, self.N, POLY_ORDER) == one()
+        assert self.term(self.ZERO, self.ZERO, 2, p) == one()
 
     def test_delta_axis2_left_boundary_fires(self):
         p = BinaryPattern((0, 1), left=1)
-        assert delta_term(2, p, self.N, POLY_ORDER) == one() - mono(3)
+        assert self.term(self.ZERO, self.ZERO, 2, p) == one() - mono(3)
 
     def test_delta_axis1_right_boundary_fires(self):
         p = BinaryPattern((1, 0), right=1)
-        assert delta_term(1, p, self.N, POLY_ORDER) == one() - mono(2)
+        assert self.term(self.ZERO, self.ZERO, 1, p) == one() - mono(2)
 
     def test_zero_gap_kills_factor(self):
         N = NSequences((4, 4), (0, 0))
         p = BinaryPattern((0, 1))
-        assert delta_term(1, p, N, POLY_ORDER).is_zero()
+        assert self.term(self.ZERO, self.ZERO, 1, p, N).is_zero()
 
 
 LEVEL2_WEIGHTS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
@@ -225,11 +234,9 @@ class TestStarAndFlippedSums:
         N = NSequences((6, 5, 3), (2, 4, 9))
         total = QSeries.zero(POLY_ORDER)
         for p in patterns(3, 2):
-            from dataclasses import replace
-
             bumped = replace(p, right=1)
-            factor = delta_term(1, bumped, N, POLY_ORDER)
-            plain = delta_term(1, p, N, POLY_ORDER)
+            factor = _product_delta_term(1, bumped, N, POLY_ORDER)
+            plain = _product_delta_term(1, p, N, POLY_ORDER)
             if p.bits[-1] == 0:
                 assert factor == plain * (one() - mono(N.N1(3)))
             else:
@@ -254,12 +261,10 @@ class TestStarAndFlippedSums:
         N = NSequences((4, 2, 1), (1, 3, 8))
         got_m = m_term((1, 1, 1), N, POLY_ORDER)
         expected = QSeries.zero(POLY_ORDER)
-        from dataclasses import replace
-
         for p in patterns(3, 2):
-            term = l_term(1, flip_first(1, 1, p), N, POLY_ORDER)
-            term = term * l_term(2, p, N, POLY_ORDER)
-            term = term * delta_term(2, replace(p, left=1), N, POLY_ORDER)
+            term = _product_l_term(1, flip_first(1, 1, p), N, POLY_ORDER)
+            term = term * _product_l_term(2, p, N, POLY_ORDER)
+            term = term * _product_delta_term(2, replace(p, left=1), N, POLY_ORDER)
             expected = expected + term
         assert got_m == expected
 
@@ -532,19 +537,6 @@ class TestAgainstSeriesProducts:
             w, N, q_order)
         assert m_term(w, N, q_order) == _product_m_term(w, N, q_order)
         assert n_term(w, N, q_order) == _product_n_term(w, N, q_order)
-
-    @settings(max_examples=200, deadline=None)
-    @given(weight_and_sequences(entry_max=4), orders, st.data())
-    def test_l_and_delta_terms(self, wN, q_order, data):
-        _, N = wN
-        bits = data.draw(st.lists(st.integers(0, 1), min_size=N.k, max_size=N.k))
-        left, right = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
-        p = BinaryPattern(tuple(bits), left, right)
-        for axis in (1, 2):
-            assert l_term(axis, p, N, q_order) == _product_l_term(
-                axis, p, N, q_order)
-            assert delta_term(axis, p, N, q_order) == _product_delta_term(
-                axis, p, N, q_order)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(WEIGHTS_1_TO_4), st.integers(0, 6), st.integers(0, 6),
