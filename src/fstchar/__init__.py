@@ -20,7 +20,7 @@ from .admissible import (
     enumerate_configs,
     is_admissible,
 )
-from .charseries import CharSeries, SpecializedSeries, specialize
+from .charseries import CharSeries, specialize
 from .fermionic import (
     BinaryPattern,
     NSequences,
@@ -50,7 +50,6 @@ __all__ = [
     "enumerate_configs",
     "is_admissible",
     "CharSeries",
-    "SpecializedSeries",
     "specialize",
     "BinaryPattern",
     "NSequences",

@@ -5,6 +5,11 @@ A CharSeries is a finitely supported map from weight-exponent vectors
 per-variable caps n_i <= cap_i and a shared q truncation order.  Windows are
 always explicit inputs so that two characters are only ever compared on an
 identical finite window.
+
+`specialize` collapses the z-variables into plain values: a dict
+{z-exponent: QSeries} when some variables merge into one surviving z, a
+single QSeries when none survives.  Each coefficient carries its own
+guaranteed-valid truncation order.
 """
 
 from .qseries import QSeries
@@ -65,10 +70,6 @@ class CharSeries:
         if not isinstance(other, CharSeries):
             return NotImplemented
         return self.same_window(other) and self.coeffs == other.coeffs
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __repr__(self):
         return (
@@ -157,69 +158,6 @@ class CharSeries:
         return "\n".join(lines) + "\n"
 
 
-class SpecializedSeries:
-    """Result of collapsing the z-variables: either z-graded or a bare series.
-
-    Each retained coefficient carries its own guaranteed-valid truncation
-    order, derived from the input window and the specialization offsets, so
-    comparisons never read past trustworthy coefficients.
-    """
-
-    __slots__ = ("terms", "series")
-
-    def __init__(self, terms=None, series=None):
-        if (terms is None) == (series is None):
-            raise ValueError("exactly one of terms/series must be given")
-        # zero coefficients are kept: they still carry a guaranteed-valid order
-        object.__setattr__(self, "terms", None if terms is None else dict(terms))
-        object.__setattr__(self, "series", series)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpecializedSeries is immutable")
-
-    def __reduce__(self):
-        return (SpecializedSeries, (self.terms, self.series))
-
-    @property
-    def is_scalar(self):
-        return self.series is not None
-
-    def coefficient(self, n):
-        if self.is_scalar:
-            raise ValueError("scalar specialization has no z-grading")
-        if n in self.terms:
-            return self.terms[n]
-        raise KeyError(n)
-
-    def __eq__(self, other):
-        if not isinstance(other, SpecializedSeries):
-            return NotImplemented
-        return self.terms == other.terms and self.series == other.series
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def to_json(self):
-        if self.is_scalar:
-            return {"kind": "scalar", "series": self.series.to_json()}
-        return {
-            "kind": "graded",
-            "terms": [[n, self.terms[n].to_json()] for n in sorted(self.terms)],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        if obj["kind"] == "scalar":
-            return cls(series=QSeries.from_json(obj["series"]))
-        return cls(terms={n: QSeries.from_json(s) for n, s in obj["terms"]})
-
-    def __repr__(self):
-        if self.is_scalar:
-            return f"SpecializedSeries(scalar, {self.series!r})"
-        return f"SpecializedSeries(graded, {len(self.terms)} terms)"
-
-
 def _minimal_shift(offsets, caps, z_vars, one_vars, z_total):
     """Most negative achievable sum n_i*offset_i within the cap window.
 
@@ -245,6 +183,11 @@ def specialize(char, q_scale, spec_vars):
     to a pure q-power).  The coefficient of q^m z^n contributes
     q^{q_scale*m + sum n_i*offset_i} at output z-exponent sum of the
     z-collapsed n_i.
+
+    Returns {z-exponent: QSeries} for every exponent up to the summed caps
+    when some target is "z", and one QSeries otherwise.  Each series is
+    truncated at the order its coefficients are guaranteed valid to, which
+    the input window and the offsets fix.
     """
     if q_scale <= 0:
         raise ValueError("q_scale must be >= 1")
@@ -274,10 +217,10 @@ def specialize(char, q_scale, spec_vars):
 
     if z_vars:
         max_exp = sum(char.caps[i] for i in z_vars)
+        # zero coefficients are kept: they still carry a guaranteed-valid order
         terms = {
             z: QSeries(buckets.get(z, {}), valid_order(z))
             for z in range(max_exp + 1)
         }
-        return SpecializedSeries(terms=terms)
-    merged = buckets.get(0, {})
-    return SpecializedSeries(series=QSeries(merged, valid_order(0)))
+        return terms
+    return QSeries(buckets.get(0, {}), valid_order(0))

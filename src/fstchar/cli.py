@@ -206,12 +206,14 @@ def cmd_character(args):
         weight = _parse_weight(
             args, l, "method fjmmt needs --weight k0,k1,0", k2_zero=True
         )
-        result = specialize.chi_fjmmt(weight[0], weight[1], zmax, qmax)
+        terms = specialize.chi_fjmmt(weight[0], weight[1], zmax, qmax)
         text = (
-            _json_dumps(result.to_json())
+            _json_dumps({
+                "kind": "graded",
+                "terms": [[n, terms[n].to_json()] for n in sorted(terms)],
+            })
             if args.format == "json"
-            else "\n".join(f"z^{n}: {result.terms[n]!r}" for n in sorted(result.terms))
-            + "\n"
+            else "\n".join(f"z^{n}: {terms[n]!r}" for n in sorted(terms)) + "\n"
         )
     elif method == "fjmmt2":
         if args.ab is None:

@@ -75,10 +75,6 @@ class QSeries:
             return NotImplemented
         return self.trunc == other.trunc and self.coeffs == other.coeffs
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):

@@ -15,12 +15,12 @@ specialized double sum over (q^2)-Pochhammer denominators (k_2 = 0 only,
 ("fjmmt2" below, finite or stabilized infinite site count).
 """
 
-from operator import add
+from operator import add, mul
 
 from .admissible import HighestWeight, character_oracle, energy, enumerate_configs
-from .charseries import SpecializedSeries, specialize
+from .charseries import specialize
 from .fermionic import character_fermionic
-from .qseries import QSeries, divide_pochhammer, gaussian_binomial
+from .qseries import QSeries, divide_pochhammer
 from .reporting import CheckReport
 
 SPEC1_VARS = ((-2, "z"), (-1, "z"))
@@ -28,12 +28,12 @@ SPEC2_VARS = ((-2, "one"), (-1, "one"))
 
 
 def spec1(char):
-    """Apply spec_1 to a two-variable character."""
+    """Apply spec_1 to a two-variable character; returns {z-exponent: QSeries}."""
     return specialize(char, 2, SPEC1_VARS)
 
 
 def spec2(char):
-    """Apply spec_2 to a two-variable character; returns the scalar form."""
+    """Apply spec_2 to a two-variable character; returns one QSeries."""
     return specialize(char, 2, SPEC2_VARS)
 
 
@@ -67,8 +67,30 @@ def fjmmt_linear_coeffs(k, k0):
     return tuple(coeffs)
 
 
+def _denominators(q_order, scale):
+    """Lookup of the coefficient lists of 1/prod_j (q^scale; q^scale)_{m_j}.
+
+    The key is the sorted tuple of nonzero multiplicities m_j, and each list
+    runs to q_order.  The returned lookup builds each list once: a copy of
+    its prefix key's list divided in place by (q^scale; q^scale)_{m} for
+    the key's last entry m (`divide_pochhammer`).  Callers only read the
+    lists.
+    """
+    denominators = {(): [1] + [0] * q_order}
+
+    def denominator(key):
+        denom = denominators.get(key)
+        if denom is None:
+            denom = denominator(key[:-1])[:]
+            divide_pochhammer(denom, key[-1], scale)
+            denominators[key] = denom
+        return denom
+
+    return denominator
+
+
 def chi_fjmmt(k0, k1, z_cap, q_order):
-    """Principally specialized character for weights with k_2 = 0.
+    """Principally specialized character for weights with k_2 = 0, as {n: QSeries}.
 
     Coefficient of z^n sums over l_1 + l_2 = n and exponent vectors m with
     sum_j j*m_{ij} = l_i the term
@@ -78,12 +100,10 @@ def chi_fjmmt(k0, k1, z_cap, q_order):
     2 A_ii m_i + 2 sum_{j != i} A_ij m_j + 2 c_i (+ its part size on the
     second block), which is >= 0, and raises n by the part size, so the
     vectors m are enumerated entry by entry and each entry stops growing
-    once the exponent exceeds q_order or n exceeds z_cap.  The denominator
-    depends only on the nonzero multiplicities, so each distinct one is
-    built once per call, as a coefficient list: the list of its prefix key
-    divided in place by (q^2; q^2)_{m} (`divide_pochhammer` at scale 2).
-    Each z-degree keeps one accumulator list, and a term adds its
-    denominator into it at offset `expo`; no series product is taken.
+    once the exponent exceeds q_order or n exceeds z_cap.  The denominators
+    come from `_denominators` at scale 2.  Each z-degree keeps one
+    accumulator list, and a term adds its denominator into it at offset
+    `expo`; no series product is taken.
     """
     if k0 < 0 or k1 < 0 or k0 + k1 < 1:
         raise ValueError("need k0, k1 >= 0 with level k0 + k1 >= 1")
@@ -95,17 +115,8 @@ def chi_fjmmt(k0, k1, z_cap, q_order):
     steps = [matrix[i][i] + linear[i] for i in range(2 * k)]
     terms = {n: [0] * (q_order + 1) for n in range(z_cap + 1)}
     # terms are reached only with 0 <= expo <= q_order
-    denominators = {(): [1] + [0] * q_order}
+    denominator = _denominators(q_order, 2)
     m = [0] * (2 * k)
-
-    def denominator(key):
-        # key: sorted nonzero multiplicities; its prefixes are keys as well
-        denom = denominators.get(key)
-        if denom is None:
-            denom = denominator(key[:-1])[:]
-            divide_pochhammer(denom, key[-1], scale=2)
-            denominators[key] = denom
-        return denom
 
     def extend(i, n, expo):
         if i == 2 * k:
@@ -123,9 +134,7 @@ def chi_fjmmt(k0, k1, z_cap, q_order):
         m[i] = 0
 
     extend(0, 0, 0)
-    return SpecializedSeries(terms={
-        n: QSeries(dict(enumerate(acc)), q_order) for n, acc in terms.items()
-    })
+    return {n: QSeries(dict(enumerate(acc)), q_order) for n, acc in terms.items()}
 
 
 # -- level-k fermionic sum with Gaussian binomials ---------------------------
@@ -148,61 +157,23 @@ def fjmmt2_r_vector(k, a, b):
     )
 
 
-def _fjmmt2_terms(k, a, b, q_order):
-    """Contributing m-vectors with their base exponents Q(m) + r.m <= q_order."""
-    matrix = fjmmt2_matrix(k)
-    r = fjmmt2_r_vector(k, a, b)
-
-    def base(m):
-        quad = sum(
-            matrix[i][j] * m[i] * m[j] for i in range(k) for j in range(k)
-        ) - sum(matrix[j][j] * m[j] for j in range(k))
-        return quad // 2 + sum(r[i] * m[i] for i in range(k))
-
-    found = []
-    m = [0] * k
-
-    def rec(j):
-        if j == k:
-            found.append((tuple(m), base(m)))
-            return
-        v = 0
-        while True:
-            m[j] = v
-            if base(m) > q_order:
-                m[j] = 0
-                break
-            rec(j + 1)
-            v += 1
-        m[j] = 0
-
-    rec(0)
-    return matrix, r, found
-
-
-def stabilization_sites(k, a, b, q_order):
-    """Smallest site count N making every contributing binomial q_order-stable.
-
-    Stability means the binomial's top argument exceeds its bottom one by at
-    least q_order, at which point it agrees with 1/(q)_m to the working order.
-    """
-    matrix, r, found = _fjmmt2_terms(k, a, b, q_order)
-    needed = 0
-    for m, _ in found:
-        for j in range(k):
-            if m[j]:
-                num = q_order + sum(matrix[j][i] * m[i] for i in range(k))
-                num += r[j] - matrix[j][j]
-                needed = max(needed, -(-num // (j + 1)))
-    return needed
-
-
 def chi_fjmmt2(a, b, k, n_sites, q_order):
-    """The level-k fermionic sum with Gaussian-binomial factors.
+    """The level-k fermionic sum with Gaussian-binomial factors, as a QSeries.
+
+    The sum runs over m in N^k of
+    q^{(m.A.m - diag(A).m)/2 + r.m} prod_j [top_j over m_j]_q with
+    top_j = j*n_sites - (A m)_j + A_jj - r_j + m_j.  One more unit of m_j
+    raises the exponent by (A m)_j + r_j >= 0, so the vectors m are
+    enumerated entry by entry and each entry stops growing once the
+    exponent exceeds q_order.
 
     n_sites = None means unbounded site count: every binomial is replaced by
-    its stabilized value, realized by evaluating at stabilization_sites(...)
-    (the result is independent of any larger choice).
+    its stabilized value 1/(q)_{m_j}, so a term is its denominator from
+    `_denominators` at scale 1, added into one accumulator list at its
+    exponent.  For a finite n_sites a term is a copy of the denominator cut
+    to the order left above its exponent, multiplied in place by the
+    numerator factors (1 - q^e), e = top_j - m_j + 1 .. top_j, that fall
+    within that order; a binomial with top_j < m_j drops the term.
 
     For a + b > k the pair is saturated to (a, k - a): the configuration
     constraint encoded by b is already slack there, and larger b values
@@ -213,26 +184,43 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
         raise ValueError(f"need 0 <= a <= {k} and b >= 0")
     if a + b > k:
         b = k - a
-    if n_sites is None:
-        n_sites = stabilization_sites(k, a, b, q_order)
-    matrix, r, found = _fjmmt2_terms(k, a, b, q_order)
-    total = QSeries.zero(q_order)
-    for m, base in found:
-        term = QSeries.monomial(base, q_order)
-        for j in range(k):
-            if m[j]:
-                top = (
-                    (j + 1) * n_sites
-                    - sum(matrix[j][i] * m[i] for i in range(k))
-                    + matrix[j][j]
-                    - r[j]
-                    + m[j]
-                )
-                term = term * gaussian_binomial(top, m[j], q_order)
-                if term.is_zero():
-                    break
-        total = total + term
-    return total
+    matrix = fjmmt2_matrix(k)
+    r = fjmmt2_r_vector(k, a, b)
+    total = [0] * (q_order + 1)
+    denominator = _denominators(q_order, 1)
+    m = [0] * k
+
+    def add_term(expo):
+        term = denominator(tuple(sorted(x for x in m if x)))
+        if n_sites is not None:
+            order = q_order - expo
+            term = term[:order + 1]
+            for j, mj in enumerate(m):
+                if not mj:
+                    continue
+                row = matrix[j]
+                top = (j + 1) * n_sites - sum(map(mul, row, m)) + row[j] - r[j] + mj
+                if top < mj:
+                    return
+                for e in range(top - mj + 1, min(top, order) + 1):
+                    for i in range(order, e - 1, -1):
+                        term[i] -= term[i - e]
+        total[expo:] = map(add, total[expo:], term)
+
+    def extend(j, expo):
+        if j == k:
+            add_term(expo)
+            return
+        row = matrix[j]
+        while expo <= q_order:
+            extend(j + 1, expo)
+            # entries after j are still 0
+            expo += sum(row[i] * m[i] for i in range(j + 1)) + r[j]
+            m[j] += 1
+        m[j] = 0
+
+    extend(0, 0)
+    return QSeries(dict(enumerate(total)), q_order)
 
 
 def chi_fjmmt2_alternating(weight, q_order):
@@ -301,8 +289,8 @@ def verify_spec1(k0, k1, z_cap, q_order):
         window={"z_cap": z_cap, "q_order": q_order},
     )
     for n in range(z_cap + 1):
-        lhs = left.terms[n]
-        rhs = right.terms[n].truncate(lhs.trunc)
+        lhs = left[n]
+        rhs = right[n].truncate(lhs.trunc)
         report.checked += 1
         if lhs.min_exponent() is not None and lhs.min_exponent() < 0:
             report.add_violation(
@@ -322,7 +310,7 @@ def verify_spec2(weight, q_order):
     weight = HighestWeight.coerce(weight)
     k0, k1, k2 = weight.parts
     caps, q_in = spec2_window(weight.level, q_order)
-    left = spec2(character_fermionic(weight.parts, q_in, caps)).series
+    left = spec2(character_fermionic(weight.parts, q_in, caps))
     if left.trunc < q_order:
         raise AssertionError("window derivation failed to reach the target order")
     left = left.truncate(q_order)
@@ -359,7 +347,7 @@ def verify_union_identity(weight, q_order):
     weight = HighestWeight.coerce(weight)
     k0, k1, _ = weight.parts
     caps, q_in = spec2_window(weight.level, q_order)
-    left = spec2(character_oracle(2, weight, q_in, caps)).series.truncate(q_order)
+    left = spec2(character_oracle(2, weight, q_in, caps)).truncate(q_order)
     total = QSeries.zero(q_order)
     for a in range(k0 + 1):
         for b in range(k0 + k1 - a + 1):

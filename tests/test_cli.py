@@ -1,5 +1,8 @@
+import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -165,6 +168,40 @@ class TestCharacter:
         )
         assert code == 0
         assert out.startswith("# l=2")
+
+    # stdout sha256 prefixes of `character` runs, recorded at 67e1c2f; no
+    # benchmark workload runs `character`, so only this pins their output
+    PINNED = [
+        ("character --method fjmmt --weight 2,0,0 --zmax 6 --qmax 20",
+         "59028fa7ccc2af10"),
+        ("character --method fjmmt --weight 2,0,0 --zmax 6 --qmax 20"
+         " --format text", "6549c2c71381afa1"),
+        ("character --method fjmmt2 --ab 1,0 --level 2 --sites inf --qmax 16",
+         "a844704a3af51345"),
+        ("character --method fjmmt2 --ab 1,1 --level 3 --sites 4 --qmax 24"
+         " --format text", "590523dc5d4bf7fd"),
+    ]
+
+    @pytest.mark.parametrize("command, prefix", PINNED)
+    def test_output_pinned(self, capsys, command, prefix):
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest().startswith(prefix)
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n+```sh\n(.*?)```", readme, re.S).group(1)
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines() if line.startswith("fstchar ")
+    ]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_example_runs(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
 
 
 class TestVerify:

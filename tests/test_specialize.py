@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fstchar.admissible import character_oracle
-from fstchar.qseries import QSeries, inv_pochhammer
+from fstchar.qseries import QSeries, gaussian_binomial, inv_pochhammer
 from fstchar.specialize import (
     bounded_census,
     chi_fjmmt,
@@ -19,7 +19,6 @@ from fstchar.specialize import (
     fjmmt_matrix,
     prefix_census,
     spec2,
-    stabilization_sites,
     verify_spec1,
     verify_spec2,
     verify_union_identity,
@@ -131,6 +130,86 @@ def _chi_fjmmt_products(k0, k1, z_cap, q_order):
     return terms
 
 
+def _fjmmt2_terms(k, a, b, q_order):
+    """Contributing m-vectors with their base exponents Q(m) + r.m <= q_order."""
+    matrix = fjmmt2_matrix(k)
+    r = fjmmt2_r_vector(k, a, b)
+
+    def base(m):
+        quad = sum(
+            matrix[i][j] * m[i] * m[j] for i in range(k) for j in range(k)
+        ) - sum(matrix[j][j] * m[j] for j in range(k))
+        return quad // 2 + sum(r[i] * m[i] for i in range(k))
+
+    found = []
+    m = [0] * k
+
+    def rec(j):
+        if j == k:
+            found.append((tuple(m), base(m)))
+            return
+        v = 0
+        while True:
+            m[j] = v
+            if base(m) > q_order:
+                m[j] = 0
+                break
+            rec(j + 1)
+            v += 1
+        m[j] = 0
+
+    rec(0)
+    return matrix, r, found
+
+
+def _stabilization_sites(k, a, b, q_order):
+    """Smallest site count N making every contributing binomial q_order-stable.
+
+    Stability means the binomial's top argument exceeds its bottom one by at
+    least q_order, at which point it agrees with 1/(q)_m to the working order.
+    """
+    matrix, r, found = _fjmmt2_terms(k, a, b, q_order)
+    needed = 0
+    for m, _ in found:
+        for j in range(k):
+            if m[j]:
+                num = q_order + sum(matrix[j][i] * m[i] for i in range(k))
+                num += r[j] - matrix[j][j]
+                needed = max(needed, -(-num // (j + 1)))
+    return needed
+
+
+def _chi_fjmmt2_products(a, b, k, n_sites, q_order):
+    """The level-k Gaussian-binomial sum, built by series products.
+
+    Each vector's base exponent is recomputed from the quadratic form, and
+    n_sites = None evaluates the binomials at `_stabilization_sites`: the
+    form chi_fjmmt2 took before its terms were kept as coefficient lists.
+    """
+    if a + b > k:
+        b = k - a
+    if n_sites is None:
+        n_sites = _stabilization_sites(k, a, b, q_order)
+    matrix, r, found = _fjmmt2_terms(k, a, b, q_order)
+    total = QSeries.zero(q_order)
+    for m, base in found:
+        term = QSeries.monomial(base, q_order)
+        for j in range(k):
+            if m[j]:
+                top = (
+                    (j + 1) * n_sites
+                    - sum(matrix[j][i] * m[i] for i in range(k))
+                    + matrix[j][j]
+                    - r[j]
+                    + m[j]
+                )
+                term = term * gaussian_binomial(top, m[j], q_order)
+                if term.is_zero():
+                    break
+        total = total + term
+    return total
+
+
 class TestChiFjmmt:
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 4).flatmap(
@@ -141,18 +220,18 @@ class TestChiFjmmt:
     def test_matches_series_products(self, k0_level, z_cap, q_order):
         k0, level = k0_level
         k1 = level - k0
-        assert chi_fjmmt(k0, k1, z_cap, q_order).terms == (
+        assert chi_fjmmt(k0, k1, z_cap, q_order) == (
             _chi_fjmmt_products(k0, k1, z_cap, q_order))
 
     @pytest.mark.parametrize("k0, k1", [
         (k0, level - k0) for level in range(1, 4) for k0 in range(level + 1)
     ])
     def test_matches_unpruned_sum(self, k0, k1):
-        assert chi_fjmmt(k0, k1, 6, 30).terms == _chi_fjmmt_unpruned(k0, k1, 6, 30)
+        assert chi_fjmmt(k0, k1, 6, 30) == _chi_fjmmt_unpruned(k0, k1, 6, 30)
 
     def test_empty_exponent_term(self):
         out = chi_fjmmt(2, 0, 3, 12)
-        assert out.terms[0] == QSeries.one(12)
+        assert out[0] == QSeries.one(12)
 
     def test_rejects_level_zero(self):
         with pytest.raises(ValueError):
@@ -160,6 +239,24 @@ class TestChiFjmmt:
 
 
 class TestChiFjmmt2:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.integers(0, k).flatmap(
+               lambda a: st.tuples(
+                   st.just(k), st.just(a), st.integers(0, k - a + 1)))),
+           st.none() | st.integers(0, 8), st.integers(-1, 30))
+    @example((2, 1, 0), None, -1)
+    @example((2, 1, 0), 3, -1)
+    @example((3, 0, 2), None, 0)
+    @example((3, 0, 2), 4, 0)
+    @example((2, 0, 1), 0, 20)
+    @example((1, 0, 1), 3, 12)  # m = (2) has top 1 < 2
+    @example((2, 1, 1), 3, 12)  # m = (0, 2) has top 1 < 2
+    @example((2, 2, 1), 2, 30)  # b saturates to 0
+    def test_matches_series_products(self, kab, n_sites, q_order):
+        k, a, b = kab
+        assert chi_fjmmt2(a, b, k, n_sites, q_order) == (
+            _chi_fjmmt2_products(a, b, k, n_sites, q_order))
+
     def test_zero_vector_term(self):
         assert chi_fjmmt2(0, 0, 2, None, 0) == QSeries.one(0)
 
@@ -175,9 +272,7 @@ class TestChiFjmmt2:
         from fstchar.specialize import spec2_window
 
         caps, q_in = spec2_window(1, q_order)
-        left = spec2(character_oracle(2, (1, 0, 0), q_in, caps)).series.truncate(
-            q_order
-        )
+        left = spec2(character_oracle(2, (1, 0, 0), q_in, caps)).truncate(q_order)
         assert left == chi_fjmmt2(1, 0, 1, None, q_order)
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -199,9 +294,11 @@ class TestChiFjmmt2:
         assert got == QSeries({0: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1}, 8)
 
     def test_stabilization_doubling(self):
+        # finite-site binomials at and past the stabilizing site count equal
+        # the direct 1/(q)_m limit
         for (a, b, k) in [(1, 0, 1), (1, 1, 2), (0, 2, 2), (2, 0, 2)]:
             q_order = 16
-            sites = stabilization_sites(k, a, b, q_order)
+            sites = _stabilization_sites(k, a, b, q_order)
             at_sites = chi_fjmmt2(a, b, k, sites, q_order)
             doubled = chi_fjmmt2(a, b, k, 2 * sites, q_order)
             infinite = chi_fjmmt2(a, b, k, None, q_order)
@@ -256,9 +353,9 @@ class TestVerifiers:
         for w in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1), (0, 0, 2)]:
             ch = character_oracle(2, w, 12, (5, 5))
             graded = spec1(ch)
-            for series in graded.terms.values():
+            for series in graded.values():
                 assert series.min_exponent() is None or series.min_exponent() >= 0
-            scalar = spec2(ch).series
+            scalar = spec2(ch)
             assert scalar.min_exponent() is None or scalar.min_exponent() >= 0
 
     def test_alternating_equals_sum_of_prefixes(self):
