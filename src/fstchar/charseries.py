@@ -6,10 +6,10 @@ per-variable caps n_i <= cap_i and a shared q truncation order.  Windows are
 always explicit inputs so that two characters are only ever compared on an
 identical finite window.
 
-`specialize` collapses the z-variables into plain values: a dict
-{z-exponent: QSeries} when some variables merge into one surviving z, a
-single QSeries when none survives.  Each coefficient carries its own
-guaranteed-valid truncation order.
+`specialize` applies spec_1 (q -> q^2, z_1 -> q^{-2} z, z_2 -> q^{-1} z) or
+spec_2 (the same with z = 1) to a two-variable character.  Each resulting
+QSeries is truncated at its guaranteed-valid order: 2Q - n - min(n, cap_1)
+at z^n under spec_1, 2Q - 2cap_1 - cap_2 under spec_2.
 """
 
 from .qseries import QSeries
@@ -158,69 +158,33 @@ class CharSeries:
         return "\n".join(lines) + "\n"
 
 
-def _minimal_shift(offsets, caps, z_vars, one_vars, z_total):
-    """Most negative achievable sum n_i*offset_i within the cap window.
+def specialize(char, graded):
+    """spec_1 (`graded`) or spec_2 of a two-variable character.
 
-    z-collapsed variables must split z_total between them; the others range
-    freely over 0..cap.  Used to bound which output orders stay trustworthy.
+    Both maps send q -> q^2, z_1 -> q^{-2} z, z_2 -> q^{-1} z, so the
+    coefficient of q^m z_1^{n_1} z_2^{n_2} lands on q^{2m - 2n_1 - n_2}.
+    spec_1 keeps z and returns {n: QSeries} for n = 0..cap_1 + cap_2, where
+    z^n collects n_1 + n_2 = n and is valid to order 2Q - n - min(n, cap_1).
+    spec_2 sets z = 1 and returns one QSeries valid to order
+    2Q - 2cap_1 - cap_2.  Those orders are 2Q plus the most negative shift
+    that the caps allow, so no coefficient outside the window can reach
+    them.
     """
-    shift = 0
-    for i in one_vars:
-        shift += min(0, offsets[i] * caps[i])
-    remaining = z_total
-    for i in sorted(z_vars, key=lambda i: offsets[i]):
-        take = min(remaining, caps[i])
-        shift += take * offsets[i]
-        remaining -= take
-    return shift
-
-
-def specialize(char, q_scale, spec_vars):
-    """Collapse variables: q -> q^{q_scale}, z_i -> q^{offset_i} * target_i.
-
-    spec_vars lists one (q_offset, target) pair per variable, target being
-    "z" (variables merging into a single surviving z) or "one" (variable set
-    to a pure q-power).  The coefficient of q^m z^n contributes
-    q^{q_scale*m + sum n_i*offset_i} at output z-exponent sum of the
-    z-collapsed n_i.
-
-    Returns {z-exponent: QSeries} for every exponent up to the summed caps
-    when some target is "z", and one QSeries otherwise.  Each series is
-    truncated at the order its coefficients are guaranteed valid to, which
-    the input window and the offsets fix.
-    """
-    if q_scale <= 0:
-        raise ValueError("q_scale must be >= 1")
-    spec_vars = [(int(off), target) for off, target in spec_vars]
-    if len(spec_vars) != char.num_z:
-        raise ValueError("spec_vars arity mismatch")
-    for _, target in spec_vars:
-        if target not in ("z", "one"):
-            raise ValueError(f"unknown collapse target {target!r}")
-    offsets = [off for off, _ in spec_vars]
-    z_vars = [i for i, (_, t) in enumerate(spec_vars) if t == "z"]
-    one_vars = [i for i, (_, t) in enumerate(spec_vars) if t == "one"]
-
-    buckets = {}
-    for n, series in char.coeffs.items():
-        z_exp = sum(n[i] for i in z_vars)
-        shift = sum(n[i] * offsets[i] for i in range(char.num_z))
-        bucket = buckets.setdefault(z_exp, {})
+    if char.num_z != 2:
+        raise ValueError(f"specialize needs 2 variables, got {char.num_z}")
+    cap1, cap2 = char.caps
+    buckets = [{} for _ in range(cap1 + cap2 + 1 if graded else 1)]
+    for (n1, n2), series in char.coeffs.items():
+        bucket = buckets[n1 + n2 if graded else 0]
+        shift = -2 * n1 - n2
         for e, c in series.coeffs.items():
-            out_e = q_scale * e + shift
+            out_e = 2 * e + shift
             bucket[out_e] = bucket.get(out_e, 0) + c
-
-    def valid_order(z_exp):
-        return q_scale * char.q_order + _minimal_shift(
-            offsets, char.caps, z_vars, one_vars, z_exp
-        )
-
-    if z_vars:
-        max_exp = sum(char.caps[i] for i in z_vars)
+    order = 2 * char.q_order
+    if graded:
         # zero coefficients are kept: they still carry a guaranteed-valid order
-        terms = {
-            z: QSeries(buckets.get(z, {}), valid_order(z))
-            for z in range(max_exp + 1)
+        return {
+            n: QSeries(bucket, order - n - min(n, cap1))
+            for n, bucket in enumerate(buckets)
         }
-        return terms
-    return QSeries(buckets.get(0, {}), valid_order(0))
+    return QSeries(buckets[0], order - 2 * cap1 - cap2)

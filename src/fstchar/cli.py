@@ -11,6 +11,7 @@ import os
 import sys
 import traceback
 from importlib import resources
+from itertools import zip_longest
 
 from . import admissible, fermionic, recurrence, specialize
 from .charseries import CharSeries
@@ -55,8 +56,11 @@ def _read_config_file(path):
                     continue
                 if "=" not in line:
                     raise CliError(f"bad config line {line!r} (expected key=value)")
-                key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in DEFAULTS:
+                    raise CliError(f"unknown config key {key!r} in {path} "
+                                   f"(known: {', '.join(DEFAULTS)})")
+                values[key] = value
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}")
     return values
@@ -102,17 +106,6 @@ def _check_settings(l, jobs, l2_only=None, level=None, **bounds):
             raise CliError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
 
 
-def _job_count(jobs):
-    """`jobs`, capped by FSTCHAR_MAX_JOBS when that is set."""
-    cap = os.environ.get("FSTCHAR_MAX_JOBS")
-    if cap:
-        try:
-            jobs = min(jobs, max(1, int(cap)))
-        except ValueError:
-            raise CliError(f"FSTCHAR_MAX_JOBS must be an integer, got {cap!r}")
-    return jobs
-
-
 def _worker_count(jobs, n_items):
     """Pool size for n_items tasks: no more workers than tasks or CPUs."""
     if hasattr(os, "sched_getaffinity"):
@@ -122,23 +115,28 @@ def _worker_count(jobs, n_items):
     return max(1, min(jobs, n_items, cpus))
 
 
-def _pmap(fn, items, jobs):
-    """Order-preserving map, optionally across a process pool."""
-    items = list(items)
-    workers = _worker_count(jobs, len(items))
+def _pmap(fn, jobs, *columns):
+    """`map(fn, *columns)` as a list, across a pool of `_worker_count` workers.
+
+    The columns are equally long lists, one per argument of fn.
+    """
+    workers = _worker_count(jobs, len(columns[0]))
     if workers == 1:
-        return [fn(item) for item in items]
+        return list(map(fn, *columns))
     # imported here so that a --jobs 1 run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *columns))
 
 
 def _emit(args, text):
     output = getattr(args, "output", None)
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write output file {output}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -148,16 +146,6 @@ def _json_dumps(obj):
 
 
 # -- character ---------------------------------------------------------------
-
-
-def _oracle_char(task):
-    l, weight, qmax, caps = task
-    return admissible.character_oracle(l, weight, qmax, caps)
-
-
-def _fermionic_coeff(task):
-    weight, n1, n2, qmax = task
-    return fermionic.a_coefficient(weight, n1, n2, qmax)
 
 
 def cmd_character(args):
@@ -179,24 +167,18 @@ def cmd_character(args):
                 raise CliError(
                     f"--sites must be an integer or 'inf', got {args.sites!r}")
     _check_settings(l, jobs, l2_only, level, zmax=zmax, qmax=qmax, sites=sites)
-    jobs = _job_count(jobs)
 
     if method in ("oracle", "fermionic"):
         weight = _parse_weight(args, l, f"method {method} needs --weight")
         caps = (zmax,) * l
         if method == "oracle":
-            result = _oracle_char((l, weight, qmax, caps))
+            result = admissible.character_oracle(l, weight, qmax, caps)
         else:
-            grid = [
-                (weight, n1, n2, qmax)
-                for n1 in range(zmax + 1)
-                for n2 in range(zmax + 1)
-            ]
-            coeffs = _pmap(_fermionic_coeff, grid, jobs)
-            result = CharSeries(
-                2, caps, qmax,
-                {(t[1], t[2]): c for t, c in zip(grid, coeffs)},
-            )
+            grid = [(n1, n2) for n1 in range(zmax + 1) for n2 in range(zmax + 1)]
+            n1s, n2s = zip(*grid)
+            coeffs = _pmap(fermionic.a_coefficient, jobs,
+                           [weight] * len(grid), n1s, n2s, [qmax] * len(grid))
+            result = CharSeries(2, caps, qmax, dict(zip(grid, coeffs)))
         text = (
             _json_dumps(result.to_json())
             if args.format == "json"
@@ -230,8 +212,6 @@ def cmd_character(args):
             if args.format == "json"
             else repr(series) + "\n"
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown method {method}")
     _emit(args, text)
     return 0
 
@@ -239,59 +219,38 @@ def cmd_character(args):
 # -- verify -------------------------------------------------------------------
 
 
-def _system_suite(l, level, zmax, qmax, jobs, golden_path=None):
+def _golden_system():
+    """The packaged transcription of the level-2, rank-2 recurrence system."""
+    return (resources.files("fstchar.data") / "system_l2_k2.txt").read_text("utf-8")
+
+
+def _system_suite(l, level, zmax, qmax, jobs):
     weights = recurrence.level_weights(level, l)
     caps = (zmax,) * l
-    chars = _pmap(_oracle_char, [(l, w, qmax, caps) for w in weights], jobs)
+    n = len(weights)
+    chars = _pmap(admissible.character_oracle, jobs,
+                  [l] * n, weights, [qmax] * n, [caps] * n)
     provider = dict(zip(weights, chars)).__getitem__
     report = recurrence.verify_system(provider, level, l, caps, qmax)
     reports = [report]
-    if (l, level) == (2, 2) or golden_path:
+    if (l, level) == (2, 2):
         rendered = recurrence.render_system(recurrence.build_system(2, 2))
-        if golden_path:
-            with open(golden_path, encoding="utf-8") as handle:
-                golden = handle.read()
-        else:
-            golden = (
-                resources.files("fstchar.data")
-                .joinpath("system_l2_k2.txt")
-                .read_text(encoding="utf-8")
-            )
         golden_report = CheckReport(name="recurrence-golden[k=2,l=2]")
         golden_report.checked = 1
-        if rendered != golden:
-            bad = next(
-                (
-                    i
-                    for i, (got, want) in enumerate(
-                        zip(rendered.splitlines(), golden.splitlines())
-                    )
-                    if got != want
-                ),
-                min(len(rendered.splitlines()), len(golden.splitlines())),
-            )
-            golden_report.add_violation(
-                where={"line": bad + 1},
-                expected=(golden.splitlines() + ["<eof>"])[bad],
-                actual=(rendered.splitlines() + ["<eof>"])[bad],
-            )
+        # lines keep their ends, so a missing final newline differs too
+        lines = zip_longest(
+            rendered.splitlines(True), _golden_system().splitlines(True),
+            fillvalue="<eof>",
+        )
+        for bad, (got, want) in enumerate(lines):
+            if got != want:
+                golden_report.add_violation(
+                    where={"line": bad + 1},
+                    expected=want.rstrip("\n"), actual=got.rstrip("\n"),
+                )
+                break
         reports.append(golden_report)
     return reports
-
-
-def _spec1_pair(task):
-    k0, k1, zmax, qmax = task
-    return specialize.verify_spec1(k0, k1, zmax, qmax)
-
-
-def _spec2_weight(task):
-    weight, qmax = task
-    return specialize.verify_spec2(weight, qmax)
-
-
-def _union_weight(task):
-    weight, qmax = task
-    return specialize.verify_union_identity(weight, qmax)
 
 
 def cmd_verify(args):
@@ -304,23 +263,24 @@ def cmd_verify(args):
     # only the system suite is defined for every l
     l2_only = None if suite == "system" else f"suite {suite}"
     _check_settings(l, jobs, l2_only, level, zmax=zmax, qmax=qmax)
-    jobs = _job_count(jobs)
     reports = []
     if suite in ("system", "all"):
-        reports.extend(_system_suite(l, level, zmax, qmax, jobs, args.golden))
+        reports.extend(_system_suite(l, level, zmax, qmax, jobs))
     if suite in ("lemmas", "all"):
         reports.extend(
-            _pmap(fermionic.identity_battery, range(1, min(level, 5) + 1), jobs)
+            _pmap(fermionic.identity_battery, jobs, range(1, min(level, 5) + 1))
         )
     if suite in ("fjmmt", "all"):
-        pairs = [(k0, level - k0, zmax, qmax) for k0 in range(level, -1, -1)]
-        reports.extend(_pmap(_spec1_pair, pairs, jobs))
+        k0s = range(level, -1, -1)
+        n = len(k0s)
+        reports.extend(_pmap(specialize.verify_spec1, jobs, k0s,
+                             [level - k0 for k0 in k0s], [zmax] * n, [qmax] * n))
     if suite in ("fjmmt2", "all"):
         weights = recurrence.level_weights(level, 2)
-        reports.extend(_pmap(_spec2_weight, [(w, qmax) for w in weights], jobs))
-        reports.extend(_pmap(_union_weight, [(w, qmax) for w in weights], jobs))
-    if not reports:
-        raise CliError(f"unknown suite {suite}")
+        qmaxes = [qmax] * len(weights)
+        reports.extend(_pmap(specialize.verify_spec2, jobs, weights, qmaxes))
+        reports.extend(_pmap(specialize.verify_union_identity, jobs,
+                             weights, qmaxes))
 
     ok = all(r.ok for r in reports)
     if args.format == "json":
@@ -394,8 +354,7 @@ def build_parser():
     common.add_argument("--l", type=int, help="number of z variables (rank)")
     common.add_argument("--zmax", type=int, help="per-variable weight cap")
     common.add_argument("--qmax", type=int, help="q truncation order")
-    common.add_argument("--jobs", type=int, help="worker processes "
-                        "(FSTCHAR_MAX_JOBS caps this)")
+    common.add_argument("--jobs", type=int, help="worker processes")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--output", help="write to file instead of stdout")
 
@@ -419,7 +378,6 @@ def build_parser():
         choices=("system", "lemmas", "fjmmt", "fjmmt2", "all"),
     )
     p_verify.add_argument("--level", type=int, help="level k under test")
-    p_verify.add_argument("--golden", help="override the recurrence golden file")
     p_verify.set_defaults(func=cmd_verify)
 
     p_list = subparsers.add_parser(

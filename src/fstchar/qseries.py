@@ -67,9 +67,6 @@ class QSeries:
     def min_exponent(self):
         return min(self.coeffs) if self.coeffs else None
 
-    def support(self):
-        return sorted(self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented

@@ -23,18 +23,15 @@ from .fermionic import character_fermionic
 from .qseries import QSeries, divide_pochhammer
 from .reporting import CheckReport
 
-SPEC1_VARS = ((-2, "z"), (-1, "z"))
-SPEC2_VARS = ((-2, "one"), (-1, "one"))
-
 
 def spec1(char):
     """Apply spec_1 to a two-variable character; returns {z-exponent: QSeries}."""
-    return specialize(char, 2, SPEC1_VARS)
+    return specialize(char, True)
 
 
 def spec2(char):
     """Apply spec_2 to a two-variable character; returns one QSeries."""
-    return specialize(char, 2, SPEC2_VARS)
+    return specialize(char, False)
 
 
 # -- principal specialization sum (k_2 = 0) ---------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from fstchar import cli
 from fstchar.cli import _worker_count, main
 
 
@@ -216,24 +217,27 @@ class TestVerify:
         names = [r["name"] for r in payload["reports"]]
         assert any(n.startswith("recurrence-golden") for n in names)
 
-    def test_corrupted_golden_exits_1(self, capsys, tmp_path):
-        from importlib import resources
-
-        golden = (
-            resources.files("fstchar.data")
-            .joinpath("system_l2_k2.txt")
-            .read_text(encoding="utf-8")
-        )
-        bad = tmp_path / "golden.txt"
-        bad.write_text(golden.replace("A[0,2,0](n1-2,n2)", "A[0,2,0](n1-1,n2)"))
-        code, out, _ = run(
-            capsys, "verify", "--suite", "system", "--l", "2", "--level", "2",
-            "--zmax", "3", "--qmax", "8", "--golden", str(bad),
-        )
-        assert code == 1
-        payload = json.loads(out)
-        failing = [r for r in payload["reports"] if not r["ok"]]
-        assert failing and failing[0]["violations"][0]["where"]["line"] == 1
+    def test_corrupted_golden_exits_1(self, capsys, monkeypatch):
+        golden = cli._golden_system()
+        lines = golden.splitlines(True)
+        assert len(lines) == 6
+        changed = golden.replace("A[0,2,0](n1-2,n2)", "A[0,2,0](n1-1,n2)")
+        # a changed first line, a file that ends one line early, and one
+        # that lacks its final newline
+        for bad, line, expected in ((changed, 1, changed.splitlines()[0]),
+                                    ("".join(lines[:-1]), 6, "<eof>"),
+                                    (golden[:-1], 6, lines[-1][:-1])):
+            monkeypatch.setattr(cli, "_golden_system", lambda text=bad: text)
+            code, out, _ = run(
+                capsys, "verify", "--suite", "system", "--l", "2",
+                "--level", "2", "--zmax", "3", "--qmax", "8",
+            )
+            assert code == 1
+            payload = json.loads(out)
+            failing = [r for r in payload["reports"] if not r["ok"]]
+            violation = failing[0]["violations"][0]
+            assert violation["where"]["line"] == line
+            assert violation["expected"] == expected
 
     def test_lemma_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "lemmas", "--level", "2")
@@ -254,23 +258,16 @@ class TestVerify:
         assert code == 0
 
     def test_jobs_do_not_change_output(self, capsys):
-        argv = [
-            "verify", "--suite", "system", "--l", "2", "--level", "2",
-            "--zmax", "3", "--qmax", "8",
-        ]
-        code, serial, _ = run(capsys, *argv, "--jobs", "1")
-        assert code == 0
-        code, parallel, _ = run(capsys, *argv, "--jobs", "2")
-        assert serial == parallel
-
-    def test_env_caps_jobs(self, capsys, monkeypatch):
-        monkeypatch.setenv("FSTCHAR_MAX_JOBS", "1")
-        argv = [
-            "verify", "--suite", "system", "--l", "2", "--level", "1",
-            "--zmax", "3", "--qmax", "8", "--jobs", "8",
-        ]
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
+        # --suite all reaches every pooled call site of verify
+        for suite in ("system", "all"):
+            argv = [
+                "verify", "--suite", suite, "--l", "2", "--level", "2",
+                "--zmax", "3", "--qmax", "8",
+            ]
+            code, serial, _ = run(capsys, *argv, "--jobs", "1")
+            assert code == 0
+            code, parallel, _ = run(capsys, *argv, "--jobs", "2")
+            assert serial == parallel
 
     def test_worker_count_bounded_by_tasks_and_cpus(self):
         if hasattr(os, "sched_getaffinity"):
@@ -297,15 +294,6 @@ class TestVerify:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "False"
-
-    def test_bad_env_cap_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("FSTCHAR_MAX_JOBS", "many")
-        code, _, err = run(
-            capsys, "verify", "--suite", "system", "--l", "2", "--level", "1",
-            "--zmax", "3", "--qmax", "8",
-        )
-        assert code == 2
-        assert "FSTCHAR_MAX_JOBS" in err
 
     def test_text_format_summary(self, capsys):
         code, out, _ = run(
@@ -409,9 +397,32 @@ class TestConfigFile:
         )
         assert code == 2
 
+    def test_unknown_key_exits_2(self, capsys, tmp_path):
+        # a misspelt key would otherwise leave its default silently in force
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("level=1\nqmx=5\n")
+        code, out, err = run(
+            capsys, "--config", str(cfg), "verify", "--suite", "system",
+            "--format", "text",
+        )
+        assert code == 2 and out == ""
+        assert "unknown config key 'qmx'" in err
+
 
 class TestSettingsCheck:
     """Every subcommand rejects a bad window, l or worker count with exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "system", "--level", "1", "--zmax", "2",
+         "--qmax", "4"],
+        ["character", "--method", "oracle", "--weight", "1,0,0", "--zmax", "2",
+         "--qmax", "4"],
+    ], ids=["verify", "character"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 2 and out == ""
+        assert "cannot write output file" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["verify", "--suite", "system", "--zmax", "-1"], "--zmax must be >= 0"),
