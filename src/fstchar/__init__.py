@@ -6,8 +6,8 @@ formula, and previously known one-variable sums -- and verifies that they
 agree coefficient-exactly, together with the recurrence system and the
 polynomial identities behind the closed formula.
 
-The oracle counts configurations with a transfer-matrix DP over positions
-and streams them, when a caller needs each one, from a depth-first walk.
+The oracle module `admissible` counts configurations with a transfer-matrix
+DP and streams them, when a caller needs each one, from a depth-first walk.
 `KERNEL` names the counting kernel; it is always "pure" (pure Python).
 """
 

@@ -1,19 +1,35 @@
-"""Brute-force oracle: count admissible configurations, build characters.
+"""Brute-force oracle: admissible configurations, their stream and their count.
 
 A configuration is a finitely supported sequence (a_0, a_1, ...) of
 nonnegative integers, stored as a tuple with no trailing zeros.  Position t
 carries color (t mod l) + 1 and contributes (t // l + 1) to the degree per
-unit, so that the configuration of the vacuum is the empty tuple.
+unit, so that the configuration of the vacuum is the empty tuple.  For a
+weight (k_0, ..., k_l) of level k it is admissible under
 
-Histograms come from the transfer-matrix DP in _enumpure, which counts the
-oracle's window without visiting each configuration; enumerate_configs
-streams the configurations of any window one at a time from the depth-first
-walk beside it.
+  * window sums: a_i + ... + a_{i+l} <= k for every i >= 0,
+  * either the initial bounds a_0+...+a_r <= k_0+...+k_r for r < l, or an
+    exact forced prefix (a_0, a_1) = init_prefix (l = 2 only),
+
+and a window is any combination of the bounds
+
+  * q_order:    module degree sum (t // l + 1) * a_t <= q_order,
+  * caps:       per-color weights sum_{t = i-1 mod l} a_t <= caps[i-1],
+  * energy_max: first moment sum t * a_t <= energy_max.
+
+At least one of q_order / energy_max must be set, otherwise the window is
+infinite; a negative bound leaves the window empty.  `enumerate_configs`
+streams the configurations of any such window one at a time from a
+depth-first walk.  `weight_degree_counts` counts only the window the
+character oracle asks for -- initial bounds, q_order and caps -- with a
+transfer-matrix DP over positions whose cost grows with the window, not
+with the number of configurations.  The tests count the stream as the
+reference for the DP, and check the stream against brute force.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 
-from . import _enumpure
 from .charseries import CharSeries
 from .qseries import QSeries
 
@@ -39,14 +55,11 @@ class HighestWeight:
 
     def initial_bounds(self, l):
         """Cumulative bounds k_0 + ... + k_r for r = 0, ..., l-1."""
+        if l < 1:
+            raise ValueError("need l >= 1")
         if len(self.parts) != l + 1:
             raise ValueError(f"weight {self.parts} does not match l={l}")
-        bounds = []
-        acc = 0
-        for p in self.parts[:l]:
-            acc += p
-            bounds.append(acc)
-        return tuple(bounds)
+        return tuple(accumulate(self.parts[:l]))
 
     @classmethod
     def coerce(cls, value):
@@ -58,8 +71,7 @@ class HighestWeight:
 def is_admissible(config, l, weight):
     """Window sums <= level everywhere and all l partial-sum initial bounds."""
     weight = HighestWeight.coerce(weight)
-    if l < 1:
-        raise ValueError("need l >= 1")
+    bounds = weight.initial_bounds(l)
     config = tuple(config)
     if any(a < 0 for a in config):
         raise ValueError("configuration entries must be >= 0")
@@ -67,7 +79,6 @@ def is_admissible(config, l, weight):
     for i in range(len(config)):
         if sum(config[i:i + l + 1]) > k:
             return False
-    bounds = weight.initial_bounds(l)
     for r in range(l):
         if sum(config[:r + 1]) > bounds[r]:
             return False
@@ -91,17 +102,75 @@ def energy(config):
     return sum(t * a for t, a in enumerate(config))
 
 
+def _walk(l, level, init_bounds, init_prefix, q_order, caps, energy_max):
+    """Yield the live dense list at every admissible node of the window.
+
+    Exactly one of init_bounds / init_prefix is given, and the window has
+    passed the checks of `enumerate_configs`.  The list is reused between
+    yields; consumers must copy it if they keep it.  Every yielded node is
+    one admissible configuration (the list never has trailing zeros), and
+    each configuration appears exactly once.
+    """
+    dense = list(init_prefix or ())
+    if sum(dense) > level:
+        return  # the window sum over positions 0..l already fails
+    counts, degree, energy = [0] * l, 0, 0
+    for t, a in enumerate(dense):
+        counts[t % l] += a
+        degree += (t // l + 1) * a
+        energy += t * a
+    if ((q_order is not None and degree > q_order)
+            or (energy_max is not None and energy > energy_max)
+            or (caps is not None
+                and any(c > cap for c, cap in zip(counts, caps)))):
+        return  # the start already leaves the window
+    start = len(dense)
+    while dense and dense[-1] == 0:
+        dense.pop()
+
+    def rec(start, degree, energy):
+        yield dense
+        s = start
+        while True:
+            tf = s // l + 1
+            if q_order is not None and degree + tf > q_order:
+                break
+            if energy_max is not None and energy + s > energy_max:
+                break
+            vmax = level - sum(dense[max(0, s - l):s])
+            if q_order is not None:
+                vmax = min(vmax, (q_order - degree) // tf)
+            if energy_max is not None and s >= 1:
+                vmax = min(vmax, (energy_max - energy) // s)
+            color = s % l
+            if caps is not None:
+                vmax = min(vmax, caps[color] - counts[color])
+            if init_bounds is not None and s < l:
+                vmax = min(vmax, init_bounds[s] - sum(dense[:s]))
+            if vmax >= 1:
+                base_len = len(dense)
+                dense.extend([0] * (s - base_len))
+                dense.append(0)
+                for v in range(1, vmax + 1):
+                    dense[s] = v
+                    counts[color] += v
+                    yield from rec(s + 1, degree + tf * v, energy + s * v)
+                    counts[color] -= v
+                del dense[base_len:]
+            s += 1
+
+    yield from rec(start, degree, energy)
+
+
 def enumerate_configs(l, weight, q_order=None, caps=None, init_prefix=None,
                       energy_max=None):
-    """Stream the admissible configurations for `weight` inside the window.
+    """Stream the admissible configurations for `weight` inside a window.
 
-    The stream takes any combination of bounds: it keeps configurations
-    with degree <= q_order, color weights componentwise <= caps and energy
-    <= energy_max; omitted bounds are unrestricted, but at least one of
-    q_order/energy_max must be given, and a negative bound leaves the window
-    empty.  With init_prefix=(a, b) the weight's initial conditions are
-    replaced by the exact prefix a_0 = a, a_1 = b (only meaningful for l = 2;
-    the weight then only supplies the level).
+    Any combination of the bounds in the module docstring is accepted; an
+    omitted bound is unrestricted.  With init_prefix=(a, b) the weight's
+    initial bounds are replaced by the exact prefix a_0 = a, a_1 = b (l = 2
+    only; the weight then only supplies the level).  A bad window raises
+    ValueError here, at the call, not at the first item.
     """
     weight = HighestWeight.coerce(weight)
     init_bounds = None
@@ -109,23 +178,86 @@ def enumerate_configs(l, weight, q_order=None, caps=None, init_prefix=None,
         init_bounds = weight.initial_bounds(l)
     elif l != 2:
         raise ValueError("init_prefix is defined for l = 2 only")
-    return _enumpure.iter_configs(
-        l, weight.level, init_bounds=init_bounds, init_prefix=init_prefix,
-        q_order=q_order, caps=caps, energy_max=energy_max,
-    )
+    elif len(init_prefix) != 2 or min(init_prefix) < 0:
+        raise ValueError("init_prefix must be a pair (a_0, a_1) of entries >= 0")
+    if q_order is None and energy_max is None:
+        raise ValueError("need q_order or energy_max to make the search finite")
+    if caps is not None and len(caps) != l:
+        raise ValueError(f"caps must have length l={l}")
+    return map(tuple, _walk(l, weight.level, init_bounds, init_prefix,
+                            q_order, caps, energy_max))
 
 
 def weight_degree_counts(l, weight, q_order, caps):
     """Histogram {(n_1, ..., n_l, degree): count} over the oracle's window.
 
-    The window is the weight's initial bounds with degree <= q_order and
-    color weights <= caps, the one the character oracle needs.  Counted by
-    the transfer-matrix DP; the result equals counting the stream of
-    enumerate_configs over the same window.
+    The window holds the configurations under the weight's initial bounds
+    with degree <= q_order and color weights <= caps; the result equals
+    counting the stream of enumerate_configs over the same window.  The DP
+    advances a table {state: degree list} one position s at a time.  A state
+    is the flat tuple (a_{s-l}, ..., a_{s-1}, n_1, ..., n_l); the degree is
+    not part of it but the index into the list it carries: entry d is the
+    number of partial configurations on positions < s that reach the state
+    with degree d <= q_order.  At s the degrees > q_order -
+    (s // l + 1) can place no further unit: that tail moves into a finished
+    list per n-vector, and a state with no live degree left is dropped.  The
+    rest places a_s = 0, or a_s = v >= 1 within the same bounds as the walk,
+    by shifting the list v * (s // l + 1) degrees up; v stops early once the
+    shift pushes every live degree past q_order.
     """
     weight = HighestWeight.coerce(weight)
-    return _enumpure.count_weight_degree(
-        l, weight.level, weight.initial_bounds(l), q_order, caps)
+    init_bounds, level = weight.initial_bounds(l), weight.level
+    if len(caps) != l:
+        raise ValueError(f"caps must have length l={l}")
+    if q_order < 0 or min(caps) < 0:
+        return {}
+    Q = q_order + 1
+    table = {(0,) * (2 * l): [1] + [0] * q_order}
+    finished = {}
+    s = 0
+    while table:
+        tf = s // l + 1
+        cut = max(Q - tf, 0)  # degrees from cut on can place no further unit
+        vq = q_order // tf  # a larger a_s shifts every degree past q_order
+        color = s % l
+        ci = l + color  # index of this position's color count
+        cap = caps[color]
+        nxt = {}
+        for key, lst in table.items():
+            m = len(lst)
+            if m > cut:
+                n = key[l:]
+                fin = finished.get(n)
+                if fin is None:
+                    fin = finished[n] = [0] * Q
+                fin[cut:m] = map(add, fin[cut:m], lst[cut:])
+                del lst[cut:]
+                if not any(lst):
+                    continue
+            used = sum(key[:l])
+            vmax = min(level - used, vq, cap - key[ci])
+            if s < l:
+                # positions before s < l all sit in the window
+                vmax = min(vmax, init_bounds[s] - used)
+            shifted = key[1:l]
+            k0 = shifted + (0,) + key[l:]
+            old = nxt.get(k0)
+            nxt[k0] = lst if old is None else list(map(add, old, lst))
+            before = key[l:ci]
+            after = key[ci + 1:]
+            c = key[ci]
+            for v in range(1, vmax + 1):
+                shift = tf * v
+                new = [0] * shift + lst[:Q - shift]
+                if not any(new):
+                    break  # a larger v shifts every live degree out too
+                k = shifted + (v,) + before + (c + v,) + after
+                old = nxt.get(k)
+                nxt[k] = new if old is None else list(map(add, old, new))
+        table = nxt
+        s += 1
+    return {n + (d,): c for n, fin in finished.items()
+            for d, c in enumerate(fin) if c}
 
 
 def character_oracle(l, weight, q_order, caps):

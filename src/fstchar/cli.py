@@ -86,18 +86,18 @@ def _merged(args, key, cast=int):
     return DEFAULTS.get(key) if value is None else value
 
 
-def _check_settings(l, jobs, l2_only=None, level=None, **bounds):
+def _check_settings(l, jobs=None, l2_only=None, level=None, **bounds):
     """Reject the run settings that no subcommand accepts (exit 2).
 
-    l and jobs must be >= 1; `l2_only`, when given, names the method, suite
-    or flag that is defined only for l = 2; level must be None or >= 1;
-    every bound (zmax, qmax, energy_max, sites) must be None or >= 0.
+    l must be >= 1 and jobs None or >= 1; `l2_only`, when given, names the
+    method, suite or flag that is defined only for l = 2; level must be None
+    or >= 1; every bound (zmax, qmax, energy_max, sites) must be None or >= 0.
     """
     if l < 1:
         raise CliError(f"--l must be >= 1, got {l}")
     if l2_only and l != 2:
         raise CliError(f"{l2_only} requires --l 2")
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {jobs}")
     if level is not None and level < 1:
         raise CliError("need level >= 1")
@@ -305,7 +305,7 @@ def cmd_list_admissible(args):
     if qmax is None and args.energy_max is None:
         qmax = DEFAULTS["qmax"]
     _check_settings(
-        l, _merged(args, "jobs"), "--init" if args.init is not None else None,
+        l, l2_only="--init" if args.init is not None else None,
         zmax=zmax, qmax=qmax, energy_max=args.energy_max,
     )
     weight = _parse_weight(args, l, "list-admissible needs --weight")
@@ -320,16 +320,16 @@ def cmd_list_admissible(args):
             l, weight, q_order=qmax, caps=caps,
             init_prefix=init_prefix, energy_max=args.energy_max,
         )
-        lines = []
-        for config in stream:
-            degree, n = admissible.degree_weight(config, l)
-            if args.format == "json":
-                lines.append(json.dumps([list(config), degree, list(n)]))
-            else:
-                lines.append(f"a={list(config)} d={degree} n={list(n)}")
     except ValueError as exc:
         raise CliError(str(exc))
-    _emit(args, "\n".join(lines) + "\n")
+    lines = []
+    for config in stream:
+        degree, n = admissible.degree_weight(config, l)
+        if args.format == "json":
+            lines.append(json.dumps([list(config), degree, list(n)]) + "\n")
+        else:
+            lines.append(f"a={list(config)} d={degree} n={list(n)}\n")
+    _emit(args, "".join(lines))
     return 0
 
 
@@ -354,7 +354,6 @@ def build_parser():
     common.add_argument("--l", type=int, help="number of z variables (rank)")
     common.add_argument("--zmax", type=int, help="per-variable weight cap")
     common.add_argument("--qmax", type=int, help="q truncation order")
-    common.add_argument("--jobs", type=int, help="worker processes")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--output", help="write to file instead of stdout")
 
@@ -368,6 +367,7 @@ def build_parser():
     p_char.add_argument("--ab", help="a,b pair for method fjmmt2")
     p_char.add_argument("--level", type=int, help="level for method fjmmt2")
     p_char.add_argument("--sites", help="site count for fjmmt2 (integer or inf)")
+    p_char.add_argument("--jobs", type=int, help="worker processes")
     p_char.set_defaults(func=cmd_character)
 
     p_verify = subparsers.add_parser(
@@ -376,8 +376,12 @@ def build_parser():
     p_verify.add_argument(
         "--suite", required=True,
         choices=("system", "lemmas", "fjmmt", "fjmmt2", "all"),
+        help="window flags read: system --l --level --zmax --qmax; fjmmt "
+        "--level --zmax --qmax; fjmmt2 --level --qmax; lemmas --level only "
+        "(k = 1..min(level, 5), each on its own fixed window); all: all four",
     )
     p_verify.add_argument("--level", type=int, help="level k under test")
+    p_verify.add_argument("--jobs", type=int, help="worker processes")
     p_verify.set_defaults(func=cmd_verify)
 
     p_list = subparsers.add_parser(

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fstchar import _enumpure
 from fstchar.admissible import (
     KERNEL,
     HighestWeight,
@@ -23,10 +22,40 @@ from fstchar.fermionic import character_fermionic
 from fstchar.qseries import QSeries
 
 
+def weight_of(level, init_bounds):
+    """The weight whose initial bounds are init_bounds clipped to the level.
+
+    A bound above the level bounds nothing that the window sum
+    a_0 + ... + a_l <= level does not bound already.
+    """
+    clipped = [min(b, level) for b in init_bounds]
+    return tuple(b - a for a, b in zip([0] + clipped, clipped + [level]))
+
+
+def as_call(case):
+    """(l, weight, window) of a case given by its level and initial bounds;
+    a case with init_prefix takes the weight (level, 0, 0)."""
+    window = dict(case)
+    l, level = window.pop("l"), window.pop("level")
+    bounds = window.pop("init_bounds", None)
+    weight = (level, 0, 0) if bounds is None else weight_of(level, bounds)
+    return l, weight, window
+
+
+def stream(case):
+    l, weight, window = as_call(case)
+    return list(enumerate_configs(l, weight, **window))
+
+
+def counts(case):
+    l, weight, window = as_call(case)
+    return weight_degree_counts(l, weight, **window)
+
+
 def streamed_histogram(case):
     """Reference histogram: count the configurations that the walk streams."""
     out = {}
-    for c in _enumpure.iter_configs(**case):
+    for c in stream(case):
         d, n = degree_weight(c, case["l"])
         out[n + (d,)] = out.get(n + (d,), 0) + 1
     return out
@@ -103,17 +132,34 @@ class TestEnumerate:
         for c in enumerate_configs(2, (2, 0, 0), q_order=6, init_prefix=(1, 1)):
             assert c[:2] == (1, 1)
 
+    # a bad window raises at the call, before the stream yields anything
+
     def test_negative_prefix_rejected(self):
         with pytest.raises(ValueError):
-            list(enumerate_configs(2, (2, 0, 0), q_order=6, init_prefix=(-1, 0)))
+            enumerate_configs(2, (2, 0, 0), q_order=6, init_prefix=(-1, 0))
 
     def test_init_prefix_requires_l2(self):
         with pytest.raises(ValueError):
-            list(enumerate_configs(3, (1, 0, 0, 0), q_order=2, init_prefix=(0, 0)))
+            enumerate_configs(3, (1, 0, 0, 0), q_order=2, init_prefix=(0, 0))
 
     def test_unbounded_window_rejected(self):
         with pytest.raises(ValueError):
-            list(enumerate_configs(2, (1, 0, 0), caps=(2, 2)))
+            enumerate_configs(2, (1, 0, 0), caps=(2, 2))
+
+    @pytest.mark.parametrize("window", [
+        dict(q_order=3, caps=(2,)),
+        dict(q_order=3, init_prefix=(0,)),
+        dict(q_order=3, init_prefix=(0, 0, 0)),
+    ])
+    def test_bad_window_rejected_at_the_call(self, window):
+        with pytest.raises(ValueError):
+            enumerate_configs(2, (2, 0, 0), **window)
+
+    def test_l_zero_rejected(self):
+        with pytest.raises(ValueError, match="need l >= 1"):
+            enumerate_configs(0, (1,), q_order=3)
+        with pytest.raises(ValueError, match="need l >= 1"):
+            weight_degree_counts(0, (1,), q_order=3, caps=())
 
     def test_each_config_admissible_and_unique(self):
         seen = set()
@@ -195,29 +241,26 @@ class TestKernels:
 
     def test_pure_counts_match_stream(self):
         for case in self.CASES:
-            assert _enumpure.count_weight_degree(**case) == streamed_histogram(
-                case
-            ), case
+            assert counts(case) == streamed_histogram(case), case
         for case in self.BAD_CASES:
             with pytest.raises(ValueError):
-                _enumpure.count_weight_degree(**case)
+                counts(case)
             with pytest.raises(ValueError):
-                list(_enumpure.iter_configs(**case))
+                stream(case)
 
     def test_edge_windows(self):
         # each result is also checked against the stream in the examples of
         # test_dp_matches_stream_on_random_windows
-        count = _enumpure.count_weight_degree
-        assert count(l=2, level=2, init_bounds=(1, 2), q_order=0,
-                     caps=(3, 3)) == {(0, 0, 0): 1}
+        assert weight_degree_counts(2, (1, 1, 0), q_order=0,
+                                    caps=(3, 3)) == {(0, 0, 0): 1}
         # (0, 0, 2) places 2 units at tf = 2 and lands exactly on q_order
-        assert count(l=2, level=2, init_bounds=(0, 0), q_order=4,
-                     caps=(4, 4))[2, 0, 4] == 1
+        assert weight_degree_counts(2, (0, 0, 2), q_order=4,
+                                    caps=(4, 4))[2, 0, 4] == 1
         # a negative bound holds not even the vacuum
-        assert count(l=2, level=1, init_bounds=(1, 1), q_order=-1,
-                     caps=(2, 2)) == {}
-        assert count(l=2, level=1, init_bounds=(1, 1), q_order=3,
-                     caps=(2, -1)) == {}
+        assert weight_degree_counts(2, (1, 0, 0), q_order=-1,
+                                    caps=(2, 2)) == {}
+        assert weight_degree_counts(2, (1, 0, 0), q_order=3,
+                                    caps=(2, -1)) == {}
 
     def test_kernel_reports_kind(self):
         assert KERNEL == "pure"
@@ -256,7 +299,7 @@ def random_windows(draw):
               caps=(10, 10, 10)))
 @example(dict(l=2, level=1, init_bounds=(1, 1), q_order=-1, caps=(2, 2)))
 def test_dp_matches_stream_on_random_windows(kwargs):
-    hist = _enumpure.count_weight_degree(**kwargs)
+    hist = counts(kwargs)
     # the degree lists carry zero counts; none may reach the histogram
     assert all(hist.values())
     assert hist == streamed_histogram(kwargs)
@@ -334,7 +377,7 @@ class TestStreamAgainstBruteForce:
     def test_every_window_shape(self):
         shapes = set()
         for case in stream_windows():
-            got = list(_enumpure.iter_configs(**case))
+            got = stream(case)
             assert sorted(got) == sorted(brute_force(**case)), case
             shapes.add((
                 "init_prefix" in case,

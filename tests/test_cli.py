@@ -14,7 +14,10 @@ from fstchar.cli import _worker_count, main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -351,6 +354,25 @@ class TestListAdmissible:
         code, _, _ = run(capsys, "list-admissible", "--l", "2", "--qmax", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_empty_listing_prints_nothing(self, capsys, fmt):
+        # a_0 = 2 exceeds the level 1, so the window holds no configuration
+        code, out, err = run(
+            capsys, "list-admissible", "--weight", "1,0,0", "--init", "2,0",
+            "--energy-max", "4", "--format", fmt,
+        )
+        assert (code, out, err) == (0, "", "")
+
+    def test_config_jobs_not_read(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs=0\n")
+        code, out, _ = run(
+            capsys, "--config", str(cfg), "list-admissible", "--weight",
+            "1,0,0", "--qmax", "0",
+        )
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == [[[], 0, [0, 0]]]
+
     def test_config_zmax_caps_listing(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("zmax=0\n")
@@ -449,8 +471,8 @@ class TestSettingsCheck:
          "--jobs must be >= 1"),
         (["character", "--method", "fermionic", "--weight", "1,0,0",
           "--jobs", "0"], "--jobs must be >= 1"),
-        (["list-admissible", "--weight", "1,0,0", "--jobs", "0"],
-         "--jobs must be >= 1"),
+        (["list-admissible", "--weight", "1,0,0", "--jobs", "2"],
+         "unrecognized arguments: --jobs 2"),
         (["list-admissible", "--l", "3", "--weight", "1,0,0,0", "--init", "0,0"],
          "--init requires --l 2"),
         (["verify", "--suite", "all", "--l", "3"], "suite all requires --l 2"),

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fstchar import specialize
 from fstchar.admissible import character_oracle
+from fstchar.cli import main
 from fstchar.qseries import QSeries, gaussian_binomial, inv_pochhammer
 from fstchar.specialize import (
     bounded_census,
@@ -370,3 +372,65 @@ class TestVerifiers:
                         q_order
                     )
             assert chi_fjmmt2_alternating(w, q_order) == total, w
+
+
+def _one_config_fewer(monkeypatch):
+    """Drop one configuration from the stream that the censuses count."""
+    real = specialize.enumerate_configs
+    dropped = []
+
+    def stream(*args, **kwargs):
+        configs = list(real(*args, **kwargs))
+        if configs and not dropped:
+            dropped.append(configs.pop())
+        return iter(configs)
+
+    monkeypatch.setattr(specialize, "enumerate_configs", stream)
+
+
+def _bump(series):
+    return series + QSeries.monomial(0, series.trunc)
+
+
+def _bumped_chi_fjmmt(monkeypatch):
+    """Add 1 to the constant coefficient at z^0 of the principal sum."""
+    real = specialize.chi_fjmmt
+
+    def chi(*args):
+        terms = dict(real(*args))
+        terms[0] = _bump(terms[0])
+        return terms
+
+    monkeypatch.setattr(specialize, "chi_fjmmt", chi)
+
+
+def _bumped_chi_fjmmt2(monkeypatch):
+    """Add 1 to the constant coefficient of every Gaussian-binomial sum."""
+    real = specialize.chi_fjmmt2
+    monkeypatch.setattr(specialize, "chi_fjmmt2", lambda *a: _bump(real(*a)))
+
+
+class TestVerifiersCanFail:
+    """Each specialization check reports a perturbed input as a violation."""
+
+    @pytest.mark.parametrize("perturb, check, args", [
+        (_one_config_fewer, verify_union_identity, ((1, 1, 0), 10)),
+        (_bumped_chi_fjmmt, verify_spec1, (1, 1, 4, 10)),
+        (_bumped_chi_fjmmt2, verify_spec2, ((0, 1, 1), 10)),
+    ], ids=["union-census", "spec1-fjmmt", "spec2-fjmmt2"])
+    def test_violation_reported(self, monkeypatch, perturb, check, args):
+        clean = check(*args)
+        assert clean.ok
+        perturb(monkeypatch)
+        report = check(*args)
+        assert not report.ok
+        assert report.checked == clean.checked
+
+    @pytest.mark.parametrize("perturb", [_one_config_fewer, _bumped_chi_fjmmt2],
+                             ids=["union-census", "spec2-fjmmt2"])
+    def test_fjmmt2_suite_exits_1(self, capsys, monkeypatch, perturb):
+        argv = ["verify", "--suite", "fjmmt2", "--level", "1", "--qmax", "10"]
+        assert main(argv) == 0
+        perturb(monkeypatch)
+        assert main(argv) == 1
+        assert '"ok": false' in capsys.readouterr().out
