@@ -9,6 +9,9 @@ polynomial identities behind the closed formula.
 The oracle module `admissible` counts configurations with a transfer-matrix
 DP and streams them, when a caller needs each one, from a depth-first walk.
 `KERNEL` names the counting kernel; it is always "pure" (pure Python).
+
+No route takes a series product; the product forms the tests compare with
+(Gaussian binomials, the bounded census) live in `tests/reference.py`.
 """
 
 from .admissible import (
@@ -29,13 +32,7 @@ from .fermionic import (
     identity_battery,
     linear_term,
 )
-from .qseries import (
-    QSeries,
-    gaussian_binomial,
-    inv_pochhammer,
-    pochhammer,
-    substitute_q_squared,
-)
+from .qseries import QSeries
 from .recurrence import build_system, verify_system
 from .specialize import chi_fjmmt, chi_fjmmt2, verify_spec1, verify_spec2
 
@@ -58,10 +55,6 @@ __all__ = [
     "identity_battery",
     "linear_term",
     "QSeries",
-    "gaussian_binomial",
-    "inv_pochhammer",
-    "pochhammer",
-    "substitute_q_squared",
     "build_system",
     "verify_system",
     "chi_fjmmt",

@@ -4,7 +4,9 @@ A CharSeries is a finitely supported map from weight-exponent vectors
 (n_1, ..., n_l) to QSeries coefficients, restricted to an explicit window:
 per-variable caps n_i <= cap_i and a shared q truncation order.  Windows are
 always explicit inputs so that two characters are only ever compared on an
-identical finite window.
+identical finite window.  A CharSeries has no arithmetic: the routes build
+characters coefficient by coefficient and only compare them, specialize
+them or read single coefficients.
 
 `specialize` applies spec_1 (q -> q^2, z_1 -> q^{-2} z, z_2 -> q^{-1} z) or
 spec_2 (the same with z = 1) to a two-variable character.  Each resulting
@@ -76,58 +78,6 @@ class CharSeries:
             f"CharSeries(l={self.num_z}, caps={self.caps}, "
             f"q_order={self.q_order}, {len(self.coeffs)} terms)"
         )
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _require_same_window(self, other):
-        if not self.same_window(other):
-            raise ValueError(
-                f"window mismatch: {self.caps}/{self.q_order} "
-                f"vs {other.caps}/{other.q_order}"
-            )
-
-    def __add__(self, other):
-        self._require_same_window(other)
-        terms = dict(self.coeffs)
-        for n, series in other.coeffs.items():
-            terms[n] = terms[n] + series if n in terms else series
-        return CharSeries(self.num_z, self.caps, self.q_order, terms)
-
-    def __sub__(self, other):
-        self._require_same_window(other)
-        terms = dict(self.coeffs)
-        for n, series in other.coeffs.items():
-            terms[n] = terms[n] - series if n in terms else -series
-        return CharSeries(self.num_z, self.caps, self.q_order, terms)
-
-    def scale_by_monomial(self, q_shift, z_shifts):
-        """Multiply by q^{q_shift} * prod z_i^{z_shifts[i]}.
-
-        Exponent vectors pushed outside the window (negative or above caps)
-        are dropped, matching the vanishing convention for out-of-range
-        character coefficients.
-        """
-        z_shifts = tuple(z_shifts)
-        if len(z_shifts) != self.num_z:
-            raise ValueError("z_shifts arity mismatch")
-        terms = {}
-        for n, series in self.coeffs.items():
-            moved = tuple(x + s for x, s in zip(n, z_shifts))
-            if any(x < 0 for x in moved) or any(
-                x > c for x, c in zip(moved, self.caps)
-            ):
-                continue
-            shifted = series.shift(q_shift)
-            terms[moved] = shifted.truncate(min(shifted.trunc, self.q_order))
-        return CharSeries(self.num_z, self.caps, self.q_order, terms)
-
-    def dilate(self):
-        """Substitute z_i -> z_i q: the coefficient at n picks up q^{n_1+...+n_l}."""
-        terms = {}
-        for n, series in self.coeffs.items():
-            shifted = series.shift(sum(n))
-            terms[n] = shifted.truncate(min(shifted.trunc, self.q_order))
-        return CharSeries(self.num_z, self.caps, self.q_order, terms)
 
     # -- presentation ------------------------------------------------------
 

@@ -49,9 +49,6 @@ class BinaryPattern:
     def k(self):
         return len(self.bits)
 
-    def ones(self):
-        return sum(self.bits)
-
 
 @dataclass(frozen=True)
 class NSequences:
@@ -75,14 +72,6 @@ class NSequences:
     @property
     def k(self):
         return len(self.n1)
-
-    def N1(self, i):
-        """N_{1,i} with the phantom N_{1,k+1} = 0."""
-        return self.n1[i - 1] if i <= self.k else 0
-
-    def N2(self, i):
-        """N_{2,i} with the phantom N_{2,0} = 0."""
-        return self.n2[i - 1] if i >= 1 else 0
 
 
 def patterns(k, ones):
@@ -416,24 +405,28 @@ def character_fermionic(w, q_order, caps):
 # -- identity battery ---------------------------------------------------------
 
 
-def random_instances(k, count=20, entry_max=30, seed=None):
+ENTRY_MAX = 30
+
+
+def random_instances(k, count=20):
     """Random monotone sequence pairs plus the all-zero and all-equal cases.
 
-    The identities these feed are polynomial in q with exponents linear in
-    the entries; agreement on well-spread integer instances is the working
+    Entries run to ENTRY_MAX, drawn from a generator seeded by k.  The
+    identities these feed are polynomial in q with exponents linear in the
+    entries; agreement on well-spread integer instances is the working
     evidence standard here, not symbolic proof.
     """
-    rng = random.Random(20_000 + k if seed is None else seed)
+    rng = random.Random(20_000 + k)
     out = [NSequences((0,) * k, (0,) * k), NSequences((5,) * k, (5,) * k)]
     for _ in range(count):
-        n1 = tuple(sorted((rng.randint(0, entry_max) for _ in range(k)),
+        n1 = tuple(sorted((rng.randint(0, ENTRY_MAX) for _ in range(k)),
                           reverse=True))
-        n2 = tuple(sorted(rng.randint(0, entry_max) for _ in range(k)))
+        n2 = tuple(sorted(rng.randint(0, ENTRY_MAX) for _ in range(k)))
         out.append(NSequences(n1, n2))
     return out
 
 
-def identity_battery(k, instance_count=20, entry_max=30, seed=None):
+def identity_battery(k, instance_count=20):
     """Exercise every pattern-calculus identity at level k; returns a report.
 
     Covers, for each instance: both prefix-sum expansions l_p = sum of
@@ -445,11 +438,11 @@ def identity_battery(k, instance_count=20, entry_max=30, seed=None):
     `_summand` template lists, built once per k (they do not depend on N)
     and evaluated on every instance by `_evaluate`, as the pattern sums are.
     """
-    instances = random_instances(k, instance_count, entry_max, seed)
-    q_order = 2 * k * entry_max + 2 * entry_max + 16  # above any exponent used
+    instances = random_instances(k, instance_count)
+    q_order = 2 * k * ENTRY_MAX + 2 * ENTRY_MAX + 16  # above any exponent used
     report = CheckReport(
         name=f"lemmas[k={k}]",
-        window={"instances": len(instances), "entry_max": entry_max},
+        window={"instances": len(instances), "entry_max": ENTRY_MAX},
     )
 
     def check(tag, where, lhs, rhs):

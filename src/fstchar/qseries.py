@@ -7,6 +7,10 @@ coefficients are ordinary Python integers (arbitrary precision).
 
 All operations are pure; values are immutable by convention and safe to
 share between threads or processes.
+
+No route takes a series product: they divide coefficient lists in place
+(`divide_pochhammer`).  `__mul__`, `pochhammer` and `inv_pochhammer` stay
+for the tests' references and the `qseries.*` metrics of `perfbench/`.
 """
 
 from functools import lru_cache
@@ -213,27 +217,3 @@ def inv_pochhammer(n, q_order, scale=1):
         coeffs[0] = 1
     divide_pochhammer(coeffs, n, scale)
     return QSeries({e: c for e, c in enumerate(coeffs) if c}, q_order)
-
-
-def gaussian_binomial(m, n, q_order):
-    """Gaussian binomial [m over n]_q, or the zero series outside 0 <= n <= m.
-
-    Computed as prod_{i=1..n} (1 - q^{m-n+i}) / (q)_n; factors beyond the
-    truncation order are congruent to 1 and skipped, so m may be huge.
-    """
-    if n < 0 or n > m:
-        return QSeries.zero(q_order)
-    out = inv_pochhammer(n, q_order)
-    for i in range(1, n + 1):
-        e = m - n + i
-        if e <= q_order:
-            out = out * QSeries({0: 1, e: -1}, q_order)
-    return out
-
-
-def substitute_q_squared(series):
-    """Substitute q -> q^2: exponents double, and so does the trusted order."""
-    return QSeries(
-        {2 * e: c for e, c in series.coeffs.items()},
-        2 * series.trunc,
-    )

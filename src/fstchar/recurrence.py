@@ -116,19 +116,15 @@ def render_system(equations):
     return "\n".join(eq.render() for eq in equations) + "\n"
 
 
-def verify_equation(equation, provider, caps, q_order, report=None):
+def verify_equation(equation, provider, caps, q_order, report):
     """Check one equation coefficient-exactly over the full cap window.
 
     `provider` maps a weight tuple to its CharSeries on the shared window.
     The q-prefactor only shifts exponents upward, so every lhs coefficient of
     order <= q_order is checkable against characters known to the same order.
+    Each comparison and violation is counted into `report`.
     """
     caps = tuple(caps)
-    if report is None:
-        report = CheckReport(
-            name=f"recurrence[{','.join(map(str, equation.weight))}]",
-            window={"caps": list(caps), "q_order": q_order},
-        )
     chars = {}
     for _, w in equation.lhs:
         chars[w] = provider(w)
@@ -172,5 +168,5 @@ def verify_system(provider, k, l, caps, q_order):
         window={"caps": list(caps), "q_order": q_order},
     )
     for eq in build_system(k, l):
-        verify_equation(eq, provider, caps, q_order, report=report)
+        verify_equation(eq, provider, caps, q_order, report)
     return report

@@ -247,15 +247,6 @@ def prefix_census(k, a, b, energy_max):
     return QSeries(terms, energy_max)
 
 
-def bounded_census(k, a, b, energy_max):
-    """Census of the set the fermionic sum counts: a_0 <= a, a_1 <= b + 2(a - a_0)."""
-    total = QSeries.zero(energy_max)
-    for a0 in range(a + 1):
-        for a1 in range(min(b + 2 * (a - a0), k - a0) + 1):
-            total = total + prefix_census(k, a0, a1, energy_max)
-    return total
-
-
 # -- executable comparisons ---------------------------------------------------
 
 

@@ -9,6 +9,7 @@ import time
 from importlib import resources
 
 from conftest import POLY_ORDER, nsequence_battery
+from reference import gaussian_binomial
 
 from fstchar.admissible import (
     character_oracle,
@@ -17,12 +18,7 @@ from fstchar.admissible import (
     enumerate_configs,
 )
 from fstchar.fermionic import character_fermionic, identity_battery, linear_term
-from fstchar.qseries import (
-    QSeries,
-    gaussian_binomial,
-    inv_pochhammer,
-    pochhammer,
-)
+from fstchar.qseries import QSeries, inv_pochhammer, pochhammer
 from fstchar.recurrence import build_system, level_weights, render_system, verify_system
 from fstchar.specialize import verify_spec1, verify_spec2, verify_union_identity
 

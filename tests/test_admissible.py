@@ -1,7 +1,7 @@
 import itertools
 import json
 from functools import lru_cache
-from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -199,9 +199,7 @@ class TestCharacterOracle:
 
     def test_six_weight_golden(self):
         golden = json.loads(
-            resources.files("fstchar.data")
-            .joinpath("char_l2_k2_low.json")
-            .read_text()
+            (Path(__file__).parent / "data" / "char_l2_k2_low.json").read_text()
         )
         q_order = golden["q_order"]
         caps = tuple(golden["caps"])

@@ -298,6 +298,24 @@ class TestVerify:
         )
         assert out.stdout.strip() == "False"
 
+    def test_benchmark_tracer_finds_every_traced_name(self):
+        # perfbench/traced_cli.py reports null for a metric whose function or
+        # method the package no longer has; the benchmark refuses such a run
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "perfbench/traced_cli.py", "verify", "--suite", "all",
+             "--level", "1", "--zmax", "2", "--qmax", "4", "--jobs", "1",
+             "--format", "json"],
+            cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True, check=True,
+        )
+        result = json.loads(out.stdout)
+        assert result["exit"] == 0
+        assert result["missing"] == []
+        assert [name for name, value in result["metrics"].items()
+                if value is None] == []
+        assert None not in result["digests"].values()
+
     def test_text_format_summary(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "system", "--l", "2", "--level", "1",
@@ -479,6 +497,11 @@ class TestSettingsCheck:
         (["verify", "--suite", "lemmas", "--l", "3"],
          "suite lemmas requires --l 2"),
         (["verify", "--suite", "system", "--level", "0"], "need level >= 1"),
+        # window flags are checked for every suite, also those it does not read
+        (["verify", "--suite", "lemmas", "--level", "1", "--qmax", "-1"],
+         "--qmax must be >= 0"),
+        (["verify", "--suite", "fjmmt2", "--level", "1", "--qmax", "4",
+          "--zmax", "-1"], "--zmax must be >= 0"),
     ])
     def test_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

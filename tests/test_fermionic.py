@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import POLY_ORDER, nsequence_battery
+from reference import N1, N2
 
 from fstchar import fermionic
 from fstchar.admissible import character_oracle
@@ -78,8 +79,8 @@ class TestPatternBasics:
 
     def test_bit_count_changes(self):
         p = BinaryPattern((1, 0, 1, 1))
-        assert flip_last(2, 1, p).ones() == p.ones() - 2
-        assert flip_first(1, 0, p).ones() == p.ones() + 1
+        assert sum(flip_last(2, 1, p).bits) == sum(p.bits) - 2
+        assert sum(flip_first(1, 0, p).bits) == sum(p.bits) + 1
 
     def test_pos(self):
         assert pos(1, 1, BinaryPattern((0, 1, 1))) == 2
@@ -101,8 +102,8 @@ class TestNSequences:
 
     def test_phantoms(self):
         N = NSequences((3, 1), (2, 5))
-        assert N.N1(3) == 0 and N.N2(0) == 0
-        assert N.N1(1) == 3 and N.N2(2) == 5
+        assert N1(N, 3) == 0 and N2(N, 0) == 0
+        assert N1(N, 1) == 3 and N2(N, 2) == 5
 
 
 class TestTerms:
@@ -238,7 +239,7 @@ class TestStarAndFlippedSums:
             factor = _product_delta_term(1, bumped, N, POLY_ORDER)
             plain = _product_delta_term(1, p, N, POLY_ORDER)
             if p.bits[-1] == 0:
-                assert factor == plain * (one() - mono(N.N1(3)))
+                assert factor == plain * (one() - mono(N1(N, 3)))
             else:
                 assert factor == plain
             total = total + factor
@@ -307,8 +308,8 @@ def _a_coefficient_full_order(w, n1, n2, q_order):
             continue
         term = QSeries.monomial(base, q_order) * linear_term(w, N, q_order)
         for i in range(1, k + 1):
-            term = term * inv_pochhammer(N.N1(i) - N.N1(i + 1), q_order)
-            term = term * inv_pochhammer(N.N2(i) - N.N2(i - 1), q_order)
+            term = term * inv_pochhammer(N1(N, i) - N1(N, i + 1), q_order)
+            term = term * inv_pochhammer(N2(N, i) - N2(N, i - 1), q_order)
         total = total + term
     return total
 
@@ -409,10 +410,10 @@ def _product_delta_term(axis, p, N, q_order):
         here = p.bits[i - 1]
         if axis == 1:
             neighbor = p.bits[i] if i < k else p.right
-            gap = N.N1(i) - N.N1(i + 1)
+            gap = N1(N, i) - N1(N, i + 1)
         else:
             neighbor = p.bits[i - 2] if i >= 2 else p.left
-            gap = N.N2(i) - N.N2(i - 1)
+            gap = N2(N, i) - N2(N, i - 1)
         if here == 0 and neighbor == 1:
             out = out * _product_one_minus_q(gap, q_order)
     return out
@@ -442,7 +443,7 @@ def _product_linear_term_star(w, N, q_order):
     k0, k1, k2 = w
     total = QSeries.zero(q_order)
     for p in patterns(sum(w), k1 + k2):
-        extra = _product_one_minus_q(N.N2(pos(1, k2 + 1, p)), q_order)
+        extra = _product_one_minus_q(N2(N, pos(1, k2 + 1, p)), q_order)
         term = _product_l_term(1, p, N, q_order) * _product_delta_term(
             1, replace(p, right=1), N, q_order)
         term = term * _product_l_term(2, flip_last(k1, 1, p), N, q_order)
@@ -466,7 +467,7 @@ def _product_n_term(w, N, q_order):
     total = QSeries.zero(q_order)
     for p in patterns(sum(w), k0):
         flipped = flip_first(k2, 0, p)
-        extra = _product_one_minus_q(N.N2(pos(0, 1, flipped)), q_order)
+        extra = _product_one_minus_q(N2(N, pos(0, 1, flipped)), q_order)
         term = _product_l_term(1, p, N, q_order) * _product_delta_term(
             1, p, N, q_order)
         term = term * _product_l_term(2, flipped, N, q_order)
@@ -485,8 +486,8 @@ def _product_a_coefficient(w, n1, n2, q_order):
         if term.is_zero():
             continue
         for i in range(1, k + 1):
-            term = term * inv_pochhammer(N.N1(i) - N.N1(i + 1), order)
-            term = term * inv_pochhammer(N.N2(i) - N.N2(i - 1), order)
+            term = term * inv_pochhammer(N1(N, i) - N1(N, i + 1), order)
+            term = term * inv_pochhammer(N2(N, i) - N2(N, i - 1), order)
         total = total + term.shift(base)
     return total
 
@@ -603,7 +604,7 @@ class TestEvaluator:
             * _product_delta_term(axis, p_delta, N, q_order)
         )
         if extra is not None:
-            expected = expected * _product_one_minus_q(N.N2(extra), q_order)
+            expected = expected * _product_one_minus_q(N2(N, extra), q_order)
         assert fermionic._evaluate([template], N, q_order) == expected
 
 
