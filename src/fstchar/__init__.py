@@ -10,18 +10,21 @@ The oracle module `admissible` counts configurations with a transfer-matrix
 DP and streams them, when a caller needs each one, from a depth-first walk.
 `KERNEL` names the counting kernel; it is always "pure" (pure Python).
 
+A weight (k_0, ..., k_l) is a plain tuple; every route checks it with
+`weight_parts`, so a bad weight fails the same way everywhere.
+
 No route takes a series product; the product forms the tests compare with
 (Gaussian binomials, the bounded census) live in `tests/reference.py`.
 """
 
 from .admissible import (
     KERNEL,
-    HighestWeight,
     character_oracle,
     degree_weight,
     energy,
     enumerate_configs,
     is_admissible,
+    weight_parts,
 )
 from .charseries import CharSeries, specialize
 from .fermionic import (
@@ -40,12 +43,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KERNEL",
-    "HighestWeight",
     "character_oracle",
     "degree_weight",
     "energy",
     "enumerate_configs",
     "is_admissible",
+    "weight_parts",
     "CharSeries",
     "specialize",
     "BinaryPattern",

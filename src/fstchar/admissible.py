@@ -24,11 +24,14 @@ character oracle asks for -- initial bounds, q_order and caps -- with a
 transfer-matrix DP over positions whose cost grows with the window, not
 with the number of configurations.  The tests count the stream as the
 reference for the DP, and check the stream against brute force.
+
+A weight is a plain tuple (k_0, ..., k_l).  `weight_parts` is the one check
+of its length, entries and level, and every route of the package reads its
+weight through it.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
+from operator import add, index
 
 from .charseries import CharSeries
 from .qseries import QSeries
@@ -36,46 +39,31 @@ from .qseries import QSeries
 KERNEL = "pure"
 
 
-@dataclass(frozen=True)
-class HighestWeight:
-    """Dominant integral weight, stored as its coefficient tuple (k_0, ..., k_l)."""
+def weight_parts(weight, l):
+    """The weight (k_0, ..., k_l) of rank l as a tuple of ints, checked.
 
-    parts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        if any(p < 0 for p in self.parts):
-            raise ValueError(f"weight parts must be >= 0, got {self.parts}")
-        if sum(self.parts) < 1:
-            raise ValueError("level must be >= 1")
-
-    @property
-    def level(self):
-        return sum(self.parts)
-
-    def initial_bounds(self, l):
-        """Cumulative bounds k_0 + ... + k_r for r = 0, ..., l-1."""
-        if l < 1:
-            raise ValueError("need l >= 1")
-        if len(self.parts) != l + 1:
-            raise ValueError(f"weight {self.parts} does not match l={l}")
-        return tuple(accumulate(self.parts[:l]))
-
-    @classmethod
-    def coerce(cls, value):
-        if isinstance(value, cls):
-            return value
-        return cls(tuple(value))
+    Raises ValueError unless l >= 1 and the weight has l + 1 entries >= 0 of
+    level k_0 + ... + k_l >= 1, and TypeError for an entry that is not an
+    integer: 1.5 is refused, not rounded.
+    """
+    if l < 1:
+        raise ValueError("need l >= 1")
+    parts = tuple(map(index, weight))
+    if len(parts) != l + 1:
+        raise ValueError(f"weight must have {l + 1} entries for l={l}, got {parts}")
+    if min(parts) < 0 or sum(parts) < 1:
+        raise ValueError(f"weight entries must be >= 0 with level >= 1, got {parts}")
+    return parts
 
 
 def is_admissible(config, l, weight):
     """Window sums <= level everywhere and all l partial-sum initial bounds."""
-    weight = HighestWeight.coerce(weight)
-    bounds = weight.initial_bounds(l)
+    parts = weight_parts(weight, l)
+    bounds = tuple(accumulate(parts[:l]))
     config = tuple(config)
     if any(a < 0 for a in config):
         raise ValueError("configuration entries must be >= 0")
-    k = weight.level
+    k = sum(parts)
     for i in range(len(config)):
         if sum(config[i:i + l + 1]) > k:
             return False
@@ -172,10 +160,10 @@ def enumerate_configs(l, weight, q_order=None, caps=None, init_prefix=None,
     only; the weight then only supplies the level).  A bad window raises
     ValueError here, at the call, not at the first item.
     """
-    weight = HighestWeight.coerce(weight)
+    parts = weight_parts(weight, l)
     init_bounds = None
     if init_prefix is None:
-        init_bounds = weight.initial_bounds(l)
+        init_bounds = tuple(accumulate(parts[:l]))
     elif l != 2:
         raise ValueError("init_prefix is defined for l = 2 only")
     elif len(init_prefix) != 2 or min(init_prefix) < 0:
@@ -184,7 +172,7 @@ def enumerate_configs(l, weight, q_order=None, caps=None, init_prefix=None,
         raise ValueError("need q_order or energy_max to make the search finite")
     if caps is not None and len(caps) != l:
         raise ValueError(f"caps must have length l={l}")
-    return map(tuple, _walk(l, weight.level, init_bounds, init_prefix,
+    return map(tuple, _walk(l, sum(parts), init_bounds, init_prefix,
                             q_order, caps, energy_max))
 
 
@@ -205,8 +193,8 @@ def weight_degree_counts(l, weight, q_order, caps):
     by shifting the list v * (s // l + 1) degrees up; v stops early once the
     shift pushes every live degree past q_order.
     """
-    weight = HighestWeight.coerce(weight)
-    init_bounds, level = weight.initial_bounds(l), weight.level
+    parts = weight_parts(weight, l)
+    init_bounds, level = tuple(accumulate(parts[:l])), sum(parts)
     if len(caps) != l:
         raise ValueError(f"caps must have length l={l}")
     if q_order < 0 or min(caps) < 0:

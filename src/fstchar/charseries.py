@@ -57,6 +57,8 @@ class CharSeries:
     def coefficient(self, n):
         """QSeries coefficient at the exponent vector n (zero if absent)."""
         n = tuple(n)
+        if len(n) != self.num_z:
+            raise ValueError(f"exponent vector {n} has wrong arity")
         if any(x < 0 for x in n) or any(x > c for x, c in zip(n, self.caps)):
             raise ValueError(f"{n} lies outside the window caps {self.caps}")
         return self.coeffs.get(n, QSeries.zero(self.q_order))

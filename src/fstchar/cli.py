@@ -31,19 +31,15 @@ def _parse_int_list(text, label):
         raise CliError(f"{label} must be a comma-separated integer list, got {text!r}")
 
 
-def _parse_weight(args, l, missing, k2_zero=False):
-    """--weight as l + 1 entries >= 0 of level >= 1; with k2_zero, k0,k1,0 only."""
-    if args.weight is None:
-        raise CliError(missing)
-    weight = _parse_int_list(args.weight, "--weight")
-    if k2_zero:
-        if len(weight) != 3 or weight[2] != 0:
-            raise CliError("method fjmmt is defined for weights k0,k1,0")
-    elif len(weight) != l + 1:
-        raise CliError(f"--weight must have {l + 1} entries for l={l}")
-    if any(x < 0 for x in weight) or sum(weight) < 1:
-        raise CliError("weight entries must be >= 0 with level >= 1")
-    return weight
+def _parse_weight(text, l, k2_zero=False):
+    """--weight checked by `admissible.weight_parts`; with k2_zero, k0,k1,0 only."""
+    weight = _parse_int_list(text, "--weight")
+    if k2_zero and (len(weight) != 3 or weight[2] != 0):
+        raise CliError("method fjmmt is defined for weights k0,k1,0")
+    try:
+        return admissible.weight_parts(weight, l)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _read_config_file(path):
@@ -154,22 +150,30 @@ def cmd_character(args):
     zmax = _merged(args, "zmax")
     qmax = _merged(args, "qmax")
     jobs = _merged(args, "jobs")
-    l2_only = None
-    if method in ("fermionic", "fjmmt", "fjmmt2"):
-        l2_only = f"method {method}"
-    level = sites = None
-    if method == "fjmmt2":
-        level = _merged(args, "level")
-        if args.sites not in (None, "inf"):
-            try:
-                sites = int(args.sites)
-            except ValueError:
-                raise CliError(
-                    f"--sites must be an integer or 'inf', got {args.sites!r}")
+    level = _merged(args, "level")
+    l2_only = None if method == "oracle" else f"method {method}"
+    # every flag given is checked by its form, also where the method ignores it
+    sites = None
+    if args.sites not in (None, "inf"):
+        try:
+            sites = int(args.sites)
+        except ValueError:
+            raise CliError(
+                f"--sites must be an integer or 'inf', got {args.sites!r}")
     _check_settings(l, jobs, l2_only, level, zmax=zmax, qmax=qmax, sites=sites)
+    if method == "fjmmt2" and args.ab is None:
+        raise CliError("method fjmmt2 needs --ab a,b")
+    if method != "fjmmt2" and args.weight is None:
+        raise CliError(f"method {method} needs --weight")
+    weight = ab = None
+    if args.weight is not None:
+        weight = _parse_weight(args.weight, l, k2_zero=method == "fjmmt")
+    if args.ab is not None:
+        ab = _parse_int_list(args.ab, "--ab")
+        if len(ab) != 2 or min(ab) < 0:
+            raise CliError(f"--ab must be a pair a,b of entries >= 0, got {args.ab!r}")
 
     if method in ("oracle", "fermionic"):
-        weight = _parse_weight(args, l, f"method {method} needs --weight")
         caps = (zmax,) * l
         if method == "oracle":
             result = admissible.character_oracle(l, weight, qmax, caps)
@@ -185,9 +189,6 @@ def cmd_character(args):
             else result.render_table()
         )
     elif method == "fjmmt":
-        weight = _parse_weight(
-            args, l, "method fjmmt needs --weight k0,k1,0", k2_zero=True
-        )
         terms = specialize.chi_fjmmt(weight[0], weight[1], zmax, qmax)
         text = (
             _json_dumps({
@@ -198,13 +199,8 @@ def cmd_character(args):
             else "\n".join(f"z^{n}: {terms[n]!r}" for n in sorted(terms)) + "\n"
         )
     elif method == "fjmmt2":
-        if args.ab is None:
-            raise CliError("method fjmmt2 needs --ab a,b")
-        ab = _parse_int_list(args.ab, "--ab")
-        if len(ab) != 2:
-            raise CliError(f"--ab must be a pair a,b, got {args.ab!r}")
         a, b = ab
-        if not 0 <= a <= level or b < 0:
+        if a > level:
             raise CliError(f"--ab out of range for level {level}")
         series = specialize.chi_fjmmt2(a, b, level, sites, qmax)
         text = (
@@ -308,7 +304,7 @@ def cmd_list_admissible(args):
         l, l2_only="--init" if args.init is not None else None,
         zmax=zmax, qmax=qmax, energy_max=args.energy_max,
     )
-    weight = _parse_weight(args, l, "list-admissible needs --weight")
+    weight = _parse_weight(args.weight, l)
     init_prefix = None
     if args.init is not None:
         init_prefix = _parse_int_list(args.init, "--init")
@@ -387,7 +383,8 @@ def build_parser():
     p_list = subparsers.add_parser(
         "list-admissible", parents=[common], help="stream admissible configurations"
     )
-    p_list.add_argument("--weight", help="comma-separated weight entries")
+    p_list.add_argument("--weight", required=True,
+                        help="comma-separated weight entries")
     p_list.add_argument("--init", help="exact prefix a,b (l=2 only)")
     p_list.add_argument("--energy-max", type=int, help="first-moment bound")
     p_list.set_defaults(func=cmd_list_admissible)

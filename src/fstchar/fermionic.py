@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import add
 
+from .admissible import weight_parts
 from .charseries import CharSeries
 from .qseries import CACHE_SIZE, QSeries, divide_pochhammer
 from .reporting import CheckReport
@@ -188,13 +189,6 @@ def _expand(summands, q_order):
     return QSeries(total, q_order)
 
 
-def _check_weight3(w):
-    k0, k1, k2 = (int(x) for x in w)
-    if min(k0, k1, k2) < 0 or k0 + k1 + k2 < 1:
-        raise ValueError(f"need a level >= 1 weight triple, got {w}")
-    return k0, k1, k2
-
-
 def _summand(p1, p2, axis, p_delta, extra=None):
     """l^1_{p1} l^2_{p2} d^axis_{p_delta}, times (1 - q^{N_{2,extra}}) if given.
 
@@ -222,12 +216,12 @@ def _pattern_sum(summands, w, N, q_order, positive=False):
     weight and N are checked, `_evaluate` sums the cached templates.
     With `positive`, every weight entry must be >= 1.
     """
-    k0, k1, k2 = _check_weight3(w)
-    if positive and min(k0, k1, k2) < 1:
+    w = weight_parts(w, 2)
+    if positive and min(w) < 1:
         raise ValueError("all three weight entries must be >= 1")
-    if N.k != k0 + k1 + k2:
+    if N.k != sum(w):
         raise ValueError("sequence length must equal the level")
-    return _evaluate(_plan(summands, (k0, k1, k2)), N, q_order)
+    return _evaluate(_plan(summands, w), N, q_order)
 
 
 def _evaluate(templates, N, q_order):
@@ -366,8 +360,8 @@ def a_coefficient(w, n1, n2, q_order):
     accumulator at offset b.  Every factor has nonnegative exponents, so
     this equals the product taken at the full order.
     """
-    k0, k1, k2 = _check_weight3(w)
-    k = k0 + k1 + k2
+    w = weight_parts(w, 2)
+    k = sum(w)
     if n1 < 0 or n2 < 0:
         raise ValueError("weights must be >= 0")
     total = [0] * (q_order + 1)
@@ -391,14 +385,14 @@ def a_coefficient(w, n1, n2, q_order):
 
 def character_fermionic(w, q_order, caps):
     """Assemble the closed-formula character over an explicit window (l = 2)."""
-    k0, k1, k2 = _check_weight3(w)
+    w = weight_parts(w, 2)
     caps = tuple(caps)
     if len(caps) != 2:
         raise ValueError("the closed formula is two-variable: caps must be a pair")
     coeffs = {}
     for n1 in range(caps[0] + 1):
         for n2 in range(caps[1] + 1):
-            coeffs[(n1, n2)] = a_coefficient((k0, k1, k2), n1, n2, q_order)
+            coeffs[(n1, n2)] = a_coefficient(w, n1, n2, q_order)
     return CharSeries(2, caps, q_order, coeffs)
 
 
@@ -408,8 +402,8 @@ def character_fermionic(w, q_order, caps):
 ENTRY_MAX = 30
 
 
-def random_instances(k, count=20):
-    """Random monotone sequence pairs plus the all-zero and all-equal cases.
+def random_instances(k):
+    """20 random monotone sequence pairs plus the all-zero and all-equal cases.
 
     Entries run to ENTRY_MAX, drawn from a generator seeded by k.  The
     identities these feed are polynomial in q with exponents linear in the
@@ -418,7 +412,7 @@ def random_instances(k, count=20):
     """
     rng = random.Random(20_000 + k)
     out = [NSequences((0,) * k, (0,) * k), NSequences((5,) * k, (5,) * k)]
-    for _ in range(count):
+    for _ in range(20):
         n1 = tuple(sorted((rng.randint(0, ENTRY_MAX) for _ in range(k)),
                           reverse=True))
         n2 = tuple(sorted(rng.randint(0, ENTRY_MAX) for _ in range(k)))
@@ -426,7 +420,7 @@ def random_instances(k, count=20):
     return out
 
 
-def identity_battery(k, instance_count=20):
+def identity_battery(k):
     """Exercise every pattern-calculus identity at level k; returns a report.
 
     Covers, for each instance: both prefix-sum expansions l_p = sum of
@@ -438,7 +432,7 @@ def identity_battery(k, instance_count=20):
     `_summand` template lists, built once per k (they do not depend on N)
     and evaluated on every instance by `_evaluate`, as the pattern sums are.
     """
-    instances = random_instances(k, instance_count)
+    instances = random_instances(k)
     q_order = 2 * k * ENTRY_MAX + 2 * ENTRY_MAX + 16  # above any exponent used
     report = CheckReport(
         name=f"lemmas[k={k}]",

@@ -14,7 +14,7 @@ exponents turn negative vanish.
 import itertools
 from dataclasses import dataclass
 
-from .admissible import HighestWeight
+from .admissible import weight_parts
 from .qseries import QSeries
 from .reporting import CheckReport
 
@@ -25,10 +25,8 @@ def index_sets(weight, l):
     Ordered by size then lexicographically, so the defining weight (I = {})
     always comes first.
     """
-    weight = HighestWeight.coerce(weight)
-    if len(weight.parts) != l + 1:
-        raise ValueError(f"weight {weight.parts} does not match l={l}")
-    support = [i for i in range(l) if weight.parts[i] != 0]
+    weight = weight_parts(weight, l)
+    support = [i for i in range(l) if weight[i] != 0]
     out = []
     for size in range(len(support) + 1):
         out.extend(tuple(c) for c in itertools.combinations(support, size))
@@ -36,12 +34,11 @@ def index_sets(weight, l):
 
 
 def apply_index_set(weight, index_set):
-    """Lower k_i and raise k_{i+1} simultaneously for every i in the set."""
-    weight = HighestWeight.coerce(weight)
-    parts = list(weight.parts)
+    """Lower k_i and raise k_{i+1} for every i in the set, on a checked weight."""
+    parts = list(weight)
     for i in index_set:
-        if weight.parts[i] == 0:
-            raise ValueError(f"index {i} not in the support of {weight.parts}")
+        if weight[i] == 0:
+            raise ValueError(f"index {i} not in the support of {weight}")
         parts[i] -= 1
         parts[i + 1] += 1
     return tuple(parts)
@@ -94,16 +91,16 @@ def level_weights(k, l):
 
 
 def build_equation(weight, l):
-    weight = HighestWeight.coerce(weight)
+    weight = weight_parts(weight, l)
     lhs = tuple(
         ((-1) ** len(I), apply_index_set(weight, I)) for I in index_sets(weight, l)
     )
-    rhs_weight = weight.parts[-1:] + weight.parts[:-1]
+    rhs_weight = weight[-1:] + weight[:-1]
     return RecurrenceEquation(
-        weight=weight.parts,
+        weight=weight,
         lhs=lhs,
         rhs_weight=rhs_weight,
-        rhs_shift=weight.parts[:-1],
+        rhs_shift=weight[:-1],
     )
 
 

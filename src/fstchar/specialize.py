@@ -17,7 +17,7 @@ specialized double sum over (q^2)-Pochhammer denominators (k_2 = 0 only,
 
 from operator import add, mul
 
-from .admissible import HighestWeight, character_oracle, energy, enumerate_configs
+from .admissible import character_oracle, energy, enumerate_configs, weight_parts
 from .charseries import specialize
 from .fermionic import character_fermionic
 from .qseries import QSeries, divide_pochhammer
@@ -102,8 +102,7 @@ def chi_fjmmt(k0, k1, z_cap, q_order):
     accumulator list, and a term adds its denominator into it at offset
     `expo`; no series product is taken.
     """
-    if k0 < 0 or k1 < 0 or k0 + k1 < 1:
-        raise ValueError("need k0, k1 >= 0 with level k0 + k1 >= 1")
+    k0, k1, _ = weight_parts((k0, k1, 0), 2)
     k = k0 + k1
     matrix = fjmmt_matrix(k)
     linear = fjmmt_linear_coeffs(k, k0)
@@ -222,8 +221,8 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
 
 def chi_fjmmt2_alternating(weight, q_order):
     """The two-diagonal alternating combination attached to a weight triple."""
-    k0, k1, _ = HighestWeight.coerce(weight).parts
-    k = HighestWeight.coerce(weight).level
+    k0, k1, k2 = weight_parts(weight, 2)
+    k = k0 + k1 + k2
     s = k0 + k1
     total = QSeries.zero(q_order)
     for j in range(k0 + 1):
@@ -295,10 +294,10 @@ def verify_spec2(weight, q_order):
     Checks the alternating two-diagonal combination for every weight, and
     additionally the single-term form when k_0 = 0 or k_2 = 0.
     """
-    weight = HighestWeight.coerce(weight)
-    k0, k1, k2 = weight.parts
-    caps, q_in = spec2_window(weight.level, q_order)
-    left = spec2(character_fermionic(weight.parts, q_in, caps))
+    weight = weight_parts(weight, 2)
+    k0, k1, k2 = weight
+    caps, q_in = spec2_window(sum(weight), q_order)
+    left = spec2(character_fermionic(weight, q_in, caps))
     if left.trunc < q_order:
         raise AssertionError("window derivation failed to reach the target order")
     left = left.truncate(q_order)
@@ -310,14 +309,14 @@ def verify_spec2(weight, q_order):
         report.add_violation(
             where={"issue": "negative exponent"}, expected="", actual=left
         )
-    alternating = chi_fjmmt2_alternating(weight.parts, q_order)
+    alternating = chi_fjmmt2_alternating(weight, q_order)
     report.checked += 1
     if left != alternating:
         report.add_violation(
             where={"form": "alternating"}, expected=alternating, actual=left
         )
     if k0 == 0 or k2 == 0:
-        single = chi_fjmmt2(k0, k1, weight.level, None, q_order)
+        single = chi_fjmmt2(k0, k1, sum(weight), None, q_order)
         report.checked += 1
         if left != single:
             report.add_violation(
@@ -332,16 +331,16 @@ def verify_union_identity(weight, q_order):
     The admissible set for a weight decomposes by the exact values of
     (a_0, a_1) into the prefixes with a_0 <= k_0, a_0 + a_1 <= k_0 + k_1.
     """
-    weight = HighestWeight.coerce(weight)
-    k0, k1, _ = weight.parts
-    caps, q_in = spec2_window(weight.level, q_order)
+    weight = weight_parts(weight, 2)
+    k0, k1, _ = weight
+    caps, q_in = spec2_window(sum(weight), q_order)
     left = spec2(character_oracle(2, weight, q_in, caps)).truncate(q_order)
     total = QSeries.zero(q_order)
     for a in range(k0 + 1):
         for b in range(k0 + k1 - a + 1):
-            total = total + prefix_census(weight.level, a, b, q_order).truncate(q_order)
+            total = total + prefix_census(sum(weight), a, b, q_order).truncate(q_order)
     report = CheckReport(
-        name=f"spec2-union[{','.join(map(str, weight.parts))}]",
+        name=f"spec2-union[{','.join(map(str, weight))}]",
         window={"q_order": q_order, "caps": list(caps), "q_in": q_in},
     )
     report.checked += 1

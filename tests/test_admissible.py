@@ -7,19 +7,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fstchar import fermionic
 from fstchar.admissible import (
     KERNEL,
-    HighestWeight,
     character_oracle,
     degree_weight,
     energy,
     enumerate_configs,
     is_admissible,
     weight_degree_counts,
+    weight_parts,
 )
 from fstchar.charseries import CharSeries
-from fstchar.fermionic import character_fermionic
+from fstchar.fermionic import NSequences, a_coefficient, character_fermionic
 from fstchar.qseries import QSeries
+from fstchar.recurrence import build_equation, index_sets
+from fstchar.specialize import (
+    chi_fjmmt2_alternating,
+    verify_spec2,
+    verify_union_identity,
+)
 
 
 def weight_of(level, init_bounds):
@@ -62,19 +69,80 @@ def streamed_histogram(case):
 
 
 class TestHighestWeight:
+    """The highest weight (k_0, ..., k_l) as `weight_parts` checks it."""
+
     def test_level(self):
-        assert HighestWeight((1, 0, 2)).level == 3
+        assert weight_parts([1, 0, 2], 2) == (1, 0, 2)
+        assert weight_parts(range(4), 3) == (0, 1, 2, 3)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            HighestWeight((1, -1, 0))
+        with pytest.raises(ValueError, match="entries must be >= 0"):
+            weight_parts((1, -1, 0), 2)
 
     def test_rejects_level_zero(self):
-        with pytest.raises(ValueError):
-            HighestWeight((0, 0, 0))
+        with pytest.raises(ValueError, match="level >= 1"):
+            weight_parts((0, 0, 0), 2)
+
+    @pytest.mark.parametrize("weight", [(1, 0), (1, 0, 0, 0)])
+    def test_rejects_wrong_length(self, weight):
+        with pytest.raises(ValueError, match="weight must have 3 entries for l=2"):
+            weight_parts(weight, 2)
+
+    @pytest.mark.parametrize("weight", [(1.5, 0, 0), (2.0, 0, 0), ("1", 0, 0)])
+    def test_rejects_non_integers_without_rounding(self, weight):
+        with pytest.raises(TypeError):
+            weight_parts(weight, 2)
+
+    def test_rejects_l_below_1(self):
+        with pytest.raises(ValueError, match="need l >= 1"):
+            weight_parts((1,), 0)
 
     def test_initial_bounds(self):
-        assert HighestWeight((1, 2, 3)).initial_bounds(2) == (1, 3)
+        # a_0 <= k_0 = 1 and a_0 + a_1 <= k_0 + k_1 = 3
+        assert is_admissible((1,), 2, (1, 2, 3))
+        assert is_admissible((1, 2), 2, (1, 2, 3))
+        assert not is_admissible((2,), 2, (1, 2, 3))
+        assert not is_admissible((1, 3), 2, (1, 2, 3))
+
+
+BAD_WEIGHTS = {
+    "negative-entry": (2, -1, 0),
+    "level-0": (0, 0, 0),
+    "too-short": (1, 1),
+    "too-long": (1, 0, 0, 0),
+    "entry-1.5": (1.5, 0, 0),
+}
+
+_N = NSequences((1,), (1,))  # the length of a level-1 weight
+
+# every public function of the package that takes a weight, at l = 2
+WEIGHT_CALLS = {
+    "is_admissible": lambda w: is_admissible((), 2, w),
+    "enumerate_configs": lambda w: enumerate_configs(2, w, q_order=4),
+    "weight_degree_counts": lambda w: weight_degree_counts(2, w, 4, (2, 2)),
+    "character_oracle": lambda w: character_oracle(2, w, 4, (2, 2)),
+    "linear_term": lambda w: fermionic.linear_term(w, _N, 4),
+    "linear_term_alt": lambda w: fermionic.linear_term_alt(w, _N, 4),
+    "linear_term_star": lambda w: fermionic.linear_term_star(w, _N, 4),
+    "m_term": lambda w: fermionic.m_term(w, _N, 4),
+    "n_term": lambda w: fermionic.n_term(w, _N, 4),
+    "a_coefficient": lambda w: a_coefficient(w, 1, 0, 4),
+    "character_fermionic": lambda w: character_fermionic(w, 4, (2, 2)),
+    "chi_fjmmt2_alternating": lambda w: chi_fjmmt2_alternating(w, 4),
+    "verify_spec2": lambda w: verify_spec2(w, 4),
+    "verify_union_identity": lambda w: verify_union_identity(w, 4),
+    "index_sets": lambda w: index_sets(w, 2),
+    "build_equation": lambda w: build_equation(w, 2),
+}
+
+
+@pytest.mark.parametrize("weight", BAD_WEIGHTS.values(), ids=BAD_WEIGHTS)
+@pytest.mark.parametrize("call", WEIGHT_CALLS.values(), ids=WEIGHT_CALLS)
+def test_bad_weight_rejected_everywhere(call, weight):
+    # the message names the weight or the integer type, so an error that
+    # some later step happens to raise (such as a failed unpacking) fails
+    with pytest.raises((ValueError, TypeError), match="weight|integer"):
+        call(weight)
 
 
 class TestIsAdmissible:

@@ -23,6 +23,18 @@ class TestWindowInvariants:
         with pytest.raises(ValueError):
             CharSeries(2, (2, 2), 5, {(-1, 0): QSeries.one(5)})
 
+    @pytest.mark.parametrize("n", [(1,), (1, 0, 5), ()])
+    def test_coefficient_rejects_wrong_arity(self, n):
+        # zip would stop at the shorter vector and read the zero series
+        with pytest.raises(ValueError, match="wrong arity"):
+            constant_one().coefficient(n)
+
+    def test_coefficient_reads_the_window(self):
+        assert constant_one().coefficient((0, 0)) == QSeries.one(10)
+        assert constant_one().coefficient((4, 1)) == QSeries.zero(10)
+        with pytest.raises(ValueError, match="outside the window"):
+            constant_one().coefficient((5, 0))
+
     def test_drops_zero_series(self):
         c = CharSeries(2, (2, 2), 5, {(1, 1): QSeries.zero(5)})
         assert c.coeffs == {}

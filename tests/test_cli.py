@@ -152,7 +152,7 @@ class TestCharacter:
         if "fjmmt" in path:
             assert "method fjmmt is defined for weights k0,k1,0" in err
         else:
-            assert "--weight must have 3 entries for l=2" in err
+            assert "weight must have 3 entries for l=2" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "char.json"
@@ -502,6 +502,26 @@ class TestSettingsCheck:
          "--qmax must be >= 0"),
         (["verify", "--suite", "fjmmt2", "--level", "1", "--qmax", "4",
           "--zmax", "-1"], "--zmax must be >= 0"),
+        # character checks every flag given, also those its method ignores
+        (["character", "--method", "oracle", "--weight", "1,0,0",
+          "--level", "-3"], "need level >= 1"),
+        (["character", "--method", "oracle", "--weight", "1,0,0",
+          "--sites=-5"], "--sites must be >= 0"),
+        (["character", "--method", "fermionic", "--weight", "1,0,0",
+          "--sites=abc"], "--sites must be an integer or 'inf'"),
+        (["character", "--method", "fjmmt", "--weight", "1,0,0",
+          "--ab", "9,9,9"], "--ab must be a pair"),
+        (["character", "--method", "fjmmt2", "--ab", "0,0", "--level", "1",
+          "--weight=-1,0"], "weight must have 3 entries for l=2"),
+        (["character", "--method", "fjmmt2", "--ab", "0,0", "--level", "1",
+          "--weight=-1,0,0"], "weight entries must be >= 0 with level >= 1"),
+        (["character", "--method", "oracle", "--weight", "1,0,0",
+          "--ab=-1,0"], "--ab must be a pair a,b of entries >= 0"),
+        (["character", "--method", "fjmmt"], "method fjmmt needs --weight"),
+        (["character", "--method", "fjmmt2", "--weight", "1,0,0"],
+         "method fjmmt2 needs --ab a,b"),
+        (["list-admissible", "--qmax", "3"],
+         "the following arguments are required: --weight"),
     ])
     def test_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -620,13 +620,13 @@ class TestBatteryCanFail:
 
     def test_reversed_pattern_order(self, monkeypatch):
         monkeypatch.setattr(fermionic, "pattern_le", lambda p, p2: pattern_le(p2, p))
-        report = fermionic.identity_battery(2, instance_count=3)
+        report = fermionic.identity_battery(2)
         assert not report.ok
         first = report.violations[0]["where"]["identity"]
         assert first.startswith("prefix-sum-expansion-axis")
 
     def test_wrong_flip(self, monkeypatch):
         monkeypatch.setattr(fermionic, "flip_last", flip_first)
-        report = fermionic.identity_battery(2, instance_count=3)
+        report = fermionic.identity_battery(2)
         assert not report.ok
         assert report.violations[0]["where"]["identity"] == "axis-interchange"
