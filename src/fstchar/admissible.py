@@ -31,7 +31,7 @@ weight through it.
 """
 
 from itertools import accumulate
-from operator import add, index
+from operator import index
 
 from .charseries import CharSeries
 from .qseries import QSeries
@@ -176,6 +176,16 @@ def enumerate_configs(l, weight, q_order=None, caps=None, init_prefix=None,
                             q_order, caps, energy_max))
 
 
+def _colored_partitions(l, q_order):
+    """p_l(q_order): the number of l-colored partitions of q_order."""
+    p = [1] + [0] * q_order
+    for _ in range(l):
+        for part in range(1, q_order + 1):
+            for d in range(part, q_order + 1):
+                p[d] += p[d - part]
+    return p[q_order]
+
+
 def weight_degree_counts(l, weight, q_order, caps):
     """Histogram {(n_1, ..., n_l, degree): count} over the oracle's window.
 
@@ -184,14 +194,22 @@ def weight_degree_counts(l, weight, q_order, caps):
     counting the stream of enumerate_configs over the same window.  The DP
     advances a table {state: degree list} one position s at a time.  A state
     is the flat tuple (a_{s-l}, ..., a_{s-1}, n_1, ..., n_l); the degree is
-    not part of it but the index into the list it carries: entry d is the
-    number of partial configurations on positions < s that reach the state
-    with degree d <= q_order.  At s the degrees > q_order -
-    (s // l + 1) can place no further unit: that tail moves into a finished
-    list per n-vector, and a state with no live degree left is dropped.  The
+    not part of it but the slot of the list it carries: slot d counts the
+    partial configurations on positions < s that reach the state with degree
+    d <= q_order.  The list is one int with a B-bit slot per degree, slot d
+    at bits [d B, (d + 1) B), so that each step below is one operation on
+    the whole list.  At s the degrees > q_order - (s // l + 1) can place no
+    further unit: that tail (x & ~keep) moves into a finished list per
+    n-vector, and a state with no live degree left (x == 0) is dropped.  The
     rest places a_s = 0, or a_s = v >= 1 within the same bounds as the walk,
-    by shifting the list v * (s // l + 1) degrees up; v stops early once the
-    shift pushes every live degree past q_order.
+    by shifting the list v * (s // l + 1) slots up ((x << B tf v) & full);
+    v stops early once the shift pushes every live degree past q_order.  Two
+    lists merge by +.
+
+    Position t holds part t // l + 1 in color t % l, so the partial
+    configurations counted in one slot d are distinct l-colored partitions
+    of d and every count is at most p_l(q_order).  B is one bit more than
+    p_l(q_order) needs, so no sum or shift carries one slot into the next.
     """
     parts = weight_parts(weight, l)
     init_bounds, level = tuple(accumulate(parts[:l])), sum(parts)
@@ -200,27 +218,27 @@ def weight_degree_counts(l, weight, q_order, caps):
     if q_order < 0 or min(caps) < 0:
         return {}
     Q = q_order + 1
-    table = {(0,) * (2 * l): [1] + [0] * q_order}
+    B = _colored_partitions(l, q_order).bit_length() + 1
+    full = (1 << B * Q) - 1
+    table = {(0,) * (2 * l): 1}
     finished = {}
     s = 0
     while table:
         tf = s // l + 1
         cut = max(Q - tf, 0)  # degrees from cut on can place no further unit
+        keep = (1 << B * cut) - 1
+        step = B * tf
         vq = q_order // tf  # a larger a_s shifts every degree past q_order
         color = s % l
         ci = l + color  # index of this position's color count
         cap = caps[color]
         nxt = {}
-        for key, lst in table.items():
-            m = len(lst)
-            if m > cut:
+        for key, x in table.items():
+            if x > keep:
                 n = key[l:]
-                fin = finished.get(n)
-                if fin is None:
-                    fin = finished[n] = [0] * Q
-                fin[cut:m] = map(add, fin[cut:m], lst[cut:])
-                del lst[cut:]
-                if not any(lst):
+                finished[n] = finished.get(n, 0) + (x & ~keep)
+                x &= keep
+                if not x:
                     continue
             used = sum(key[:l])
             vmax = min(level - used, vq, cap - key[ci])
@@ -229,23 +247,21 @@ def weight_degree_counts(l, weight, q_order, caps):
                 vmax = min(vmax, init_bounds[s] - used)
             shifted = key[1:l]
             k0 = shifted + (0,) + key[l:]
-            old = nxt.get(k0)
-            nxt[k0] = lst if old is None else list(map(add, old, lst))
+            nxt[k0] = nxt.get(k0, 0) + x
             before = key[l:ci]
             after = key[ci + 1:]
             c = key[ci]
             for v in range(1, vmax + 1):
-                shift = tf * v
-                new = [0] * shift + lst[:Q - shift]
-                if not any(new):
+                new = (x << step * v) & full
+                if not new:
                     break  # a larger v shifts every live degree out too
                 k = shifted + (v,) + before + (c + v,) + after
-                old = nxt.get(k)
-                nxt[k] = new if old is None else list(map(add, old, new))
+                nxt[k] = nxt.get(k, 0) + new
         table = nxt
         s += 1
+    mask = (1 << B) - 1
     return {n + (d,): c for n, fin in finished.items()
-            for d, c in enumerate(fin) if c}
+            for d in range(Q) if (c := fin >> B * d & mask)}
 
 
 def character_oracle(l, weight, q_order, caps):

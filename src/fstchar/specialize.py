@@ -176,6 +176,8 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
     describe the same set.  This matches the out-of-range terms produced by
     the alternating-sum identity for weights with k_2 = 0.
     """
+    if k < 1:
+        raise ValueError(f"need level k >= 1, got {k}")
     if not 0 <= a <= k or b < 0:
         raise ValueError(f"need 0 <= a <= {k} and b >= 0")
     if a + b > k:

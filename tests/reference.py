@@ -36,6 +36,23 @@ def bounded_census(k, a, b, energy_max):
     return total
 
 
+def colored_partitions(l, d):
+    """p_l(d), the number of l-colored partitions of d.
+
+    From the recurrence n p_l(n) = l * sum_{j=1..n} sigma(j) p_l(n - j), the
+    logarithmic derivative of prod_m (1 - q^m)^(-l); sigma(j) is the sum of
+    the divisors of j.
+    """
+    sigma = [0] * (d + 1)
+    for m in range(1, d + 1):
+        for j in range(m, d + 1, m):
+            sigma[j] += m
+    p = [1]
+    for n in range(1, d + 1):
+        p.append(l * sum(sigma[j] * p[n - j] for j in range(1, n + 1)) // n)
+    return p[d]
+
+
 def N1(N, i):
     """N_{1,i} of NSequences N, with the phantom N_{1,k+1} = 0."""
     return N.n1[i - 1] if i <= N.k else 0

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import colored_partitions
 
 from fstchar import fermionic
 from fstchar.admissible import (
@@ -327,6 +328,29 @@ class TestKernels:
                                     caps=(2, 2)) == {}
         assert weight_degree_counts(2, (1, 0, 0), q_order=3,
                                     caps=(2, -1)) == {}
+
+    def test_colored_partitions_reference(self):
+        assert [colored_partitions(1, d) for d in range(8)] == [
+            1, 1, 2, 3, 5, 7, 11, 15]
+        assert colored_partitions(1, 60) == 966467
+        assert [colored_partitions(2, d) for d in range(6)] == [
+            1, 2, 5, 10, 20, 36]
+
+    @pytest.mark.parametrize("l, q_max", [(1, 60), (2, 30), (3, 16)])
+    def test_slot_width_holds_the_largest_count(self, l, q_max):
+        # with level and caps >= q_order only the degree binds, so the
+        # histogram summed over n at degree d is p_l(d).  The slot width
+        # comes from p_l(q_order), which overstates the largest count of
+        # one (n, d) by 4 to 7 bits at q_max but by 1 to 3 bits at orders
+        # below 12, so the small orders are where a narrow slot shows
+        weight, caps = (q_max,) + (0,) * l, (q_max,) * l
+        for q_order in (*range(12), q_max):
+            hist = weight_degree_counts(l, weight, q_order, caps)
+            by_degree = [0] * (q_order + 1)
+            for key, count in hist.items():
+                by_degree[key[-1]] += count
+            assert by_degree == [colored_partitions(l, d)
+                                 for d in range(q_order + 1)], q_order
 
     def test_kernel_reports_kind(self):
         assert KERNEL == "pure"

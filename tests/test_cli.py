@@ -272,6 +272,19 @@ class TestVerify:
             code, parallel, _ = run(capsys, *argv, "--jobs", "2")
             assert serial == parallel
 
+    @pytest.mark.parametrize("l, level, zmax, qmax", [
+        ("3", "2", "4", "10"), ("1", "3", "6", "12")])
+    def test_system_suite_at_other_ranks(self, capsys, l, level, zmax, qmax):
+        argv = ["verify", "--suite", "system", "--l", l, "--level", level,
+                "--zmax", zmax, "--qmax", qmax, "--format", "text"]
+        code, serial, _ = run(capsys, *argv, "--jobs", "1")
+        assert code == 0
+        assert serial.endswith("suite system: ok\n")
+        assert f"[recurrence-system[k={level},l={l}]] ok; " in serial
+        code, parallel, _ = run(capsys, *argv, "--jobs", "2")
+        assert code == 0
+        assert parallel == serial
+
     def test_worker_count_bounded_by_tasks_and_cpus(self):
         if hasattr(os, "sched_getaffinity"):
             cpus = len(os.sched_getaffinity(0))

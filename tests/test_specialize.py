@@ -269,6 +269,11 @@ class TestChiFjmmt2:
         with pytest.raises(ValueError):
             chi_fjmmt2(3, 0, 2, None, 8)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_level_below_1(self, k):
+        with pytest.raises(ValueError, match="level"):
+            chi_fjmmt2(0, 0, k, None, 4)
+
     def test_level1_matches_spec2_of_oracle(self):
         # the single-term form at weight (1,0,0)
         q_order = 20
