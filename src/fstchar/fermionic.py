@@ -142,12 +142,6 @@ def pos(value, j, p):
     raise ValueError(f"pattern {p.bits} has fewer than {j} entries equal to {value}")
 
 
-def _l_exponent(axis, bits, N):
-    """The exponent sum p_i N_{axis,i} of l^axis_p, for the bits of p."""
-    seq = N.n1 if axis == 1 else N.n2
-    return sum(x for b, x in zip(bits, seq) if b)
-
-
 def _fired(axis, p):
     """0-based indices i - 1 of the factors (1 - q^{gap}) that d^axis_p fires.
 
@@ -169,38 +163,21 @@ def _gaps(axis, N):
     return [seq[i + 1] - seq[i] for i in range(N.k)]
 
 
-def _expand(summands, q_order):
-    """Sum of q^e prod_g (1 - q^g) over the (e, gaps) summands, truncated.
-
-    The expansion runs in one {exponent: coeff} dict and keeps nothing above
-    q_order.  A zero gap makes its factor, and so its summand, vanish.
-    """
-    total = {}
-    for e, gaps in summands:
-        if e > q_order or 0 in gaps:
-            continue
-        term = {e: 1}
-        for g in gaps:
-            for x, c in list(term.items()):
-                if x + g <= q_order:
-                    term[x + g] = term.get(x + g, 0) - c
-        for x, c in term.items():
-            total[x] = total.get(x, 0) + c
-    return QSeries(total, q_order)
-
-
 def _summand(p1, p2, axis, p_delta, extra=None):
     """l^1_{p1} l^2_{p2} d^axis_{p_delta}, times (1 - q^{N_{2,extra}}) if given.
 
-    Kept as the bits of p1 and p2 and the slots of its factors' gaps in
-    `_gaps(1, N) + _gaps(2, N) + N.n2`, which `_evaluate` reads.
+    Kept as the index template `(ones, slots)` that `_evaluate` reads:
+    `ones` holds the positions of the 1-bits of `p1.bits + p2.bits` in
+    `N.n1 + N.n2`, so p2's bit i sits at k + i, and `slots` the positions
+    of the factors' gaps in `_gaps(1, N) + _gaps(2, N) + N.n2`.
     """
     k = p1.k
+    ones = tuple(i for i, b in enumerate(p1.bits + p2.bits) if b)
     offset = 0 if axis == 1 else k
     slots = tuple(offset + i for i in _fired(axis, p_delta))
     if extra is not None:
         slots += (2 * k + extra - 1,)
-    return p1.bits, p2.bits, slots
+    return ones, slots
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -227,16 +204,29 @@ def _pattern_sum(summands, w, N, q_order, positive=False):
 def _evaluate(templates, N, q_order):
     """Sum of the `_summand` templates on N, expanded sparsely to q_order.
 
-    The l-exponents are read off N as integers and each factor's gap from
-    its slot; the templates must have N's length.
+    A template's exponent is the sum of the entries of `N.n1 + N.n2` at its
+    `ones`, and each factor (1 - q^gap) reads its gap at its slot.  The
+    product is expanded term by term into one {exponent: coeff} dict that
+    keeps nothing above q_order; a zero gap makes its factor, and so its
+    summand, vanish.  The templates must have N's length.
     """
+    entries = N.n1 + N.n2
     values = _gaps(1, N) + _gaps(2, N) + list(N.n2)
-    return _expand(
-        ((_l_exponent(1, bits1, N) + _l_exponent(2, bits2, N),
-          [values[s] for s in slots])
-         for bits1, bits2, slots in templates),
-        q_order,
-    )
+    total = {}
+    for ones, slots in templates:
+        e = sum([entries[i] for i in ones])
+        if e > q_order:
+            continue
+        terms = [(e, 1)]
+        for s in slots:
+            g = values[s]
+            if not g:
+                break
+            terms += [(x + g, -c) for x, c in terms if x + g <= q_order]
+        else:
+            for x, c in terms:
+                total[x] = total.get(x, 0) + c
+    return QSeries(total, q_order)
 
 
 def _linear_term_summands(k0, k1, k2):
@@ -271,10 +261,11 @@ def linear_term(w, N, q_order):
 
     g moves the last k_1 ones to zeros before the axis-2 power is read off.
     Default boundary bits throughout.  Each summand is a monomial times the
-    fired factors (1 - q^gap): the two l-exponents are read as integers and
-    the product is expanded in one sparse dict with nothing above q_order,
-    so a zero gap drops the summand and no series product is taken.  The
-    pattern bits and fired indices per weight are built once and cached.
+    fired factors (1 - q^gap).  Its index template (`_summand`) is built once
+    per weight and cached; on N the exponent is a sum of entries of N at the
+    template's indices, and the product is expanded in one sparse dict with
+    nothing above q_order, so a zero gap drops the summand and no series
+    product is taken.
     """
     return _pattern_sum(_linear_term_summands, w, N, q_order)
 
@@ -431,6 +422,8 @@ def identity_battery(k):
     The two sides of each prefix-sum and axis-interchange identity are
     `_summand` template lists, built once per k (they do not depend on N)
     and evaluated on every instance by `_evaluate`, as the pattern sums are.
+    `linear_term` is evaluated once per weight and instance, and the
+    two-forms and four-term checks both read that value.
     """
     instances = random_instances(k)
     q_order = 2 * k * ENTRY_MAX + 2 * ENTRY_MAX + 16  # above any exponent used
@@ -472,25 +465,26 @@ def identity_battery(k):
                  for p in patterns(k, j)],
             ))
 
+    weights = [(k0, k1, k - k0 - k1)
+               for k0 in range(k + 1) for k1 in range(k - k0 + 1)]
     for N in instances:
         for tag, where, lhs, rhs in sides:
             check(tag, where, _evaluate(lhs, N, q_order),
                   _evaluate(rhs, N, q_order))
-        for k0 in range(k + 1):
-            for k1 in range(k - k0 + 1):
-                w = (k0, k1, k - k0 - k1)
-                check("linear-term-two-forms", {"w": w},
-                      linear_term(w, N, q_order), linear_term_alt(w, N, q_order))
-                if min(w) >= 1:
-                    k2 = w[2]
-                    four = (
-                        linear_term(w, N, q_order)
-                        - linear_term((k0 - 1, k1 + 1, k2), N, q_order)
-                        - linear_term((k0, k1 - 1, k2 + 1), N, q_order)
-                        + linear_term((k0 - 1, k1, k2 + 1), N, q_order)
-                    )
-                    check("four-term-difference", {"w": w},
-                          four, linear_term_star(w, N, q_order))
-                    check("flip-expansion-match", {"w": w},
-                          m_term(w, N, q_order), n_term(w, N, q_order))
+        terms = {w: linear_term(w, N, q_order) for w in weights}
+        for w in weights:
+            check("linear-term-two-forms", {"w": w},
+                  terms[w], linear_term_alt(w, N, q_order))
+            if min(w) >= 1:
+                k0, k1, k2 = w
+                four = (
+                    terms[w]
+                    - terms[(k0 - 1, k1 + 1, k2)]
+                    - terms[(k0, k1 - 1, k2 + 1)]
+                    + terms[(k0 - 1, k1, k2 + 1)]
+                )
+                check("four-term-difference", {"w": w},
+                      four, linear_term_star(w, N, q_order))
+                check("flip-expansion-match", {"w": w},
+                      m_term(w, N, q_order), n_term(w, N, q_order))
     return report

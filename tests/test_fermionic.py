@@ -146,6 +146,17 @@ class TestTerms:
         p = BinaryPattern((0, 1))
         assert self.term(self.ZERO, self.ZERO, 1, p, N).is_zero()
 
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_axis2_bit_reads_its_own_entry(self, j):
+        # six distinct entries, so a bit read at any other index shows; the
+        # order is the exponent itself, so the term sits at the truncation edge
+        N = NSequences((9, 6, 4), (1, 2, 7))
+        zero = BinaryPattern((0, 0, 0))
+        p2 = BinaryPattern(tuple(int(i == j) for i in range(1, 4)))
+        template = fermionic._summand(zero, p2, 1, zero)
+        q_order = N2(N, j)
+        assert fermionic._evaluate([template], N, q_order) == mono(q_order, q_order)
+
 
 LEVEL2_WEIGHTS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
 
@@ -630,3 +641,15 @@ class TestBatteryCanFail:
         report = fermionic.identity_battery(2)
         assert not report.ok
         assert report.violations[0]["where"]["identity"] == "axis-interchange"
+
+    def test_wrong_linear_term_fails_both_checks_that_read_it(self, monkeypatch):
+        # the battery evaluates each linear term once per instance and feeds
+        # it to two checks: a bad value must still show in both
+        def bumped(w, N, q_order):
+            term = linear_term(w, N, q_order)
+            return term + one(q_order) if w == (1, 1, 1) else term
+
+        monkeypatch.setattr(fermionic, "linear_term", bumped)
+        report = fermionic.identity_battery(3)
+        tags = {v["where"]["identity"] for v in report.violations}
+        assert {"linear-term-two-forms", "four-term-difference"} <= tags
