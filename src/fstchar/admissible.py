@@ -34,7 +34,6 @@ from itertools import accumulate
 from operator import index
 
 from .charseries import CharSeries
-from .qseries import QSeries
 
 KERNEL = "pure"
 
@@ -269,11 +268,11 @@ def character_oracle(l, weight, q_order, caps):
     if q_order is None or caps is None:
         raise ValueError("character_oracle needs an explicit q_order and caps")
     counts = weight_degree_counts(l, weight, q_order=q_order, caps=tuple(caps))
-    by_weight = {}
+    rows = {}
     for key, count in counts.items():
-        n, degree = key[:-1], key[-1]
-        by_weight.setdefault(n, {})[degree] = count
-    coeffs = {
-        n: QSeries(series, q_order) for n, series in by_weight.items()
-    }
-    return CharSeries(l, tuple(caps), q_order, coeffs)
+        n = key[:-1]
+        row = rows.get(n)
+        if row is None:
+            row = rows[n] = [0] * (q_order + 1)
+        row[key[-1]] = count
+    return CharSeries(l, tuple(caps), q_order, rows)

@@ -1,12 +1,13 @@
 """Truncated multivariate character series and their specializations.
 
 A CharSeries is a finitely supported map from weight-exponent vectors
-(n_1, ..., n_l) to QSeries coefficients, restricted to an explicit window:
-per-variable caps n_i <= cap_i and a shared q truncation order.  Windows are
+(n_1, ..., n_l) to dense coefficient rows on an explicit window: caps
+n_i <= cap_i and a shared q truncation order Q.  The row at n is a tuple
+of length Q + 1 whose entry e is the coefficient of q^e z^n.  Windows are
 always explicit inputs so that two characters are only ever compared on an
-identical finite window.  A CharSeries has no arithmetic: the routes build
-characters coefficient by coefficient and only compare them, specialize
-them or read single coefficients.
+identical finite window.  A CharSeries has no arithmetic: the routes hand
+over their rows, and the checks compare, specialize or read them.  Output
+renders each row through `QSeries.from_row`.
 
 `specialize` applies spec_1 (q -> q^2, z_1 -> q^{-2} z, z_2 -> q^{-1} z) or
 spec_2 (the same with z = 1) to a two-variable character.  Each resulting
@@ -23,24 +24,24 @@ class CharSeries:
     __slots__ = ("num_z", "caps", "q_order", "coeffs")
 
     def __init__(self, num_z, caps, q_order, coeffs=None):
+        """`coeffs` maps exponent vectors to rows of length q_order + 1."""
         caps = tuple(caps)
         if len(caps) != num_z or any(c < 0 for c in caps):
             raise ValueError(f"caps {caps} invalid for {num_z} variables")
         terms = {}
         if coeffs:
-            for n, series in coeffs.items():
+            for n, row in coeffs.items():
                 n = tuple(n)
                 if len(n) != num_z:
                     raise ValueError(f"exponent vector {n} has wrong arity")
                 if any(x < 0 for x in n) or any(x > c for x, c in zip(n, caps)):
                     raise ValueError(f"exponent vector {n} outside caps {caps}")
-                series = series.truncate(min(series.trunc, q_order))
-                if series.trunc != q_order:
-                    raise ValueError(
-                        f"coefficient at {n} trusted only to {series.trunc} < {q_order}"
-                    )
-                if not series.is_zero():
-                    terms[n] = series
+                row = tuple(row)
+                if len(row) != q_order + 1:
+                    raise ValueError(f"row at {n} has length {len(row)}, "
+                                     f"not q_order + 1 = {q_order + 1}")
+                if any(row):
+                    terms[n] = row
         object.__setattr__(self, "num_z", num_z)
         object.__setattr__(self, "caps", caps)
         object.__setattr__(self, "q_order", q_order)
@@ -55,13 +56,13 @@ class CharSeries:
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, n):
-        """QSeries coefficient at the exponent vector n (zero if absent)."""
+        """Row of coefficients at the exponent vector n (zeros if absent)."""
         n = tuple(n)
         if len(n) != self.num_z:
             raise ValueError(f"exponent vector {n} has wrong arity")
         if any(x < 0 for x in n) or any(x > c for x, c in zip(n, self.caps)):
             raise ValueError(f"{n} lies outside the window caps {self.caps}")
-        return self.coeffs.get(n, QSeries.zero(self.q_order))
+        return self.coeffs.get(n, (0,) * (self.q_order + 1))
 
     def same_window(self, other):
         return (
@@ -89,25 +90,42 @@ class CharSeries:
             "caps": list(self.caps),
             "q_order": self.q_order,
             "terms": [
-                [list(n), self.coeffs[n].to_json()] for n in sorted(self.coeffs)
+                [list(n), QSeries.from_row(self.coeffs[n]).to_json()]
+                for n in sorted(self.coeffs)
             ],
         }
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            obj["l"],
-            tuple(obj["caps"]),
-            obj["q_order"],
-            {tuple(n): QSeries.from_json(s) for n, s in obj["terms"]},
-        )
+        """Read `to_json`; a series trusted below q_order raises ValueError."""
+        q_order, rows = obj["q_order"], {}
+        for n, series in obj["terms"]:
+            if series["trunc"] < q_order:
+                raise ValueError(f"coefficient at {n} trusted only to "
+                                 f"{series['trunc']} < {q_order}")
+            rows[tuple(n)] = dense_row(
+                ((int(e), int(c)) for e, c in series["terms"]), q_order)
+        return cls(obj["l"], obj["caps"], q_order, rows)
 
     def render_table(self):
         """Plain-text table, one line per exponent vector, for human diffing."""
         lines = [f"# l={self.num_z} caps={list(self.caps)} q_order={self.q_order}"]
         for n in sorted(self.coeffs):
-            lines.append(f"z^{list(n)}: {self.coeffs[n]!r}")
+            lines.append(f"z^{list(n)}: {QSeries.from_row(self.coeffs[n])!r}")
         return "\n".join(lines) + "\n"
+
+
+def dense_row(terms, q_order):
+    """The row of length q_order + 1 holding the (exponent, coefficient) pairs.
+
+    An exponent outside 0..q_order, which no row can hold, raises ValueError.
+    """
+    row = [0] * (q_order + 1)
+    for e, c in terms:
+        if not 0 <= e <= q_order:
+            raise ValueError(f"exponent {e} outside 0..{q_order}")
+        row[e] = c
+    return row
 
 
 def specialize(char, graded):
@@ -126,12 +144,13 @@ def specialize(char, graded):
         raise ValueError(f"specialize needs 2 variables, got {char.num_z}")
     cap1, cap2 = char.caps
     buckets = [{} for _ in range(cap1 + cap2 + 1 if graded else 1)]
-    for (n1, n2), series in char.coeffs.items():
+    for (n1, n2), row in char.coeffs.items():
         bucket = buckets[n1 + n2 if graded else 0]
         shift = -2 * n1 - n2
-        for e, c in series.coeffs.items():
-            out_e = 2 * e + shift
-            bucket[out_e] = bucket.get(out_e, 0) + c
+        for e, c in enumerate(row):
+            if c:
+                out_e = 2 * e + shift
+                bucket[out_e] = bucket.get(out_e, 0) + c
     order = 2 * char.q_order
     if graded:
         # zero coefficients are kept: they still carry a guaranteed-valid order

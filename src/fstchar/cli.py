@@ -14,7 +14,7 @@ from importlib import resources
 from itertools import zip_longest
 
 from . import admissible, fermionic, recurrence, specialize
-from .charseries import CharSeries
+from .charseries import CharSeries, dense_row
 from .reporting import CheckReport
 
 DEFAULTS = {"l": 2, "level": 2, "zmax": 6, "qmax": 16, "jobs": 1}
@@ -182,7 +182,8 @@ def cmd_character(args):
             n1s, n2s = zip(*grid)
             coeffs = _pmap(fermionic.a_coefficient, jobs,
                            [weight] * len(grid), n1s, n2s, [qmax] * len(grid))
-            result = CharSeries(2, caps, qmax, dict(zip(grid, coeffs)))
+            rows = [dense_row(c.coeffs.items(), qmax) for c in coeffs]
+            result = CharSeries(2, caps, qmax, dict(zip(grid, rows)))
         text = (
             _json_dumps(result.to_json())
             if args.format == "json"

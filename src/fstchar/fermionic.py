@@ -21,12 +21,12 @@ are independent and may run in parallel.
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
 from .admissible import weight_parts
-from .charseries import CharSeries
+from .charseries import CharSeries, dense_row
 from .qseries import CACHE_SIZE, QSeries, divide_pochhammer
 from .reporting import CheckReport
 
@@ -53,22 +53,33 @@ class BinaryPattern:
 
 @dataclass(frozen=True)
 class NSequences:
-    """The two monotone integer sequences a fermionic summand is built from."""
+    """The two monotone integer sequences a fermionic summand is built from.
+
+    Built once with them: `entries` is n1 + n2, and `factors` holds the
+    exponents x of the factors (1 - q^x) a summand can fire: the gaps
+    N_{1,i} - N_{1,i+1}, then N_{2,i} - N_{2,i-1} (i = 1..k, phantom entries
+    N_{1,k+1} = N_{2,0} = 0), then N_{2,1..k}.  The 2k gaps are also the
+    Pochhammer factors of `a_coefficient`, and the sequences are valid
+    exactly when no gap is negative.
+    """
 
     n1: tuple  # (N_{1,1}, ..., N_{1,k}), weakly decreasing
     n2: tuple  # (N_{2,1}, ..., N_{2,k}), weakly increasing
+    entries: tuple = field(init=False, repr=False, compare=False)
+    factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n1", tuple(self.n1))
-        object.__setattr__(self, "n2", tuple(self.n2))
-        if len(self.n1) != len(self.n2) or not self.n1:
+        n1, n2 = tuple(self.n1), tuple(self.n2)
+        if len(n1) != len(n2) or not n1:
             raise ValueError("n1 and n2 must have equal positive length")
-        if any(x < 0 for x in self.n1 + self.n2):
-            raise ValueError("entries must be >= 0")
-        if any(self.n1[i] < self.n1[i + 1] for i in range(len(self.n1) - 1)):
-            raise ValueError(f"n1 must be weakly decreasing: {self.n1}")
-        if any(self.n2[i] > self.n2[i + 1] for i in range(len(self.n2) - 1)):
-            raise ValueError(f"n2 must be weakly increasing by index: {self.n2}")
+        gaps = (*map(sub, n1, n1[1:] + (0,)), *map(sub, n2, (0,) + n2[:-1]))
+        if min(gaps) < 0:
+            raise ValueError(f"need n1 weakly decreasing, n2 weakly increasing "
+                             f"and entries >= 0: {n1}, {n2}")
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n2", n2)
+        object.__setattr__(self, "entries", n1 + n2)
+        object.__setattr__(self, "factors", gaps + n2)
 
     @property
     def k(self):
@@ -154,22 +165,13 @@ def _fired(axis, p):
     return [i - 1 for i in range(1, p.k + 1) if not bits[i] and bits[i + step]]
 
 
-def _gaps(axis, N):
-    """The gaps N_{1,i} - N_{1,i+1} (axis 1) or N_{2,i} - N_{2,i-1} (axis 2)."""
-    if axis == 1:
-        seq = N.n1 + (0,)
-        return [seq[i] - seq[i + 1] for i in range(N.k)]
-    seq = (0,) + N.n2
-    return [seq[i + 1] - seq[i] for i in range(N.k)]
-
-
 def _summand(p1, p2, axis, p_delta, extra=None):
     """l^1_{p1} l^2_{p2} d^axis_{p_delta}, times (1 - q^{N_{2,extra}}) if given.
 
     Kept as the index template `(ones, slots)` that `_evaluate` reads:
     `ones` holds the positions of the 1-bits of `p1.bits + p2.bits` in
-    `N.n1 + N.n2`, so p2's bit i sits at k + i, and `slots` the positions
-    of the factors' gaps in `_gaps(1, N) + _gaps(2, N) + N.n2`.
+    `N.entries`, so p2's bit i sits at k + i, and `slots` the positions of
+    the factors' exponents in `N.factors`.
     """
     k = p1.k
     ones = tuple(i for i, b in enumerate(p1.bits + p2.bits) if b)
@@ -204,14 +206,13 @@ def _pattern_sum(summands, w, N, q_order, positive=False):
 def _evaluate(templates, N, q_order):
     """Sum of the `_summand` templates on N, expanded sparsely to q_order.
 
-    A template's exponent is the sum of the entries of `N.n1 + N.n2` at its
-    `ones`, and each factor (1 - q^gap) reads its gap at its slot.  The
+    A template's exponent is the sum of `N.entries` at its `ones`, and each
+    factor (1 - q^gap) reads its gap in `N.factors` at its slot.  The
     product is expanded term by term into one {exponent: coeff} dict that
     keeps nothing above q_order; a zero gap makes its factor, and so its
     summand, vanish.  The templates must have N's length.
     """
-    entries = N.n1 + N.n2
-    values = _gaps(1, N) + _gaps(2, N) + list(N.n2)
+    entries, factors = N.entries, N.factors
     total = {}
     for ones, slots in templates:
         e = sum([entries[i] for i in ones])
@@ -219,7 +220,7 @@ def _evaluate(templates, N, q_order):
             continue
         terms = [(e, 1)]
         for s in slots:
-            g = values[s]
+            g = factors[s]
             if not g:
                 break
             terms += [(x + g, -c) for x, c in terms if x + g <= q_order]
@@ -364,14 +365,12 @@ def a_coefficient(w, n1, n2, q_order):
         term = linear_term(w, N, order)
         if term.is_zero():
             continue
-        coeffs = [0] * (order + 1)
-        for e, c in term.coeffs.items():
-            coeffs[e] = c
-        for gap in _gaps(1, N) + _gaps(2, N):
+        coeffs = dense_row(term.coeffs.items(), order)
+        for gap in N.factors[:2 * k]:
             if gap:
                 divide_pochhammer(coeffs, gap)
         total[base:] = map(add, total[base:], coeffs)
-    return QSeries(dict(enumerate(total)), q_order)
+    return QSeries.from_row(total)
 
 
 def character_fermionic(w, q_order, caps):
@@ -380,11 +379,12 @@ def character_fermionic(w, q_order, caps):
     caps = tuple(caps)
     if len(caps) != 2:
         raise ValueError("the closed formula is two-variable: caps must be a pair")
-    coeffs = {}
+    rows = {}
     for n1 in range(caps[0] + 1):
         for n2 in range(caps[1] + 1):
-            coeffs[(n1, n2)] = a_coefficient(w, n1, n2, q_order)
-    return CharSeries(2, caps, q_order, coeffs)
+            series = a_coefficient(w, n1, n2, q_order)
+            rows[(n1, n2)] = dense_row(series.coeffs.items(), q_order)
+    return CharSeries(2, caps, q_order, rows)
 
 
 # -- identity battery ---------------------------------------------------------
@@ -432,13 +432,6 @@ def identity_battery(k):
         window={"instances": len(instances), "entry_max": ENTRY_MAX},
     )
 
-    def check(tag, where, lhs, rhs):
-        report.checked += 1
-        if lhs != rhs:
-            report.add_violation(
-                where={"identity": tag, **where}, expected=rhs, actual=lhs
-            )
-
     zero = BinaryPattern((0,) * k)
     sides = []  # (tag, where, lhs templates, rhs templates), in check order
     for i in range(k + 1):
@@ -469,12 +462,12 @@ def identity_battery(k):
                for k0 in range(k + 1) for k1 in range(k - k0 + 1)]
     for N in instances:
         for tag, where, lhs, rhs in sides:
-            check(tag, where, _evaluate(lhs, N, q_order),
-                  _evaluate(rhs, N, q_order))
+            report.check({"identity": tag, **where},
+                         _evaluate(rhs, N, q_order), _evaluate(lhs, N, q_order))
         terms = {w: linear_term(w, N, q_order) for w in weights}
         for w in weights:
-            check("linear-term-two-forms", {"w": w},
-                  terms[w], linear_term_alt(w, N, q_order))
+            report.check({"identity": "linear-term-two-forms", "w": w},
+                         linear_term_alt(w, N, q_order), terms[w])
             if min(w) >= 1:
                 k0, k1, k2 = w
                 four = (
@@ -483,8 +476,8 @@ def identity_battery(k):
                     - terms[(k0, k1 - 1, k2 + 1)]
                     + terms[(k0 - 1, k1, k2 + 1)]
                 )
-                check("four-term-difference", {"w": w},
-                      four, linear_term_star(w, N, q_order))
-                check("flip-expansion-match", {"w": w},
-                      m_term(w, N, q_order), n_term(w, N, q_order))
+                report.check({"identity": "four-term-difference", "w": w},
+                             linear_term_star(w, N, q_order), four)
+                report.check({"identity": "flip-expansion-match", "w": w},
+                             n_term(w, N, q_order), m_term(w, N, q_order))
     return report

@@ -8,6 +8,11 @@ coefficients are ordinary Python integers (arbitrary precision).
 All operations are pure; values are immutable by convention and safe to
 share between threads or processes.
 
+QSeries carries the one-variable results (the specializations, the known
+sums, the pattern sums, the censuses) and renders every series as JSON or
+text.  The coefficients of a two-variable character are dense rows in
+`CharSeries` instead; `from_row` turns a row into a QSeries for output.
+
 No route takes a series product: they divide coefficient lists in place
 (`divide_pochhammer`).  `__mul__`, `pochhammer` and `inv_pochhammer` stay
 for the tests' references and the `qseries.*` metrics of `perfbench/`.
@@ -52,21 +57,14 @@ class QSeries:
         return cls({0: 1}, trunc)
 
     @classmethod
-    def monomial(cls, exponent, trunc, coeff=1):
-        return cls({exponent: coeff}, trunc)
+    def from_row(cls, row):
+        """The series with coefficient row[e] at q^e, truncated at len(row) - 1."""
+        return cls(dict(enumerate(row)), len(row) - 1)
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self):
         return not self.coeffs
-
-    def coefficient(self, exponent):
-        """Exact coefficient of q^exponent; raises if beyond the truncation."""
-        if exponent > self.trunc:
-            raise ValueError(
-                f"coefficient of q^{exponent} not retained (trunc={self.trunc})"
-            )
-        return self.coeffs.get(exponent, 0)
 
     def min_exponent(self):
         return min(self.coeffs) if self.coeffs else None
@@ -96,9 +94,6 @@ class QSeries:
             terms[e] = terms.get(e, 0) - c
         return QSeries(terms, trunc)
 
-    def __neg__(self):
-        return QSeries({e: -c for e, c in self.coeffs.items()}, self.trunc)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return QSeries({e: c * other for e, c in self.coeffs.items()}, self.trunc)
@@ -118,13 +113,6 @@ class QSeries:
         return QSeries(terms, trunc)
 
     __rmul__ = __mul__
-
-    def shift(self, exponent):
-        """Multiply by q^exponent; the truncation order shifts along."""
-        return QSeries(
-            {e + exponent: c for e, c in self.coeffs.items()},
-            self.trunc + exponent,
-        )
 
     def truncate(self, trunc):
         """Restrict to order `trunc`; never extends trustworthiness."""
@@ -216,4 +204,4 @@ def inv_pochhammer(n, q_order, scale=1):
     if coeffs:
         coeffs[0] = 1
     divide_pochhammer(coeffs, n, scale)
-    return QSeries({e: c for e, c in enumerate(coeffs) if c}, q_order)
+    return QSeries.from_row(coeffs)

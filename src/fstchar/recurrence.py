@@ -13,6 +13,7 @@ exponents turn negative vanish.
 
 import itertools
 from dataclasses import dataclass
+from operator import add, sub
 
 from .admissible import weight_parts
 from .qseries import QSeries
@@ -119,41 +120,43 @@ def verify_equation(equation, provider, caps, q_order, report):
     `provider` maps a weight tuple to its CharSeries on the shared window.
     The q-prefactor only shifts exponents upward, so every lhs coefficient of
     order <= q_order is checkable against characters known to the same order.
-    Each comparison and violation is counted into `report`.
+    Both sides are rows of length q_order + 1: the lhs adds and subtracts
+    the rows of its weights, and the rhs row is the shifted weight's row
+    moved up by |n| = n_1 + ... + n_l and cut at q_order.  Each comparison
+    and violation is counted into `report`.
     """
     caps = tuple(caps)
-    chars = {}
-    for _, w in equation.lhs:
-        chars[w] = provider(w)
+    chars = {w: provider(w) for _, w in equation.lhs}
     chars[equation.rhs_weight] = provider(equation.rhs_weight)
     for series in chars.values():
         if series.caps != caps or series.q_order != q_order:
             raise ValueError("provider returned a character on a different window")
 
+    zero = (0,) * (q_order + 1)
+    (_, defining), *rest = equation.lhs
+    first = chars[defining].coeffs
+    rest = [(add if sign > 0 else sub, chars[w].coeffs) for sign, w in rest]
+    right = chars[equation.rhs_weight].coeffs
     for n in itertools.product(*(range(c + 1) for c in caps)):
-        lhs = None
-        for sign, w in equation.lhs:
-            term = chars[w].coefficient(n)
-            if sign < 0:
-                term = -term
-            lhs = term if lhs is None else lhs + term
-        shifted = tuple(x - s for x, s in zip(n, equation.rhs_shift))
-        if any(x < 0 for x in shifted):
-            rhs = QSeries.zero(q_order)
-        else:
-            rhs = chars[equation.rhs_weight].coefficient(shifted)
-            rhs = rhs.shift(sum(n)).truncate(q_order)
+        lhs = first.get(n, zero)
+        for op, rows in rest:
+            row = rows.get(n)
+            if row is not None:
+                lhs = tuple(map(op, lhs, row))
+        shifted = tuple(map(sub, n, equation.rhs_shift))
+        rhs = right.get(shifted) if min(shifted) >= 0 else None
+        rhs = zero if rhs is None else ((0,) * sum(n) + rhs)[:q_order + 1]
         report.checked += 1
         if lhs != rhs:
-            diff = sorted((lhs - rhs).coeffs)
             report.add_violation(
                 where={
                     "weight": list(equation.weight),
                     "n": list(n),
-                    "first_bad_exponent": diff[0],
+                    "first_bad_exponent": next(
+                        e for e, (a, b) in enumerate(zip(lhs, rhs)) if a != b),
                 },
-                expected=rhs,
-                actual=lhs,
+                expected=QSeries.from_row(rhs),
+                actual=QSeries.from_row(lhs),
             )
     return report
 

@@ -21,6 +21,12 @@ class CheckReport:
     def ok(self):
         return not self.violations
 
+    def check(self, where, expected, actual):
+        """Count one comparison; record a violation at `where` if they differ."""
+        self.checked += 1
+        if expected != actual:
+            self.add_violation(where, expected, actual)
+
     def add_violation(self, where, expected, actual):
         self.violations.append(
             {"where": where, "expected": str(expected), "actual": str(actual)}

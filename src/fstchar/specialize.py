@@ -130,7 +130,7 @@ def chi_fjmmt(k0, k1, z_cap, q_order):
         m[i] = 0
 
     extend(0, 0, 0)
-    return {n: QSeries(dict(enumerate(acc)), q_order) for n, acc in terms.items()}
+    return {n: QSeries.from_row(acc) for n, acc in terms.items()}
 
 
 # -- level-k fermionic sum with Gaussian binomials ---------------------------
@@ -218,7 +218,7 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
         m[j] = 0
 
     extend(0, 0)
-    return QSeries(dict(enumerate(total)), q_order)
+    return QSeries.from_row(total)
 
 
 def chi_fjmmt2_alternating(weight, q_order):
@@ -279,14 +279,11 @@ def verify_spec1(k0, k1, z_cap, q_order):
     )
     for n in range(z_cap + 1):
         lhs = left[n]
-        rhs = right[n].truncate(lhs.trunc)
-        report.checked += 1
         if lhs.min_exponent() is not None and lhs.min_exponent() < 0:
             report.add_violation(
                 where={"z": n, "issue": "negative exponent"}, expected="", actual=lhs
             )
-        if lhs != rhs:
-            report.add_violation(where={"z": n}, expected=rhs, actual=lhs)
+        report.check({"z": n}, right[n].truncate(lhs.trunc), lhs)
     return report
 
 
@@ -311,19 +308,11 @@ def verify_spec2(weight, q_order):
         report.add_violation(
             where={"issue": "negative exponent"}, expected="", actual=left
         )
-    alternating = chi_fjmmt2_alternating(weight, q_order)
-    report.checked += 1
-    if left != alternating:
-        report.add_violation(
-            where={"form": "alternating"}, expected=alternating, actual=left
-        )
+    report.check({"form": "alternating"},
+                 chi_fjmmt2_alternating(weight, q_order), left)
     if k0 == 0 or k2 == 0:
-        single = chi_fjmmt2(k0, k1, sum(weight), None, q_order)
-        report.checked += 1
-        if left != single:
-            report.add_violation(
-                where={"form": "single-term"}, expected=single, actual=left
-            )
+        report.check({"form": "single-term"},
+                     chi_fjmmt2(k0, k1, sum(weight), None, q_order), left)
     return report
 
 
@@ -345,7 +334,5 @@ def verify_union_identity(weight, q_order):
         name=f"spec2-union[{','.join(map(str, weight))}]",
         window={"q_order": q_order, "caps": list(caps), "q_in": q_in},
     )
-    report.checked += 1
-    if left != total:
-        report.add_violation(where={"form": "prefix-union"}, expected=total, actual=left)
+    report.check({"form": "prefix-union"}, total, left)
     return report

@@ -63,15 +63,36 @@ def N2(N, i):
     return N.n2[i - 1] if i >= 1 else 0
 
 
+def row(terms, q_order):
+    """The dense row of length q_order + 1 with the coefficients {e: c}."""
+    return tuple(terms.get(e, 0) for e in range(q_order + 1))
+
+
+def shift(series, exponent):
+    """series times q^exponent; the truncation order moves along."""
+    return QSeries({e + exponent: c for e, c in series.coeffs.items()},
+                   series.trunc + exponent)
+
+
+def _moved_row(coeffs, exponent):
+    """A row times q^exponent, exponent >= 0, cut at the row's length."""
+    out = [0] * len(coeffs)
+    for e, c in enumerate(coeffs):
+        if e + exponent < len(out):
+            out[e + exponent] = c
+    return out
+
+
 def char_sum(a, b, sign=1):
     """a + sign * b for two CharSeries on the same window."""
     if not a.same_window(b):
         raise ValueError(f"window mismatch: {a.caps}/{a.q_order} "
                          f"vs {b.caps}/{b.q_order}")
-    terms = dict(a.coeffs)
-    for n, series in b.coeffs.items():
-        series = series if sign > 0 else -series
-        terms[n] = terms[n] + series if n in terms else series
+    terms = {n: list(coeffs) for n, coeffs in a.coeffs.items()}
+    for n, coeffs in b.coeffs.items():
+        total = terms.setdefault(n, [0] * (a.q_order + 1))
+        for e, c in enumerate(coeffs):
+            total[e] += sign * c
     return CharSeries(a.num_z, a.caps, a.q_order, terms)
 
 
@@ -82,16 +103,15 @@ def scale_by_monomial(char, q_shift, z_shifts):
     character coefficients vanish.
     """
     terms = {}
-    for n, series in char.coeffs.items():
+    for n, coeffs in char.coeffs.items():
         moved = tuple(x + s for x, s in zip(n, z_shifts))
         if all(0 <= x <= c for x, c in zip(moved, char.caps)):
-            terms[moved] = series.shift(q_shift).truncate(char.q_order)
+            terms[moved] = _moved_row(coeffs, q_shift)
     return CharSeries(char.num_z, char.caps, char.q_order, terms)
 
 
 def dilate(char):
     """Substitute z_i -> z_i q: the coefficient at n picks up q^{n_1+...+n_l}."""
     return CharSeries(char.num_z, char.caps, char.q_order, {
-        n: series.shift(sum(n)).truncate(char.q_order)
-        for n, series in char.coeffs.items()
+        n: _moved_row(coeffs, sum(n)) for n, coeffs in char.coeffs.items()
     })

@@ -208,6 +208,16 @@ def test_readme_example_runs(capsys, argv):
     assert code == 0, err
 
 
+def test_readme_library_tour_runs():
+    # the tour asserts oracle == closed formula and a passing recurrence check
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library tour\n+```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["oracle"] == namespace["closed"]
+    assert namespace["report"].ok and namespace["report"].checked
+
+
 class TestVerify:
     def test_system_suite_passes(self, capsys):
         code, out, _ = run(

@@ -4,7 +4,6 @@ import pytest
 
 from fstchar.admissible import character_oracle
 from fstchar.charseries import CharSeries
-from fstchar.qseries import QSeries
 from fstchar.recurrence import (
     apply_index_set,
     build_system,
@@ -82,6 +81,31 @@ def oracle_provider(l, q_order, caps):
     return provider
 
 
+def corrupted_provider(n, exponent):
+    """Oracle characters on (4, 4), q^10, with q^exponent z^n of A_(2,0,0) off by one.
+
+    The corruption goes through the JSON form, which does not depend on how
+    a CharSeries stores its coefficients.
+    """
+    base = oracle_provider(2, 10, (4, 4))
+
+    def provider(w):
+        ch = base(w)
+        if w != (2, 0, 0):
+            return ch
+        obj = ch.to_json()
+        terms = {tuple(v): s for v, s in obj["terms"]}
+        series = terms.get(n, {"trunc": ch.q_order, "terms": []})
+        coeffs = {e: int(c) for e, c in series["terms"]}
+        coeffs[exponent] = coeffs.get(exponent, 0) + 1
+        terms[n] = {"trunc": ch.q_order,
+                    "terms": [[e, str(c)] for e, c in sorted(coeffs.items())]}
+        obj["terms"] = [[list(v), terms[v]] for v in sorted(terms)]
+        return CharSeries.from_json(obj)
+
+    return provider
+
+
 class TestVerifySystem:
     def test_oracle_level2_rank2(self):
         report = verify_system(oracle_provider(2, 12, (5, 5)), 2, 2, (5, 5), 12)
@@ -93,22 +117,39 @@ class TestVerifySystem:
         assert report.ok, report.violations[:1]
 
     def test_corrupted_character_is_caught(self):
-        base = oracle_provider(2, 10, (4, 4))
+        # q^3 z_1 of A_(2,0,0) is off by one: the lhs of its own equation and
+        # the shifted rhs of the equation of (0,0,2) both see it
+        report = verify_system(corrupted_provider((1, 0), 3), 2, 2, (4, 4), 10)
+        assert report.checked == 150
+        assert report.violations == [
+            {
+                "where": {"weight": [2, 0, 0], "n": [1, 0], "first_bad_exponent": 3},
+                "expected": "QSeries(0; O(q^11))",
+                "actual": "QSeries(q^3; O(q^11))",
+            },
+            {
+                "where": {"weight": [0, 0, 2], "n": [1, 0], "first_bad_exponent": 4},
+                "expected": "QSeries(q^2 + q^3 + 2*q^4 + q^5 + q^6 + q^7 + q^8"
+                            " + q^9 + q^10; O(q^11))",
+                "actual": "QSeries(q^2 + q^3 + q^4 + q^5 + q^6 + q^7 + q^8"
+                          " + q^9 + q^10; O(q^11))",
+            },
+        ]
 
-        def corrupted(w):
-            ch = base(w)
-            if w != (2, 0, 0):
-                return ch
-            coeffs = dict(ch.coeffs)
-            bad = dict(coeffs[(1, 0)].coeffs)
-            bad[3] = bad.get(3, 0) + 1
-            coeffs[(1, 0)] = QSeries(bad, ch.q_order)
-            return CharSeries(2, ch.caps, ch.q_order, coeffs)
+    def test_corruption_at_the_truncation_order_is_caught(self):
+        # the top slot q^10 is compared; shifted into the rhs it leaves the window
+        report = verify_system(corrupted_provider((1, 0), 10), 2, 2, (4, 4), 10)
+        assert [v["where"] for v in report.violations] == [
+            {"weight": [2, 0, 0], "n": [1, 0], "first_bad_exponent": 10},
+        ]
 
-        report = verify_system(corrupted, 2, 2, (4, 4), 10)
-        assert not report.ok
-        spots = {tuple(v["where"]["n"]) for v in report.violations}
-        assert (1, 0) in spots
+    def test_corruption_at_the_lowest_shifted_exponent_is_caught(self):
+        # q^0 z_1 z_2 of A_(2,0,0) lands on q^|n| = q^2 in the rhs of (0,0,2)
+        report = verify_system(corrupted_provider((1, 1), 0), 2, 2, (4, 4), 10)
+        assert [v["where"] for v in report.violations] == [
+            {"weight": [2, 0, 0], "n": [1, 1], "first_bad_exponent": 0},
+            {"weight": [0, 0, 2], "n": [1, 1], "first_bad_exponent": 2},
+        ]
 
     def test_window_mismatch_rejected(self):
         provider = oracle_provider(2, 9, (4, 4))

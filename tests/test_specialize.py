@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import bounded_census, gaussian_binomial
+from reference import bounded_census, gaussian_binomial, shift
 
 from fstchar import specialize
 from fstchar.admissible import character_oracle
@@ -86,7 +86,7 @@ def _chi_fjmmt_unpruned(k0, k1, z_cap, q_order):
                     ) + n - l1
                     if expo > q_order:
                         continue
-                    term = QSeries.monomial(expo, q_order)
+                    term = QSeries({expo: 1}, q_order)
                     for mi in m:
                         term = term * inv_pochhammer(mi, q_order, scale=2)
                     total = total + term
@@ -97,7 +97,7 @@ def _chi_fjmmt_unpruned(k0, k1, z_cap, q_order):
 def _chi_fjmmt_products(k0, k1, z_cap, q_order):
     """Terms of the pruned principal sum, built by series products.
 
-    Each term adds denom.shift(expo).truncate(q_order), the form chi_fjmmt
+    Each term adds shift(denom, expo).truncate(q_order), the form chi_fjmmt
     took before its terms were kept as coefficient lists.
     """
     k = k0 + k1
@@ -119,7 +119,7 @@ def _chi_fjmmt_products(k0, k1, z_cap, q_order):
     def extend(i, n, expo):
         if i == 2 * k:
             denom = denominator(tuple(sorted(x for x in m if x)))
-            terms[n] = terms[n] + denom.shift(expo).truncate(q_order)
+            terms[n] = terms[n] + shift(denom, expo).truncate(q_order)
             return
         row = matrix[i]
         while n <= z_cap and expo <= q_order:
@@ -196,7 +196,7 @@ def _chi_fjmmt2_products(a, b, k, n_sites, q_order):
     matrix, r, found = _fjmmt2_terms(k, a, b, q_order)
     total = QSeries.zero(q_order)
     for m, base in found:
-        term = QSeries.monomial(base, q_order)
+        term = QSeries({base: 1}, q_order)
         for j in range(k):
             if m[j]:
                 top = (
@@ -395,7 +395,7 @@ def _one_config_fewer(monkeypatch):
 
 
 def _bump(series):
-    return series + QSeries.monomial(0, series.trunc)
+    return series + QSeries({0: 1}, series.trunc)
 
 
 def _bumped_chi_fjmmt(monkeypatch):
