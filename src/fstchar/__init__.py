@@ -26,7 +26,7 @@ from .admissible import (
     is_admissible,
     weight_parts,
 )
-from .charseries import CharSeries, specialize
+from .charseries import CharSeries
 from .fermionic import (
     BinaryPattern,
     NSequences,
@@ -50,7 +50,6 @@ __all__ = [
     "is_admissible",
     "weight_parts",
     "CharSeries",
-    "specialize",
     "BinaryPattern",
     "NSequences",
     "a_coefficient",

@@ -9,10 +9,10 @@ identical finite window.  A CharSeries has no arithmetic: the routes hand
 over their rows, and the checks compare, specialize or read them.  Output
 renders each row through `QSeries.from_row`.
 
-`specialize` applies spec_1 (q -> q^2, z_1 -> q^{-2} z, z_2 -> q^{-1} z) or
-spec_2 (the same with z = 1) to a two-variable character.  Each resulting
-QSeries is truncated at its guaranteed-valid order: 2Q - n - min(n, cap_1)
-at z^n under spec_1, 2Q - 2cap_1 - cap_2 under spec_2.
+`specialize` is the one specialization map: spec_1 (q -> q^2,
+z_1 -> q^{-2} z, z_2 -> q^{-1} z) of a two-variable character, each z^n
+coefficient truncated at its guaranteed-valid order 2Q - n - min(n, cap_1).
+spec_2 is spec_1 at z = 1 (`specialize.spec2`).
 """
 
 from .qseries import QSeries
@@ -55,15 +55,6 @@ class CharSeries:
 
     # -- queries -----------------------------------------------------------
 
-    def coefficient(self, n):
-        """Row of coefficients at the exponent vector n (zeros if absent)."""
-        n = tuple(n)
-        if len(n) != self.num_z:
-            raise ValueError(f"exponent vector {n} has wrong arity")
-        if any(x < 0 for x in n) or any(x > c for x, c in zip(n, self.caps)):
-            raise ValueError(f"{n} lies outside the window caps {self.caps}")
-        return self.coeffs.get(n, (0,) * (self.q_order + 1))
-
     def same_window(self, other):
         return (
             self.num_z == other.num_z
@@ -97,14 +88,22 @@ class CharSeries:
 
     @classmethod
     def from_json(cls, obj):
-        """Read `to_json`; a series trusted below q_order raises ValueError."""
+        """Read `to_json`.
+
+        A series trusted below q_order, or an exponent vector or exponent
+        given twice, raises ValueError.
+        """
         q_order, rows = obj["q_order"], {}
         for n, series in obj["terms"]:
             if series["trunc"] < q_order:
                 raise ValueError(f"coefficient at {n} trusted only to "
                                  f"{series['trunc']} < {q_order}")
-            rows[tuple(n)] = dense_row(
-                ((int(e), int(c)) for e, c in series["terms"]), q_order)
+            terms = {int(e): int(c) for e, c in series["terms"]}
+            if len(terms) < len(series["terms"]):
+                raise ValueError(f"an exponent at {n} is given twice")
+            rows[tuple(n)] = dense_row(terms.items(), q_order)
+        if len(rows) < len(obj["terms"]):
+            raise ValueError("an exponent vector is given twice")
         return cls(obj["l"], obj["caps"], q_order, rows)
 
     def render_table(self):
@@ -128,34 +127,29 @@ def dense_row(terms, q_order):
     return row
 
 
-def specialize(char, graded):
-    """spec_1 (`graded`) or spec_2 of a two-variable character.
+def specialize(char):
+    """spec_1 of a two-variable character, as {z-exponent: QSeries}.
 
-    Both maps send q -> q^2, z_1 -> q^{-2} z, z_2 -> q^{-1} z, so the
-    coefficient of q^m z_1^{n_1} z_2^{n_2} lands on q^{2m - 2n_1 - n_2}.
-    spec_1 keeps z and returns {n: QSeries} for n = 0..cap_1 + cap_2, where
-    z^n collects n_1 + n_2 = n and is valid to order 2Q - n - min(n, cap_1).
-    spec_2 sets z = 1 and returns one QSeries valid to order
-    2Q - 2cap_1 - cap_2.  Those orders are 2Q plus the most negative shift
-    that the caps allow, so no coefficient outside the window can reach
-    them.
+    The map sends q -> q^2, z_1 -> q^{-2} z, z_2 -> q^{-1} z, so the
+    coefficient of q^m z_1^{n_1} z_2^{n_2} lands on q^{2m - 2n_1 - n_2} z^n
+    with n = n_1 + n_2.  Every n = 0..cap_1 + cap_2 is returned, zero or
+    not, valid to order 2Q - n - min(n, cap_1): 2Q plus the most negative
+    shift that the caps allow at that n, so no coefficient outside the
+    window can reach it.
     """
     if char.num_z != 2:
         raise ValueError(f"specialize needs 2 variables, got {char.num_z}")
     cap1, cap2 = char.caps
-    buckets = [{} for _ in range(cap1 + cap2 + 1 if graded else 1)]
+    buckets = [{} for _ in range(cap1 + cap2 + 1)]
     for (n1, n2), row in char.coeffs.items():
-        bucket = buckets[n1 + n2 if graded else 0]
+        bucket = buckets[n1 + n2]
         shift = -2 * n1 - n2
         for e, c in enumerate(row):
             if c:
                 out_e = 2 * e + shift
                 bucket[out_e] = bucket.get(out_e, 0) + c
     order = 2 * char.q_order
-    if graded:
-        # zero coefficients are kept: they still carry a guaranteed-valid order
-        return {
-            n: QSeries(bucket, order - n - min(n, cap1))
-            for n, bucket in enumerate(buckets)
-        }
-    return QSeries(buckets[0], order - 2 * cap1 - cap2)
+    return {
+        n: QSeries(bucket, order - n - min(n, cap1))
+        for n, bucket in enumerate(buckets)
+    }

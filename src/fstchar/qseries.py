@@ -66,9 +66,6 @@ class QSeries:
     def is_zero(self):
         return not self.coeffs
 
-    def min_exponent(self):
-        return min(self.coeffs) if self.coeffs else None
-
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -149,7 +146,13 @@ class QSeries:
 
     @classmethod
     def from_json(cls, obj):
-        return cls({int(e): int(c) for e, c in obj["terms"]}, obj["trunc"])
+        """Read `to_json`; an exponent above trunc or given twice raises ValueError."""
+        terms = {int(e): int(c) for e, c in obj["terms"]}
+        if len(terms) < len(obj["terms"]):
+            raise ValueError("an exponent is given twice")
+        if terms and max(terms) > obj["trunc"]:
+            raise ValueError(f"exponent {max(terms)} above trunc {obj['trunc']}")
+        return cls(terms, obj["trunc"])
 
 
 # -- q-special functions ----------------------------------------------------

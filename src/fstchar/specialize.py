@@ -2,8 +2,8 @@
 
 Two specializations collapse the two-variable characters:
 
-    spec_1:  q -> q^2,  z_1 -> q^{-2} z,  z_2 -> q^{-1} z      (z survives)
-    spec_2:  q -> q^2,  z_1 -> q^{-2},    z_2 -> q^{-1}        (scalar)
+    spec_1:  q -> q^2,  z_1 -> q^{-2} z,  z_2 -> q^{-1} z   (`charseries.specialize`)
+    spec_2:  spec_1 at z = 1,  z_1 -> q^{-2},  z_2 -> q^{-1}  (`spec2`)
 
 Under spec_2 a configuration of degree d and weight (n_1, n_2) lands on
 q^{2d - 2n_1 - n_2}, and 2d - 2n_1 - n_2 equals its first moment
@@ -12,9 +12,12 @@ sum_i i*a_i, which is why spec_2 outputs match first-moment censuses.
 The comparison targets are two previously known closed forms: a principally
 specialized double sum over (q^2)-Pochhammer denominators (k_2 = 0 only,
 "fjmmt" below) and a level-k fermionic sum with Gaussian-binomial factors
-("fjmmt2" below, finite or stabilized infinite site count).
+("fjmmt2" below, finite or stabilized infinite site count).  Both enumerate
+their exponent vectors through one pruned walk, `_walk`, and both spec_2
+checks build their report through one frame, `_spec2_frame`.
 """
 
+from functools import partial
 from operator import add, mul
 
 from .admissible import character_oracle, energy, enumerate_configs, weight_parts
@@ -24,14 +27,43 @@ from .qseries import QSeries, divide_pochhammer
 from .reporting import CheckReport
 
 
-def spec1(char):
-    """Apply spec_1 to a two-variable character; returns {z-exponent: QSeries}."""
-    return specialize(char, True)
-
-
 def spec2(char):
-    """Apply spec_2 to a two-variable character; returns one QSeries."""
-    return specialize(char, False)
+    """spec_2 of a two-variable character: its spec_1 series summed at z = 1.
+
+    Valid to the least spec_1 order, 2Q - 2cap_1 - cap_2 at n = cap_1 + cap_2.
+    """
+    parts = specialize(char).values()
+    terms = {}
+    for series in parts:
+        for e, c in series.coeffs.items():
+            terms[e] = terms.get(e, 0) + c
+    return QSeries(terms, min(series.trunc for series in parts))
+
+
+def _walk(matrix, steps, sizes, cap, q_order, visit):
+    """Call visit(m, n, expo) for each vector m with expo <= q_order, n <= cap.
+
+    From m = 0 at expo = n = 0, one more unit of m_i raises expo by
+    (M m)_i + steps_i (M is `matrix`) and n by sizes_i.  M, steps and sizes
+    are >= 0, so neither falls as m grows, and each entry stops growing once
+    either bound is passed.  visit must not keep `m`, a shared list.
+    """
+    m = [0] * len(steps)
+
+    def extend(i, n, expo):
+        if i == len(m):
+            visit(m, n, expo)
+            return
+        row = matrix[i]
+        while n <= cap and expo <= q_order:
+            extend(i + 1, n, expo)
+            # entries after i are still 0, so this is (M m)_i
+            expo += sum(map(mul, row, m)) + steps[i]
+            m[i] += 1
+            n += sizes[i]
+        m[i] = 0
+
+    extend(0, 0, 0)
 
 
 # -- principal specialization sum (k_2 = 0) ---------------------------------
@@ -93,11 +125,8 @@ def chi_fjmmt(k0, k1, z_cap, q_order):
     sum_j j*m_{ij} = l_i the term
     q^{m.A.m - diag(A).m + 2c.m + l_2} / prod (q^2)_{m_{ij}}.
 
-    One more unit of m_i raises the exponent by
-    2 A_ii m_i + 2 sum_{j != i} A_ij m_j + 2 c_i (+ its part size on the
-    second block), which is >= 0, and raises n by the part size, so the
-    vectors m are enumerated entry by entry and each entry stops growing
-    once the exponent exceeds q_order or n exceeds z_cap.  The denominators
+    One more unit of m_i raises the exponent by (2A m)_i + A_ii + linear_i
+    and n by its part size, the data `_walk` runs on.  The denominators
     come from `_denominators` at scale 2.  Each z-degree keeps one
     accumulator list, and a term adds its denominator into it at offset
     `expo`; no series product is taken.
@@ -106,30 +135,18 @@ def chi_fjmmt(k0, k1, z_cap, q_order):
     k = k0 + k1
     matrix = fjmmt_matrix(k)
     linear = fjmmt_linear_coeffs(k, k0)
-    sizes = [j % k + 1 for j in range(2 * k)]  # part size of m_j in l_1 or l_2
-    # one more unit of m_i adds 2 sum_j A_ij m_j + A_ii + linear_i
-    steps = [matrix[i][i] + linear[i] for i in range(2 * k)]
     terms = {n: [0] * (q_order + 1) for n in range(z_cap + 1)}
-    # terms are reached only with 0 <= expo <= q_order
     denominator = _denominators(q_order, 2)
-    m = [0] * (2 * k)
 
-    def extend(i, n, expo):
-        if i == 2 * k:
-            denom = denominator(tuple(sorted(x for x in m if x)))
-            acc = terms[n]
-            acc[expo:] = map(add, acc[expo:], denom)
-            return
-        row = matrix[i]
-        while n <= z_cap and expo <= q_order:
-            extend(i + 1, n, expo)
-            # entries after i are still 0
-            expo += 2 * sum(row[j] * m[j] for j in range(i + 1)) + steps[i]
-            m[i] += 1
-            n += sizes[i]
-        m[i] = 0
+    def add_term(m, n, expo):
+        denom = denominator(tuple(sorted(x for x in m if x)))
+        acc = terms[n]
+        acc[expo:] = map(add, acc[expo:], denom)
 
-    extend(0, 0, 0)
+    double = [[2 * x for x in row] for row in matrix]
+    steps = [matrix[i][i] + linear[i] for i in range(2 * k)]
+    sizes = [j % k + 1 for j in range(2 * k)]  # part size of m_j in l_1 or l_2
+    _walk(double, steps, sizes, z_cap, q_order, add_term)
     return {n: QSeries.from_row(acc) for n, acc in terms.items()}
 
 
@@ -159,9 +176,8 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
     The sum runs over m in N^k of
     q^{(m.A.m - diag(A).m)/2 + r.m} prod_j [top_j over m_j]_q with
     top_j = j*n_sites - (A m)_j + A_jj - r_j + m_j.  One more unit of m_j
-    raises the exponent by (A m)_j + r_j >= 0, so the vectors m are
-    enumerated entry by entry and each entry stops growing once the
-    exponent exceeds q_order.
+    raises the exponent by (A m)_j + r_j, the data `_walk` runs on, with
+    zero sizes and cap 0 since the sum has no z.
 
     n_sites = None means unbounded site count: every binomial is replaced by
     its stabilized value 1/(q)_{m_j}, so a term is its denominator from
@@ -186,9 +202,8 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
     r = fjmmt2_r_vector(k, a, b)
     total = [0] * (q_order + 1)
     denominator = _denominators(q_order, 1)
-    m = [0] * k
 
-    def add_term(expo):
+    def add_term(m, n, expo):
         term = denominator(tuple(sorted(x for x in m if x)))
         if n_sites is not None:
             order = q_order - expo
@@ -205,19 +220,7 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
                         term[i] -= term[i - e]
         total[expo:] = map(add, total[expo:], term)
 
-    def extend(j, expo):
-        if j == k:
-            add_term(expo)
-            return
-        row = matrix[j]
-        while expo <= q_order:
-            extend(j + 1, expo)
-            # entries after j are still 0
-            expo += sum(row[i] * m[i] for i in range(j + 1)) + r[j]
-            m[j] += 1
-        m[j] = 0
-
-    extend(0, 0)
+    _walk(matrix, r, [0] * k, 0, q_order, add_term)
     return QSeries.from_row(total)
 
 
@@ -264,6 +267,27 @@ def spec2_window(level, q_order):
     return caps, q_in
 
 
+def _spec2_frame(name, character, weight, q_order):
+    """spec_2 of `character(weight, q_in, caps)` cut to q_order, and its report.
+
+    The report is named `name[k_0,k_1,k_2]`.  A window short of q_order
+    raises AssertionError; a negative exponent is a violation.  The caller
+    adds its comparisons to the report.
+    """
+    caps, q_in = spec2_window(sum(weight), q_order)
+    left = spec2(character(weight, q_in, caps))
+    if left.trunc < q_order:
+        raise AssertionError("window derivation failed to reach the target order")
+    left = left.truncate(q_order)
+    report = CheckReport(
+        name=f"{name}[{','.join(map(str, weight))}]",
+        window={"q_order": q_order, "caps": list(caps), "q_in": q_in},
+    )
+    if min(left.coeffs, default=0) < 0:
+        report.add_violation({"issue": "negative exponent"}, "", left)
+    return left, report
+
+
 def verify_spec1(k0, k1, z_cap, q_order):
     """spec_1 of the closed-formula character against the principal sum.
 
@@ -271,7 +295,7 @@ def verify_spec1(k0, k1, z_cap, q_order):
     the specialized side (2*q_order - 2n at z^n for n within the caps).
     """
     fer = character_fermionic((k0, k1, 0), q_order, (z_cap, z_cap))
-    left = spec1(fer)
+    left = specialize(fer)
     right = chi_fjmmt(k0, k1, z_cap, 2 * q_order)
     report = CheckReport(
         name=f"spec1[{k0},{k1}]",
@@ -279,10 +303,8 @@ def verify_spec1(k0, k1, z_cap, q_order):
     )
     for n in range(z_cap + 1):
         lhs = left[n]
-        if lhs.min_exponent() is not None and lhs.min_exponent() < 0:
-            report.add_violation(
-                where={"z": n, "issue": "negative exponent"}, expected="", actual=lhs
-            )
+        if min(lhs.coeffs, default=0) < 0:
+            report.add_violation({"z": n, "issue": "negative exponent"}, "", lhs)
         report.check({"z": n}, right[n].truncate(lhs.trunc), lhs)
     return report
 
@@ -293,21 +315,8 @@ def verify_spec2(weight, q_order):
     Checks the alternating two-diagonal combination for every weight, and
     additionally the single-term form when k_0 = 0 or k_2 = 0.
     """
-    weight = weight_parts(weight, 2)
-    k0, k1, k2 = weight
-    caps, q_in = spec2_window(sum(weight), q_order)
-    left = spec2(character_fermionic(weight, q_in, caps))
-    if left.trunc < q_order:
-        raise AssertionError("window derivation failed to reach the target order")
-    left = left.truncate(q_order)
-    report = CheckReport(
-        name=f"spec2[{k0},{k1},{k2}]",
-        window={"q_order": q_order, "caps": list(caps), "q_in": q_in},
-    )
-    if left.min_exponent() is not None and left.min_exponent() < 0:
-        report.add_violation(
-            where={"issue": "negative exponent"}, expected="", actual=left
-        )
+    k0, k1, k2 = weight = weight_parts(weight, 2)
+    left, report = _spec2_frame("spec2", character_fermionic, weight, q_order)
     report.check({"form": "alternating"},
                  chi_fjmmt2_alternating(weight, q_order), left)
     if k0 == 0 or k2 == 0:
@@ -322,17 +331,11 @@ def verify_union_identity(weight, q_order):
     The admissible set for a weight decomposes by the exact values of
     (a_0, a_1) into the prefixes with a_0 <= k_0, a_0 + a_1 <= k_0 + k_1.
     """
-    weight = weight_parts(weight, 2)
-    k0, k1, _ = weight
-    caps, q_in = spec2_window(sum(weight), q_order)
-    left = spec2(character_oracle(2, weight, q_in, caps)).truncate(q_order)
-    total = QSeries.zero(q_order)
-    for a in range(k0 + 1):
-        for b in range(k0 + k1 - a + 1):
-            total = total + prefix_census(sum(weight), a, b, q_order).truncate(q_order)
-    report = CheckReport(
-        name=f"spec2-union[{','.join(map(str, weight))}]",
-        window={"q_order": q_order, "caps": list(caps), "q_in": q_in},
-    )
+    k0, k1, _ = weight = weight_parts(weight, 2)
+    left, report = _spec2_frame(
+        "spec2-union", partial(character_oracle, 2), weight, q_order)
+    total = sum((prefix_census(sum(weight), a, b, q_order)
+                 for a in range(k0 + 1) for b in range(k0 + k1 - a + 1)),
+                QSeries.zero(q_order))
     report.check({"form": "prefix-union"}, total, left)
     return report

@@ -254,7 +254,7 @@ class TestEnumerate:
 class TestCharacterOracle:
     def test_vacuum_coefficient(self):
         ch = character_oracle(2, (1, 0, 0), 6, (3, 3))
-        assert ch.coefficient((0, 0)) == row({0: 1}, 6)
+        assert ch.coeffs[(0, 0)] == row({0: 1}, 6)
 
     def test_negative_q_order_is_zero(self):
         # the closed formula gives the zero series on the same window
@@ -264,7 +264,7 @@ class TestCharacterOracle:
 
     def test_level1_coefficient(self):
         ch = character_oracle(2, (1, 0, 0), 3, (3, 3))
-        assert ch.coefficient((1, 0)) == (0, 1, 1, 1)
+        assert ch.coeffs[(1, 0)] == (0, 1, 1, 1)
 
     def test_six_weight_golden(self):
         golden = json.loads(
@@ -277,14 +277,14 @@ class TestCharacterOracle:
             ch = character_oracle(2, weight, q_order, caps)
             for nkey, expected in entries.items():
                 n = tuple(int(x) for x in nkey.split(","))
-                got = QSeries.from_row(ch.coefficient(n))
+                got = QSeries.from_row(ch.coeffs[n])
                 assert got == QSeries.from_json(expected), (key, nkey)
 
     def test_monotone_truncation_consistency(self):
         small = character_oracle(2, (1, 1, 0), 8, (3, 3))
         large = character_oracle(2, (1, 1, 0), 14, (5, 5))
         for n, coeffs in small.coeffs.items():
-            assert large.coefficient(n)[:9] == coeffs
+            assert large.coeffs[n][:9] == coeffs
 
     def test_degree_reconciliation(self):
         # 2d - 2n_1 - n_2 equals the first moment for every configuration

@@ -7,6 +7,7 @@ from reference import char_sum, dilate, row, scale_by_monomial, shift
 from fstchar.admissible import character_oracle
 from fstchar.charseries import CharSeries, specialize
 from fstchar.qseries import QSeries
+from fstchar.specialize import spec2
 
 SPEC1 = ((-2, "z"), (-1, "z"))
 SPEC2 = ((-2, "one"), (-1, "one"))
@@ -34,18 +35,6 @@ class TestWindowInvariants:
         c = CharSeries(2, (2, 2), 3, {(1, 0): [0, 1, 0, 2]})
         assert c.coeffs == {(1, 0): (0, 1, 0, 2)}
 
-    @pytest.mark.parametrize("n", [(1,), (1, 0, 5), ()])
-    def test_coefficient_rejects_wrong_arity(self, n):
-        # zip would stop at the shorter vector and read the zero series
-        with pytest.raises(ValueError, match="wrong arity"):
-            constant_one().coefficient(n)
-
-    def test_coefficient_reads_the_window(self):
-        assert constant_one().coefficient((0, 0)) == row({0: 1}, 10)
-        assert constant_one().coefficient((4, 1)) == (0,) * 11
-        with pytest.raises(ValueError, match="outside the window"):
-            constant_one().coefficient((5, 0))
-
     def test_drops_zero_series(self):
         c = CharSeries(2, (2, 2), 5, {(1, 1): (0,) * 6})
         assert c.coeffs == {}
@@ -72,6 +61,21 @@ class TestWindowInvariants:
         with pytest.raises(ValueError, match="trusted only to 7"):
             CharSeries.from_json(obj)
 
+    def test_from_json_rejects_a_repeated_exponent_vector(self):
+        # a dict would keep only the last row given for the vector
+        obj = character_oracle(2, (1, 1, 0), 8, (3, 3)).to_json()
+        obj["terms"].append(obj["terms"][0])
+        with pytest.raises(ValueError, match="vector is given twice"):
+            CharSeries.from_json(obj)
+
+    def test_from_json_rejects_a_repeated_exponent(self):
+        # the row would keep only the last coefficient given for it
+        obj = character_oracle(2, (1, 1, 0), 8, (3, 3)).to_json()
+        terms = obj["terms"][0][1]["terms"]
+        terms.append([terms[0][0], "7"])
+        with pytest.raises(ValueError, match="given twice"):
+            CharSeries.from_json(obj)
+
 
 class TestOperations:
     """The reference operations of `reference`, which the equation below uses."""
@@ -96,7 +100,7 @@ class TestOperations:
         dilated = dilate(c)
         for n, coeffs in c.coeffs.items():
             expected = shift(QSeries.from_row(coeffs), sum(n)).truncate(10)
-            assert QSeries.from_row(dilated.coefficient(n)) == expected
+            assert QSeries.from_row(dilated.coeffs.get(n, (0,) * 11)) == expected
 
     def test_first_level2_equation_from_oracle(self):
         # lhs chi(2,0,0) - chi(1,1,0) equals (z1 q)^2 chi(0,2,0)(z1 q, z2 q)
@@ -158,30 +162,30 @@ def generic_specialize(char, q_scale, spec_vars):
 class TestSpecialize:
     def test_spec1_of_q_z1(self):
         c = CharSeries(2, (2, 2), 8, {(1, 0): row({1: 1}, 8)})
-        out = specialize(c, True)
+        out = specialize(c)
         assert isinstance(out, dict)
         assert out[1].coeffs == {0: 1}  # q^{2*1 - 2} = 1 at z^1
 
     def test_spec2_of_q_z2(self):
         c = CharSeries(2, (2, 2), 8, {(0, 1): row({1: 1}, 8)})
-        out = specialize(c, False)
+        out = spec2(c)
         assert isinstance(out, QSeries)
         assert out.coeffs == {1: 1}  # q^{2*1 - 1}
 
     def test_rejects_other_variable_counts(self):
         for c in (CharSeries(1, (3,), 5, {(1,): row({0: 1}, 5)}),
                   CharSeries(3, (2, 2, 2), 5, {(0, 1, 0): row({0: 1}, 5)})):
-            for graded in (True, False):
+            for spec in (specialize, spec2):
                 with pytest.raises(ValueError):
-                    specialize(c, graded)
+                    spec(c)
 
     def test_valid_orders_track_offsets(self):
         c = constant_one(caps=(3, 3), q_order=10)
-        graded = specialize(c, True)
+        graded = specialize(c)
         # z^n coefficients are trusted to 2Q - 2n while n fits one variable
         assert graded[0].trunc == 20
         assert graded[2].trunc == 16
-        scalar = specialize(c, False)
+        scalar = spec2(c)
         assert scalar.trunc == 20 - 2 * 3 - 3
 
 
@@ -206,8 +210,13 @@ def char_strategy():
 @example(CharSeries(2, (0, 4), 5, {(0, 4): (1, 0, 0, 0, 0, -2)}))
 @example(CharSeries(2, (4, 0), 5, {(4, 0): (0, 3, 0, 0, 0, 0)}))
 def test_specialize_matches_generic_map(c):
-    assert specialize(c, True) == generic_specialize(c, 2, SPEC1)
-    assert specialize(c, False) == generic_specialize(c, 2, SPEC2)
+    graded = specialize(c)
+    assert graded == generic_specialize(c, 2, SPEC1)
+    assert spec2(c) == generic_specialize(c, 2, SPEC2)
+    # spec_2 is the sum of the spec_1 series, valid to their least order
+    least = min(series.trunc for series in graded.values())
+    assert spec2(c) == sum(graded.values(), QSeries.zero(least))
+
 
 coeff_strategy = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
@@ -222,7 +231,7 @@ def test_specialize_is_linear(ca, cb):
     a = CharSeries(2, (2, 2), 8, ca)
     b = CharSeries(2, (2, 2), 8, cb)
     total = char_sum(a, b)
-    assert specialize(total, False) == specialize(a, False) + specialize(b, False)
-    left, right_a, right_b = (specialize(c, True) for c in (total, a, b))
+    assert spec2(total) == spec2(a) + spec2(b)
+    left, right_a, right_b = (specialize(c) for c in (total, a, b))
     for n, series in left.items():
         assert series == right_a[n] + right_b[n]

@@ -364,7 +364,7 @@ class TestACoefficient:
         for n1 in range(7):
             for n2 in range(7):
                 assert a_coefficient(w, n1, n2, 14) == QSeries.from_row(
-                    oracle.coefficient((n1, n2))
+                    oracle.coeffs.get((n1, n2), (0,) * 15)
                 ), (w, n1, n2)
 
     def test_rejects_negative_weights(self):

@@ -65,6 +65,16 @@ class TestArithmetic:
         assert QSeries.from_json(x.to_json()) == x
         assert x.to_json()["terms"] == [[-1, "3"], [4, "-12345678901234567890"]]
 
+    def test_from_json_rejects_a_term_above_trunc(self):
+        # QSeries would drop it as untrusted, hiding the malformed input
+        with pytest.raises(ValueError, match="exponent 10 above trunc 9"):
+            QSeries.from_json({"trunc": 9, "terms": [[1, "3"], [10, "1"]]})
+
+    def test_from_json_rejects_a_repeated_exponent(self):
+        # a dict would keep only the last coefficient given for it
+        with pytest.raises(ValueError, match="given twice"):
+            QSeries.from_json({"trunc": 9, "terms": [[1, "3"], [1, "4"]]})
+
 
 laurent_series = st.builds(
     QSeries,

@@ -10,6 +10,7 @@ from reference import bounded_census, gaussian_binomial, shift
 
 from fstchar import specialize
 from fstchar.admissible import character_oracle
+from fstchar.charseries import CharSeries
 from fstchar.cli import main
 from fstchar.qseries import QSeries, inv_pochhammer
 from fstchar.specialize import (
@@ -356,15 +357,11 @@ class TestVerifiers:
     def test_specialized_oracle_exponents_nonnegative(self):
         # every generator raises the degree enough that both collapses keep
         # all q-exponents at or above zero
-        from fstchar.specialize import spec1
-
         for w in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1), (0, 0, 2)]:
             ch = character_oracle(2, w, 12, (5, 5))
-            graded = spec1(ch)
-            for series in graded.values():
-                assert series.min_exponent() is None or series.min_exponent() >= 0
-            scalar = spec2(ch)
-            assert scalar.min_exponent() is None or scalar.min_exponent() >= 0
+            for series in specialize.specialize(ch).values():
+                assert min(series.coeffs, default=0) >= 0
+            assert min(spec2(ch).coeffs, default=0) >= 0
 
     def test_alternating_equals_sum_of_prefixes(self):
         # directly: the alternating combination reproduces the weight's census
@@ -418,6 +415,30 @@ def _bumped_chi_fjmmt2(monkeypatch):
 
 class TestVerifiersCanFail:
     """Each specialization check reports a perturbed input as a violation."""
+
+    @pytest.mark.parametrize("check", [verify_spec2, verify_union_identity])
+    def test_short_window_raises(self, monkeypatch, check):
+        # both spec_2 checks guard their window in one place
+        real = specialize.spec2_window
+        monkeypatch.setattr(specialize, "spec2_window",
+                            lambda *a: (real(*a)[0], real(*a)[1] - 1))
+        with pytest.raises(AssertionError, match="failed to reach the target"):
+            check((1, 1, 0), 10)
+
+    def test_negative_exponent_in_union_report(self, monkeypatch):
+        # q^0 z_1 specializes to q^-2, which no admissible configuration gives
+        real = specialize.character_oracle
+
+        def oracle(*args):
+            char = real(*args)
+            rows = dict(char.coeffs)
+            rows[(1, 0)] = (1,) + rows[(1, 0)][1:]
+            return CharSeries(2, char.caps, char.q_order, rows)
+
+        monkeypatch.setattr(specialize, "character_oracle", oracle)
+        report = verify_union_identity((1, 1, 0), 10)
+        assert report.violations[0]["where"] == {"issue": "negative exponent"}
+        assert report.checked == 1
 
     @pytest.mark.parametrize("perturb, check, args", [
         (_one_config_fewer, verify_union_identity, ((1, 1, 0), 10)),
