@@ -1,8 +1,10 @@
 """Batch command-line interface: characters, verification suites, listings.
 
 Exit codes: 0 success, 1 verification violations or internal inconsistency,
-2 invalid configuration.  Output is deterministic for a given configuration
-regardless of the parallelism degree (results are reduced in sorted order).
+2 invalid configuration.  Each command gathers its independent computations
+into one list of calls and maps it through at most one process pool, sized
+by the command's total tasks and the CPUs.  Results come back in list order,
+so output is byte-identical for any parallelism degree.
 """
 
 import argparse
@@ -111,18 +113,25 @@ def _worker_count(jobs, n_items):
     return max(1, min(jobs, n_items, cpus))
 
 
-def _pmap(fn, jobs, *columns):
-    """`map(fn, *columns)` as a list, across a pool of `_worker_count` workers.
+def _apply(call):
+    """Apply one `(function, args)` call; module level, so a pool can pickle it."""
+    fn, args = call
+    return fn(*args)
 
-    The columns are equally long lists, one per argument of fn.
+
+def _pmap(calls, jobs):
+    """The results of a list of `(function, args)` calls, in list order.
+
+    A command maps all of its independent calls at once, so it starts at
+    most one pool, of `_worker_count(jobs, len(calls))` workers.
     """
-    workers = _worker_count(jobs, len(columns[0]))
+    workers = _worker_count(jobs, len(calls))
     if workers == 1:
-        return list(map(fn, *columns))
+        return list(map(_apply, calls))
     # imported here so that a --jobs 1 run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *columns))
+        return list(pool.map(_apply, calls))
 
 
 def _emit(args, text):
@@ -179,9 +188,8 @@ def cmd_character(args):
             result = admissible.character_oracle(l, weight, qmax, caps)
         else:
             grid = [(n1, n2) for n1 in range(zmax + 1) for n2 in range(zmax + 1)]
-            n1s, n2s = zip(*grid)
-            coeffs = _pmap(fermionic.a_coefficient, jobs,
-                           [weight] * len(grid), n1s, n2s, [qmax] * len(grid))
+            coeffs = _pmap([(fermionic.a_coefficient, (weight, n1, n2, qmax))
+                            for n1, n2 in grid], jobs)
             rows = [dense_row(c.coeffs.items(), qmax) for c in coeffs]
             result = CharSeries(2, caps, qmax, dict(zip(grid, rows)))
         text = (
@@ -221,14 +229,9 @@ def _golden_system():
     return (resources.files("fstchar.data") / "system_l2_k2.txt").read_text("utf-8")
 
 
-def _system_suite(l, level, zmax, qmax, jobs):
-    weights = recurrence.level_weights(level, l)
-    caps = (zmax,) * l
-    n = len(weights)
-    chars = _pmap(admissible.character_oracle, jobs,
-                  [l] * n, weights, [qmax] * n, [caps] * n)
-    provider = dict(zip(weights, chars)).__getitem__
-    report = recurrence.verify_system(provider, level, l, caps, qmax)
+def _system_suite(l, level, caps, qmax, chars):
+    """The recurrence check on the oracle characters `chars` {weight: series}."""
+    report = recurrence.verify_system(chars.__getitem__, level, l, caps, qmax)
     reports = [report]
     if (l, level) == (2, 2):
         rendered = recurrence.render_system(recurrence.build_system(2, 2))
@@ -260,24 +263,31 @@ def cmd_verify(args):
     # only the system suite is defined for every l
     l2_only = None if suite == "system" else f"suite {suite}"
     _check_settings(l, jobs, l2_only, level, zmax=zmax, qmax=qmax)
+    # every suite's independent calls go through one map, in report order;
+    # the system suite's are its oracle characters, checked here afterwards.
+    # Every suite but system runs at l = 2, so they share these weights
+    weights = recurrence.level_weights(level, l)
+    caps = (zmax,) * l
+    calls = []
+    if suite in ("system", "all"):
+        calls += [(admissible.character_oracle, (l, weight, qmax, caps))
+                  for weight in weights]
+    if suite in ("lemmas", "all"):
+        calls += [(fermionic.identity_battery, (k,))
+                  for k in range(1, min(level, 5) + 1)]
+    if suite in ("fjmmt", "all"):
+        calls += [(specialize.verify_spec1, (k0, level - k0, zmax, qmax))
+                  for k0 in range(level, -1, -1)]
+    if suite in ("fjmmt2", "all"):
+        calls += [(specialize.verify_spec2, (weight, qmax)) for weight in weights]
+        calls += [(specialize.verify_union_identity, (weight, qmax))
+                  for weight in weights]
+    results = _pmap(calls, jobs)
     reports = []
     if suite in ("system", "all"):
-        reports.extend(_system_suite(l, level, zmax, qmax, jobs))
-    if suite in ("lemmas", "all"):
-        reports.extend(
-            _pmap(fermionic.identity_battery, jobs, range(1, min(level, 5) + 1))
-        )
-    if suite in ("fjmmt", "all"):
-        k0s = range(level, -1, -1)
-        n = len(k0s)
-        reports.extend(_pmap(specialize.verify_spec1, jobs, k0s,
-                             [level - k0 for k0 in k0s], [zmax] * n, [qmax] * n))
-    if suite in ("fjmmt2", "all"):
-        weights = recurrence.level_weights(level, 2)
-        qmaxes = [qmax] * len(weights)
-        reports.extend(_pmap(specialize.verify_spec2, jobs, weights, qmaxes))
-        reports.extend(_pmap(specialize.verify_union_identity, jobs,
-                             weights, qmaxes))
+        chars, results = results[:len(weights)], results[len(weights):]
+        reports = _system_suite(l, level, caps, qmax, dict(zip(weights, chars)))
+    reports += results
 
     ok = all(r.ok for r in reports)
     if args.format == "json":

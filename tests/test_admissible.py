@@ -69,7 +69,7 @@ def streamed_histogram(case):
     return out
 
 
-class TestHighestWeight:
+class TestWeightParts:
     """The highest weight (k_0, ..., k_l) as `weight_parts` checks it."""
 
     def test_level(self):

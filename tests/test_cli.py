@@ -270,7 +270,19 @@ class TestVerify:
         )
         assert code == 0
 
-    def test_jobs_do_not_change_output(self, capsys):
+    def test_jobs_do_not_change_output(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        # one pool serves the whole command, on a machine with 2 CPUs or more
+        pooled = int(_worker_count(2, 2) > 1)
         # --suite all reaches every pooled call site of verify
         for suite in ("system", "all"):
             argv = [
@@ -279,8 +291,34 @@ class TestVerify:
             ]
             code, serial, _ = run(capsys, *argv, "--jobs", "1")
             assert code == 0
+            assert pools == []
             code, parallel, _ = run(capsys, *argv, "--jobs", "2")
             assert serial == parallel
+            assert len(pools) == pooled
+            pools.clear()
+        # a single task gets no pool, however many jobs
+        code, _, _ = run(capsys, "verify", "--suite", "lemmas", "--level", "1",
+                         "--jobs", "4")
+        assert code == 0
+        assert pools == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_report_order(self, capsys, jobs):
+        # the results of the one map are split back into suites by position;
+        # a slip there reads the same at every --jobs, so pin the order
+        code, out, _ = run(
+            capsys, "verify", "--suite", "all", "--level", "2", "--zmax", "3",
+            "--qmax", "8", "--jobs", jobs,
+        )
+        assert code == 0
+        weights = ["2,0,0", "1,1,0", "1,0,1", "0,2,0", "0,1,1", "0,0,2"]
+        assert [r["name"] for r in json.loads(out)["reports"]] == [
+            "recurrence-system[k=2,l=2]", "recurrence-golden[k=2,l=2]",
+            "lemmas[k=1]", "lemmas[k=2]",
+            "spec1[2,0]", "spec1[1,1]", "spec1[0,2]",
+            *(f"spec2[{w}]" for w in weights),
+            *(f"spec2-union[{w}]" for w in weights),
+        ]
 
     @pytest.mark.parametrize("l, level, zmax, qmax", [
         ("3", "2", "4", "10"), ("1", "3", "6", "12")])
