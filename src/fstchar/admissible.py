@@ -185,12 +185,12 @@ def _colored_partitions(l, q_order):
     return p[q_order]
 
 
-def weight_degree_counts(l, weight, q_order, caps):
+def weight_degree_counts(weight, q_order, caps):
     """Histogram {(n_1, ..., n_l, degree): count} over the oracle's window.
 
     The window holds the configurations under the weight's initial bounds
-    with degree <= q_order and color weights <= caps; the result equals
-    counting the stream of enumerate_configs over the same window.  The DP
+    with degree <= q_order and color weights <= caps, at rank l = len(caps);
+    the result equals counting enumerate_configs's stream.  The DP
     advances a table {state: degree list} one position s at a time.  A state
     is the flat tuple (a_{s-l}, ..., a_{s-1}, n_1, ..., n_l); the degree is
     not part of it but the slot of the list it carries: slot d counts the
@@ -210,10 +210,9 @@ def weight_degree_counts(l, weight, q_order, caps):
     of d and every count is at most p_l(q_order).  B is one bit more than
     p_l(q_order) needs, so no sum or shift carries one slot into the next.
     """
+    l = len(caps)
     parts = weight_parts(weight, l)
     init_bounds, level = tuple(accumulate(parts[:l])), sum(parts)
-    if len(caps) != l:
-        raise ValueError(f"caps must have length l={l}")
     if q_order < 0 or min(caps) < 0:
         return {}
     Q = q_order + 1
@@ -263,11 +262,11 @@ def weight_degree_counts(l, weight, q_order, caps):
             for d in range(Q) if (c := fin >> B * d & mask)}
 
 
-def character_oracle(l, weight, q_order, caps):
-    """Exact truncated character: coefficient of q^d z^n counts configurations."""
+def character_oracle(weight, q_order, caps):
+    """Exact truncated character of rank len(caps): q^d z^n counts configurations."""
     if q_order is None or caps is None:
         raise ValueError("character_oracle needs an explicit q_order and caps")
-    counts = weight_degree_counts(l, weight, q_order=q_order, caps=tuple(caps))
+    counts = weight_degree_counts(weight, q_order=q_order, caps=caps)
     rows = {}
     for key, count in counts.items():
         n = key[:-1]
@@ -275,4 +274,4 @@ def character_oracle(l, weight, q_order, caps):
         if row is None:
             row = rows[n] = [0] * (q_order + 1)
         row[key[-1]] = count
-    return CharSeries(l, tuple(caps), q_order, rows)
+    return CharSeries(len(caps), caps, q_order, rows)

@@ -185,7 +185,7 @@ def cmd_character(args):
     if method in ("oracle", "fermionic"):
         caps = (zmax,) * l
         if method == "oracle":
-            result = admissible.character_oracle(l, weight, qmax, caps)
+            result = admissible.character_oracle(weight, qmax, caps)
         else:
             grid = [(n1, n2) for n1 in range(zmax + 1) for n2 in range(zmax + 1)]
             coeffs = _pmap([(fermionic.a_coefficient, (weight, n1, n2, qmax))
@@ -229,10 +229,10 @@ def _golden_system():
     return (resources.files("fstchar.data") / "system_l2_k2.txt").read_text("utf-8")
 
 
-def _system_suite(l, level, caps, qmax, chars):
-    """The recurrence check on the oracle characters `chars` {weight: series}."""
-    report = recurrence.verify_system(chars.__getitem__, level, l, caps, qmax)
-    reports = [report]
+def _system_suite(l, level, chars):
+    """The recurrence check on the table `chars` {weight: oracle character}
+    and, at l = level = 2, the check of the packaged transcription."""
+    reports = [recurrence.verify_system(chars)]
     if (l, level) == (2, 2):
         rendered = recurrence.render_system(recurrence.build_system(2, 2))
         golden_report = CheckReport(name="recurrence-golden[k=2,l=2]")
@@ -270,7 +270,7 @@ def cmd_verify(args):
     caps = (zmax,) * l
     calls = []
     if suite in ("system", "all"):
-        calls += [(admissible.character_oracle, (l, weight, qmax, caps))
+        calls += [(admissible.character_oracle, (weight, qmax, caps))
                   for weight in weights]
     if suite in ("lemmas", "all"):
         calls += [(fermionic.identity_battery, (k,))
@@ -286,7 +286,7 @@ def cmd_verify(args):
     reports = []
     if suite in ("system", "all"):
         chars, results = results[:len(weights)], results[len(weights):]
-        reports = _system_suite(l, level, caps, qmax, dict(zip(weights, chars)))
+        reports = _system_suite(l, level, dict(zip(weights, chars)))
     reports += results
 
     ok = all(r.ok for r in reports)

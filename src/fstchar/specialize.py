@@ -17,7 +17,6 @@ their exponent vectors through one pruned walk, `_walk`, and both spec_2
 checks build their report through one frame, `_spec2_frame`.
 """
 
-from functools import partial
 from operator import add, mul
 
 from .admissible import character_oracle, energy, enumerate_configs, weight_parts
@@ -332,8 +331,7 @@ def verify_union_identity(weight, q_order):
     (a_0, a_1) into the prefixes with a_0 <= k_0, a_0 + a_1 <= k_0 + k_1.
     """
     k0, k1, _ = weight = weight_parts(weight, 2)
-    left, report = _spec2_frame(
-        "spec2-union", partial(character_oracle, 2), weight, q_order)
+    left, report = _spec2_frame("spec2-union", character_oracle, weight, q_order)
     total = sum((prefix_census(sum(weight), a, b, q_order)
                  for a in range(k0 + 1) for b in range(k0 + k1 - a + 1)),
                 QSeries.zero(q_order))

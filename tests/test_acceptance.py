@@ -29,17 +29,6 @@ def report_line(number, name, ok, detail):
     print(f"ACCEPTANCE {number} [{name}]: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def oracle_provider(l, q_order, caps):
-    cache = {}
-
-    def provider(w):
-        if w not in cache:
-            cache[w] = character_oracle(l, w, q_order, caps)
-        return cache[w]
-
-    return provider
-
-
 def test_criterion_1_oracle_equals_fermionic():
     q_order = 20
     started = time.time()
@@ -48,7 +37,7 @@ def test_criterion_1_oracle_equals_fermionic():
     for level, cap in ((1, 8), (2, 8), (3, 6)):
         caps = (cap, cap)
         for w in level_weights(level, 2):
-            oracle = character_oracle(2, w, q_order, caps)
+            oracle = character_oracle(w, q_order, caps)
             closed = character_fermionic(w, q_order, caps)
             compared += (cap + 1) ** 2
             if oracle != closed:
@@ -73,9 +62,8 @@ def test_criterion_2_recurrence_system():
     checked = 0
     bad = []
     for (l, level), (caps, q_order) in windows.items():
-        report = verify_system(
-            oracle_provider(l, q_order, caps), level, l, caps, q_order
-        )
+        report = verify_system({w: character_oracle(w, q_order, caps)
+                                for w in level_weights(level, l)})
         checked += report.checked
         if not report.ok:
             bad.append(((l, level), report.violations[0]))

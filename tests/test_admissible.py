@@ -22,7 +22,7 @@ from fstchar.admissible import (
 from fstchar.charseries import CharSeries
 from fstchar.fermionic import NSequences, a_coefficient, character_fermionic
 from fstchar.qseries import QSeries
-from fstchar.recurrence import build_equation, index_sets
+from fstchar.recurrence import build_equation
 from fstchar.specialize import (
     chi_fjmmt2_alternating,
     verify_spec2,
@@ -57,7 +57,7 @@ def stream(case):
 
 def counts(case):
     l, weight, window = as_call(case)
-    return weight_degree_counts(l, weight, **window)
+    return weight_degree_counts(weight, **window)
 
 
 def streamed_histogram(case):
@@ -120,8 +120,8 @@ _N = NSequences((1,), (1,))  # the length of a level-1 weight
 WEIGHT_CALLS = {
     "is_admissible": lambda w: is_admissible((), 2, w),
     "enumerate_configs": lambda w: enumerate_configs(2, w, q_order=4),
-    "weight_degree_counts": lambda w: weight_degree_counts(2, w, 4, (2, 2)),
-    "character_oracle": lambda w: character_oracle(2, w, 4, (2, 2)),
+    "weight_degree_counts": lambda w: weight_degree_counts(w, 4, (2, 2)),
+    "character_oracle": lambda w: character_oracle(w, 4, (2, 2)),
     "linear_term": lambda w: fermionic.linear_term(w, _N, 4),
     "linear_term_alt": lambda w: fermionic.linear_term_alt(w, _N, 4),
     "linear_term_star": lambda w: fermionic.linear_term_star(w, _N, 4),
@@ -132,7 +132,6 @@ WEIGHT_CALLS = {
     "chi_fjmmt2_alternating": lambda w: chi_fjmmt2_alternating(w, 4),
     "verify_spec2": lambda w: verify_spec2(w, 4),
     "verify_union_identity": lambda w: verify_union_identity(w, 4),
-    "index_sets": lambda w: index_sets(w, 2),
     "build_equation": lambda w: build_equation(w, 2),
 }
 
@@ -228,7 +227,7 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="need l >= 1"):
             enumerate_configs(0, (1,), q_order=3)
         with pytest.raises(ValueError, match="need l >= 1"):
-            weight_degree_counts(0, (1,), q_order=3, caps=())
+            weight_degree_counts((1,), q_order=3, caps=())
 
     def test_each_config_admissible_and_unique(self):
         seen = set()
@@ -253,17 +252,23 @@ class TestEnumerate:
 
 class TestCharacterOracle:
     def test_vacuum_coefficient(self):
-        ch = character_oracle(2, (1, 0, 0), 6, (3, 3))
+        ch = character_oracle((1, 0, 0), 6, (3, 3))
         assert ch.coeffs[(0, 0)] == row({0: 1}, 6)
 
     def test_negative_q_order_is_zero(self):
         # the closed formula gives the zero series on the same window
-        ch = character_oracle(2, (1, 0, 0), -1, (2, 2))
+        ch = character_oracle((1, 0, 0), -1, (2, 2))
         assert ch == CharSeries(2, (2, 2), -1, {})
         assert ch == character_fermionic((1, 0, 0), -1, (2, 2))
 
+    @pytest.mark.parametrize("count", [character_oracle, weight_degree_counts])
+    def test_rank_is_read_off_the_caps(self, count):
+        # three caps state rank 3, so a weight of rank 2 is refused by its arity
+        with pytest.raises(ValueError, match="weight must have 4 entries for l=3"):
+            count((1, 0, 0), 4, (2, 2, 2))
+
     def test_level1_coefficient(self):
-        ch = character_oracle(2, (1, 0, 0), 3, (3, 3))
+        ch = character_oracle((1, 0, 0), 3, (3, 3))
         assert ch.coeffs[(1, 0)] == (0, 1, 1, 1)
 
     def test_six_weight_golden(self):
@@ -274,15 +279,15 @@ class TestCharacterOracle:
         caps = tuple(golden["caps"])
         for key, entries in golden["weights"].items():
             weight = tuple(int(x) for x in key.split(","))
-            ch = character_oracle(2, weight, q_order, caps)
+            ch = character_oracle(weight, q_order, caps)
             for nkey, expected in entries.items():
                 n = tuple(int(x) for x in nkey.split(","))
                 got = QSeries.from_row(ch.coeffs[n])
                 assert got == QSeries.from_json(expected), (key, nkey)
 
     def test_monotone_truncation_consistency(self):
-        small = character_oracle(2, (1, 1, 0), 8, (3, 3))
-        large = character_oracle(2, (1, 1, 0), 14, (5, 5))
+        small = character_oracle((1, 1, 0), 8, (3, 3))
+        large = character_oracle((1, 1, 0), 14, (5, 5))
         for n, coeffs in small.coeffs.items():
             assert large.coeffs[n][:9] == coeffs
 
@@ -319,15 +324,15 @@ class TestKernels:
     def test_edge_windows(self):
         # each result is also checked against the stream in the examples of
         # test_dp_matches_stream_on_random_windows
-        assert weight_degree_counts(2, (1, 1, 0), q_order=0,
+        assert weight_degree_counts((1, 1, 0), q_order=0,
                                     caps=(3, 3)) == {(0, 0, 0): 1}
         # (0, 0, 2) places 2 units at tf = 2 and lands exactly on q_order
-        assert weight_degree_counts(2, (0, 0, 2), q_order=4,
+        assert weight_degree_counts((0, 0, 2), q_order=4,
                                     caps=(4, 4))[2, 0, 4] == 1
         # a negative bound holds not even the vacuum
-        assert weight_degree_counts(2, (1, 0, 0), q_order=-1,
+        assert weight_degree_counts((1, 0, 0), q_order=-1,
                                     caps=(2, 2)) == {}
-        assert weight_degree_counts(2, (1, 0, 0), q_order=3,
+        assert weight_degree_counts((1, 0, 0), q_order=3,
                                     caps=(2, -1)) == {}
 
     def test_colored_partitions_reference(self):
@@ -346,7 +351,7 @@ class TestKernels:
         # below 12, so the small orders are where a narrow slot shows
         weight, caps = (q_max,) + (0,) * l, (q_max,) * l
         for q_order in (*range(12), q_max):
-            hist = weight_degree_counts(l, weight, q_order, caps)
+            hist = weight_degree_counts(weight, q_order, caps)
             by_degree = [0] * (q_order + 1)
             for key, count in hist.items():
                 by_degree[key[-1]] += count
@@ -357,8 +362,8 @@ class TestKernels:
         assert KERNEL == "pure"
 
     def test_counts_back_the_oracle(self):
-        counts = weight_degree_counts(2, (2, 0, 0), q_order=8, caps=(4, 4))
-        ch = character_oracle(2, (2, 0, 0), 8, (4, 4))
+        counts = weight_degree_counts((2, 0, 0), q_order=8, caps=(4, 4))
+        ch = character_oracle((2, 0, 0), 8, (4, 4))
         total = sum(counts.values())
         assert total == sum(sum(coeffs) for coeffs in ch.coeffs.values())
 

@@ -44,33 +44,33 @@ class TestWindowInvariants:
             char_sum(constant_one(), constant_one(q_order=9))
 
     def test_json_round_trip(self):
-        c = character_oracle(2, (1, 1, 0), 8, (3, 3))
+        c = character_oracle((1, 1, 0), 8, (3, 3))
         assert CharSeries.from_json(c.to_json()) == c
 
     @pytest.mark.parametrize("exponent", [-1, 9])
     def test_from_json_rejects_exponents_outside_the_row(self, exponent):
         # a row has no slot for them; row[-1] would land in the top slot
-        obj = character_oracle(2, (1, 1, 0), 8, (3, 3)).to_json()
+        obj = character_oracle((1, 1, 0), 8, (3, 3)).to_json()
         obj["terms"][0][1]["terms"].append([exponent, "1"])
         with pytest.raises(ValueError, match="outside 0..8"):
             CharSeries.from_json(obj)
 
     def test_from_json_rejects_a_series_trusted_below_q_order(self):
-        obj = character_oracle(2, (1, 1, 0), 8, (3, 3)).to_json()
+        obj = character_oracle((1, 1, 0), 8, (3, 3)).to_json()
         obj["terms"][0][1]["trunc"] = 7
         with pytest.raises(ValueError, match="trusted only to 7"):
             CharSeries.from_json(obj)
 
     def test_from_json_rejects_a_repeated_exponent_vector(self):
         # a dict would keep only the last row given for the vector
-        obj = character_oracle(2, (1, 1, 0), 8, (3, 3)).to_json()
+        obj = character_oracle((1, 1, 0), 8, (3, 3)).to_json()
         obj["terms"].append(obj["terms"][0])
         with pytest.raises(ValueError, match="vector is given twice"):
             CharSeries.from_json(obj)
 
     def test_from_json_rejects_a_repeated_exponent(self):
         # the row would keep only the last coefficient given for it
-        obj = character_oracle(2, (1, 1, 0), 8, (3, 3)).to_json()
+        obj = character_oracle((1, 1, 0), 8, (3, 3)).to_json()
         terms = obj["terms"][0][1]["terms"]
         terms.append([terms[0][0], "7"])
         with pytest.raises(ValueError, match="given twice"):
@@ -85,7 +85,7 @@ class TestOperations:
         assert scaled.coeffs == {(2, 0): row({2: 1}, 10)}
 
     def test_sub_self_is_zero(self):
-        c = character_oracle(2, (2, 0, 0), 8, (3, 3))
+        c = character_oracle((2, 0, 0), 8, (3, 3))
         assert char_sum(c, c, -1).coeffs == {}
 
     def test_dilate_constant(self):
@@ -96,7 +96,7 @@ class TestOperations:
         assert dilate(c).coeffs == {(1, 1): row({2: 1}, 10)}
 
     def test_dilate_matches_weighted_oracle(self):
-        c = character_oracle(2, (1, 0, 0), 10, (4, 4))
+        c = character_oracle((1, 0, 0), 10, (4, 4))
         dilated = dilate(c)
         for n, coeffs in c.coeffs.items():
             expected = shift(QSeries.from_row(coeffs), sum(n)).truncate(10)
@@ -105,9 +105,9 @@ class TestOperations:
     def test_first_level2_equation_from_oracle(self):
         # lhs chi(2,0,0) - chi(1,1,0) equals (z1 q)^2 chi(0,2,0)(z1 q, z2 q)
         caps, q_order = (6, 6), 14
-        c200 = character_oracle(2, (2, 0, 0), q_order, caps)
-        c110 = character_oracle(2, (1, 1, 0), q_order, caps)
-        c020 = character_oracle(2, (0, 2, 0), q_order, caps)
+        c200 = character_oracle((2, 0, 0), q_order, caps)
+        c110 = character_oracle((1, 1, 0), q_order, caps)
+        c020 = character_oracle((0, 2, 0), q_order, caps)
         lhs = char_sum(c200, c110, -1)
         rhs = scale_by_monomial(dilate(c020), 2, (2, 0))
         assert lhs == rhs

@@ -360,7 +360,7 @@ class TestACoefficient:
 
     @pytest.mark.parametrize("w", LEVEL2_WEIGHTS)
     def test_level2_matches_oracle(self, w):
-        oracle = character_oracle(2, w, 14, (6, 6))
+        oracle = character_oracle(w, 14, (6, 6))
         for n1 in range(7):
             for n2 in range(7):
                 assert a_coefficient(w, n1, n2, 14) == QSeries.from_row(
@@ -395,7 +395,7 @@ class TestCharacterFermionic:
     def test_matches_oracle_level1(self):
         for w in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
             assert character_fermionic(w, 12, (5, 5)) == character_oracle(
-                2, w, 12, (5, 5)
+                w, 12, (5, 5)
             )
 
 

@@ -281,7 +281,7 @@ class TestChiFjmmt2:
         from fstchar.specialize import spec2_window
 
         caps, q_in = spec2_window(1, q_order)
-        left = spec2(character_oracle(2, (1, 0, 0), q_in, caps)).truncate(q_order)
+        left = spec2(character_oracle((1, 0, 0), q_in, caps)).truncate(q_order)
         assert left == chi_fjmmt2(1, 0, 1, None, q_order)
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -358,7 +358,7 @@ class TestVerifiers:
         # every generator raises the degree enough that both collapses keep
         # all q-exponents at or above zero
         for w in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1), (0, 0, 2)]:
-            ch = character_oracle(2, w, 12, (5, 5))
+            ch = character_oracle(w, 12, (5, 5))
             for series in specialize.specialize(ch).values():
                 assert min(series.coeffs, default=0) >= 0
             assert min(spec2(ch).coeffs, default=0) >= 0
