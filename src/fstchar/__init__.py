@@ -23,7 +23,6 @@ from .admissible import (
     degree_weight,
     energy,
     enumerate_configs,
-    is_admissible,
     weight_parts,
 )
 from .charseries import CharSeries
@@ -47,7 +46,6 @@ __all__ = [
     "degree_weight",
     "energy",
     "enumerate_configs",
-    "is_admissible",
     "weight_parts",
     "CharSeries",
     "BinaryPattern",

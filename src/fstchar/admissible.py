@@ -55,23 +55,6 @@ def weight_parts(weight, l):
     return parts
 
 
-def is_admissible(config, l, weight):
-    """Window sums <= level everywhere and all l partial-sum initial bounds."""
-    parts = weight_parts(weight, l)
-    bounds = tuple(accumulate(parts[:l]))
-    config = tuple(config)
-    if any(a < 0 for a in config):
-        raise ValueError("configuration entries must be >= 0")
-    k = sum(parts)
-    for i in range(len(config)):
-        if sum(config[i:i + l + 1]) > k:
-            return False
-    for r in range(l):
-        if sum(config[:r + 1]) > bounds[r]:
-            return False
-    return True
-
-
 def degree_weight(config, l):
     """Degree sum (t//l + 1) a_t and the color weights (n_1, ..., n_l)."""
     if l < 1:

@@ -64,24 +64,24 @@ def _read_config_file(path):
     return values
 
 
-def _configured(args, key, cast=int):
-    """Flag value if given, else config-file value, else None."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if args.config_values and key in args.config_values:
-        try:
-            return cast(args.config_values[key])
-        except ValueError:
-            raise CliError(f"config value for {key} is not valid: "
-                           f"{args.config_values[key]!r}")
-    return None
+def _resolve_settings(args, config):
+    """Settle each key of DEFAULTS the subcommand has a flag for, in place.
 
-
-def _merged(args, key, cast=int):
-    """Flag value if given, else config-file value, else the default."""
-    value = _configured(args, key, cast)
-    return DEFAULTS.get(key) if value is None else value
+    A flag left unset takes the config-file value, else the subcommand's
+    default (`args.defaults`); a key whose flag the subcommand lacks is
+    not read.
+    """
+    for key in DEFAULTS:
+        if not hasattr(args, key) or getattr(args, key) is not None:
+            continue
+        if key in config:
+            try:
+                setattr(args, key, int(config[key]))
+            except ValueError:
+                raise CliError(f"config value for {key} is not valid: "
+                               f"{config[key]!r}")
+        else:
+            setattr(args, key, args.defaults.get(key))
 
 
 def _check_settings(l, jobs=None, l2_only=None, level=None, **bounds):
@@ -155,11 +155,7 @@ def _json_dumps(obj):
 
 def cmd_character(args):
     method = args.method
-    l = _merged(args, "l")
-    zmax = _merged(args, "zmax")
-    qmax = _merged(args, "qmax")
-    jobs = _merged(args, "jobs")
-    level = _merged(args, "level")
+    l, level, zmax, qmax = args.l, args.level, args.zmax, args.qmax
     l2_only = None if method == "oracle" else f"method {method}"
     # every flag given is checked by its form, also where the method ignores it
     sites = None
@@ -169,7 +165,7 @@ def cmd_character(args):
         except ValueError:
             raise CliError(
                 f"--sites must be an integer or 'inf', got {args.sites!r}")
-    _check_settings(l, jobs, l2_only, level, zmax=zmax, qmax=qmax, sites=sites)
+    _check_settings(l, args.jobs, l2_only, level, zmax=zmax, qmax=qmax, sites=sites)
     if method == "fjmmt2" and args.ab is None:
         raise CliError("method fjmmt2 needs --ab a,b")
     if method != "fjmmt2" and args.weight is None:
@@ -189,7 +185,7 @@ def cmd_character(args):
         else:
             grid = [(n1, n2) for n1 in range(zmax + 1) for n2 in range(zmax + 1)]
             coeffs = _pmap([(fermionic.a_coefficient, (weight, n1, n2, qmax))
-                            for n1, n2 in grid], jobs)
+                            for n1, n2 in grid], args.jobs)
             rows = [dense_row(c.coeffs.items(), qmax) for c in coeffs]
             result = CharSeries(2, caps, qmax, dict(zip(grid, rows)))
         text = (
@@ -255,14 +251,10 @@ def _system_suite(l, level, chars):
 
 def cmd_verify(args):
     suite = args.suite
-    l = _merged(args, "l")
-    level = _merged(args, "level")
-    zmax = _merged(args, "zmax")
-    qmax = _merged(args, "qmax")
-    jobs = _merged(args, "jobs")
+    l, level, zmax, qmax = args.l, args.level, args.zmax, args.qmax
     # only the system suite is defined for every l
     l2_only = None if suite == "system" else f"suite {suite}"
-    _check_settings(l, jobs, l2_only, level, zmax=zmax, qmax=qmax)
+    _check_settings(l, args.jobs, l2_only, level, zmax=zmax, qmax=qmax)
     # every suite's independent calls go through one map, in report order;
     # the system suite's are its oracle characters, checked here afterwards.
     # Every suite but system runs at l = 2, so they share these weights
@@ -282,7 +274,7 @@ def cmd_verify(args):
         calls += [(specialize.verify_spec2, (weight, qmax)) for weight in weights]
         calls += [(specialize.verify_union_identity, (weight, qmax))
                   for weight in weights]
-    results = _pmap(calls, jobs)
+    results = _pmap(calls, args.jobs)
     reports = []
     if suite in ("system", "all"):
         chars, results = results[:len(weights)], results[len(weights):]
@@ -304,11 +296,9 @@ def cmd_verify(args):
 
 
 def cmd_list_admissible(args):
-    l = _merged(args, "l")
-    # explicit window flags or config only: the default q bound applies only
-    # when no energy bound was requested, and caps default to unbounded
-    zmax = _configured(args, "zmax")
-    qmax = _configured(args, "qmax")
+    l, zmax, qmax = args.l, args.zmax, args.qmax
+    # the caps default to unbounded, and the default q bound applies only
+    # when no energy bound was requested
     if qmax is None and args.energy_max is None:
         qmax = DEFAULTS["qmax"]
     _check_settings(
@@ -375,7 +365,7 @@ def build_parser():
     p_char.add_argument("--level", type=int, help="level for method fjmmt2")
     p_char.add_argument("--sites", help="site count for fjmmt2 (integer or inf)")
     p_char.add_argument("--jobs", type=int, help="worker processes")
-    p_char.set_defaults(func=cmd_character)
+    p_char.set_defaults(func=cmd_character, defaults=DEFAULTS)
 
     p_verify = subparsers.add_parser(
         "verify", parents=[common], help="run a verification suite"
@@ -389,7 +379,7 @@ def build_parser():
     )
     p_verify.add_argument("--level", type=int, help="level k under test")
     p_verify.add_argument("--jobs", type=int, help="worker processes")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, defaults=DEFAULTS)
 
     p_list = subparsers.add_parser(
         "list-admissible", parents=[common], help="stream admissible configurations"
@@ -398,7 +388,7 @@ def build_parser():
                         help="comma-separated weight entries")
     p_list.add_argument("--init", help="exact prefix a,b (l=2 only)")
     p_list.add_argument("--energy-max", type=int, help="first-moment bound")
-    p_list.set_defaults(func=cmd_list_admissible)
+    p_list.set_defaults(func=cmd_list_admissible, defaults={"l": DEFAULTS["l"]})
     return parser
 
 
@@ -406,7 +396,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.config_values = _read_config_file(args.config) if args.config else {}
+        _resolve_settings(args, _read_config_file(args.config) if args.config else {})
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

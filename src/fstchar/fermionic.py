@@ -419,11 +419,13 @@ def identity_battery(k):
     with i + j <= k, agreement of the two linear-term forms for every weight
     triple, and for strictly positive triples the four-term difference
     against the starred variant and the equality of the two flipped sums.
-    The two sides of each prefix-sum and axis-interchange identity are
-    `_summand` template lists, built once per k (they do not depend on N)
+    Every identity is a pair of `_summand` template sums, built once per k
+    (they do not depend on N; the weight families take theirs from `_plan`)
     and evaluated on every instance by `_evaluate`, as the pattern sums are.
-    `linear_term` is evaluated once per weight and instance, and the
-    two-forms and four-term checks both read that value.
+    The four-term identity is stated without signs:
+
+        star(w) + lt(k0-1, k1+1, k2) + lt(k0, k1-1, k2+1)
+            = lt(w) + lt(k0-1, k1, k2+1)
     """
     instances = random_instances(k)
     q_order = 2 * k * ENTRY_MAX + 2 * ENTRY_MAX + 16  # above any exponent used
@@ -460,24 +462,24 @@ def identity_battery(k):
 
     weights = [(k0, k1, k - k0 - k1)
                for k0 in range(k + 1) for k1 in range(k - k0 + 1)]
+    for w in weights:
+        lt = _plan(_linear_term_summands, w)
+        sides.append(("linear-term-two-forms", {"w": w},
+                      lt, _plan(_linear_term_alt_summands, w)))
+        if min(w) >= 1:
+            k0, k1, k2 = w
+            sides.append((
+                "four-term-difference", {"w": w},
+                lt + _plan(_linear_term_summands, (k0 - 1, k1, k2 + 1)),
+                _plan(_linear_term_star_summands, w)
+                + _plan(_linear_term_summands, (k0 - 1, k1 + 1, k2))
+                + _plan(_linear_term_summands, (k0, k1 - 1, k2 + 1)),
+            ))
+            sides.append(("flip-expansion-match", {"w": w},
+                          _plan(_m_term_summands, w), _plan(_n_term_summands, w)))
+
     for N in instances:
         for tag, where, lhs, rhs in sides:
             report.check({"identity": tag, **where},
                          _evaluate(rhs, N, q_order), _evaluate(lhs, N, q_order))
-        terms = {w: linear_term(w, N, q_order) for w in weights}
-        for w in weights:
-            report.check({"identity": "linear-term-two-forms", "w": w},
-                         linear_term_alt(w, N, q_order), terms[w])
-            if min(w) >= 1:
-                k0, k1, k2 = w
-                four = (
-                    terms[w]
-                    - terms[(k0 - 1, k1 + 1, k2)]
-                    - terms[(k0, k1 - 1, k2 + 1)]
-                    + terms[(k0 - 1, k1, k2 + 1)]
-                )
-                report.check({"identity": "four-term-difference", "w": w},
-                             linear_term_star(w, N, q_order), four)
-                report.check({"identity": "flip-expansion-match", "w": w},
-                             n_term(w, N, q_order), m_term(w, N, q_order))
     return report

@@ -157,9 +157,11 @@ class QSeries:
 
 # -- q-special functions ----------------------------------------------------
 
-# Entries kept by each cached q-special function.  The closed formula asks
-# for them at one truncation order per distinct base exponent, so a long run
-# would otherwise keep every order it ever used.
+# Entries kept by each lru_cache of the package.  `fermionic._plan` holds one
+# template list per pattern sum and weight, at most 5 per weight of the
+# levels run: `verify --suite lemmas --level 5` leaves 140 entries.  No route
+# calls the two q-special functions below; their caches serve only the tests
+# and the `qseries.*` metrics of perfbench/.
 CACHE_SIZE = 512
 
 

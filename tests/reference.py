@@ -1,14 +1,38 @@
-"""Product-form references that the tests compare the library with.
+"""Product-form and brute-force references that the tests compare the library with.
 
 No route of the package calls these.  They are written with `QSeries`
-products and the package's enumeration, so that the closed sums, the
-censuses and the recurrence equations are checked against forms that share
-none of their shortcuts.  Import them like `conftest`.
+products, the package's enumeration and direct window sums, so that the
+closed sums, the censuses, the recurrence equations and the configuration
+stream are checked against forms that share none of their shortcuts.
+Import them like `conftest`.
 """
 
+from itertools import accumulate
+
+from fstchar.admissible import weight_parts
 from fstchar.charseries import CharSeries
 from fstchar.qseries import QSeries, inv_pochhammer
 from fstchar.specialize import prefix_census
+
+
+def is_admissible(config, l, weight):
+    """Window sums <= level everywhere and all l partial-sum initial bounds.
+
+    The brute-force reference for the stream of `enumerate_configs`.
+    """
+    parts = weight_parts(weight, l)
+    bounds = tuple(accumulate(parts[:l]))
+    config = tuple(config)
+    if any(a < 0 for a in config):
+        raise ValueError("configuration entries must be >= 0")
+    k = sum(parts)
+    for i in range(len(config)):
+        if sum(config[i:i + l + 1]) > k:
+            return False
+    for r in range(l):
+        if sum(config[:r + 1]) > bounds[r]:
+            return False
+    return True
 
 
 def gaussian_binomial(m, n, q_order):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import colored_partitions, row
+from reference import colored_partitions, is_admissible, row
 
 from fstchar import fermionic
 from fstchar.admissible import (
@@ -15,7 +15,6 @@ from fstchar.admissible import (
     degree_weight,
     energy,
     enumerate_configs,
-    is_admissible,
     weight_degree_counts,
     weight_parts,
 )
@@ -118,7 +117,6 @@ _N = NSequences((1,), (1,))  # the length of a level-1 weight
 
 # every public function of the package that takes a weight, at l = 2
 WEIGHT_CALLS = {
-    "is_admissible": lambda w: is_admissible((), 2, w),
     "enumerate_configs": lambda w: enumerate_configs(2, w, q_order=4),
     "weight_degree_counts": lambda w: weight_degree_counts(w, 4, (2, 2)),
     "character_oracle": lambda w: character_oracle(w, 4, (2, 2)),

@@ -510,6 +510,45 @@ class TestConfigFile:
         assert "unknown config key 'qmx'" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["character", "--method", "oracle", "--weight", "1,0,0", "--zmax", "1"],
+        ["verify", "--suite", "system", "--level", "1", "--zmax", "1"],
+        ["list-admissible", "--weight", "1,0,0"],
+    ], ids=["character", "verify", "list-admissible"])
+    def test_flag_beats_config_beats_default(self, capsys, tmp_path,
+                                             monkeypatch, argv):
+        check, settled = cli._check_settings, []
+
+        def recording(*args, **bounds):
+            settled.append(bounds["qmax"])
+            return check(*args, **bounds)
+
+        monkeypatch.setattr(cli, "_check_settings", recording)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("qmax=3\n")
+        for prefix, suffix in (([], []), (["--config", str(cfg)], []),
+                               (["--config", str(cfg)], ["--qmax", "2"])):
+            code, _, err = run(capsys, *prefix, *argv, *suffix)
+            assert (code, err) == (0, "")
+        assert settled == [cli.DEFAULTS["qmax"], 3, 2]
+
+    def test_key_without_flag_not_read(self, capsys, tmp_path):
+        # list-admissible has no --jobs or --level, so it never reads them
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs=abc\nlevel=abc\n")
+        code, out, err = run(
+            capsys, "--config", str(cfg), "list-admissible", "--weight",
+            "1,0,0", "--qmax", "2",
+        )
+        assert (code, err) == (0, "")
+        assert out
+        code, out, err = run(
+            capsys, "--config", str(cfg), "verify", "--suite", "lemmas",
+        )
+        assert (code, out) == (2, "")
+        assert "config value for level is not valid" in err
+
+
 class TestSettingsCheck:
     """Every subcommand rejects a bad window, l or worker count with exit 2."""
 

@@ -620,11 +620,11 @@ class TestEvaluator:
 
 
 class TestBatteryCanFail:
-    """A broken pattern order or flip shows up in the battery's report."""
+    """A broken pattern order, flip or summand shows up in the battery's report."""
 
     @pytest.fixture(autouse=True)
     def fresh_plans(self):
-        # the pattern sums cache templates built with the patched flips
+        # the pattern sums cache templates built with the patched functions
         fermionic._plan.cache_clear()
         yield
         fermionic._plan.cache_clear()
@@ -643,13 +643,34 @@ class TestBatteryCanFail:
         assert report.violations[0]["where"]["identity"] == "axis-interchange"
 
     def test_wrong_linear_term_fails_both_checks_that_read_it(self, monkeypatch):
-        # the battery evaluates each linear term once per instance and feeds
-        # it to two checks: a bad value must still show in both
-        def bumped(w, N, q_order):
-            term = linear_term(w, N, q_order)
-            return term + one(q_order) if w == (1, 1, 1) else term
+        # one linear-term template list feeds two identities: a bad one
+        # must show in both
+        original = fermionic._linear_term_summands
 
-        monkeypatch.setattr(fermionic, "linear_term", bumped)
+        def bumped(k0, k1, k2):
+            yield from original(k0, k1, k2)
+            if (k0, k1, k2) == (1, 1, 1):
+                yield (), ()
+
+        monkeypatch.setattr(fermionic, "_linear_term_summands", bumped)
         report = fermionic.identity_battery(3)
         tags = {v["where"]["identity"] for v in report.violations}
         assert {"linear-term-two-forms", "four-term-difference"} <= tags
+
+    def test_star_without_its_last_summand(self, monkeypatch):
+        original = fermionic._linear_term_star_summands
+        monkeypatch.setattr(fermionic, "_linear_term_star_summands",
+                            lambda *w: list(original(*w))[:-1])
+        report = fermionic.identity_battery(3)
+        tags = {v["where"]["identity"] for v in report.violations}
+        assert "four-term-difference" in tags
+
+    def test_m_term_without_left_boundary_bit(self, monkeypatch):
+        def unbounded(k0, k1, k2):
+            for p in patterns(k0 + k1 + k2, k0 + k2):
+                yield fermionic._summand(flip_first(k2, 1, p), p, 2, p)
+
+        monkeypatch.setattr(fermionic, "_m_term_summands", unbounded)
+        report = fermionic.identity_battery(3)
+        tags = {v["where"]["identity"] for v in report.violations}
+        assert "flip-expansion-match" in tags
