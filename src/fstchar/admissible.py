@@ -22,8 +22,12 @@ streams the configurations of any such window one at a time from a
 depth-first walk.  `weight_degree_counts` counts only the window the
 character oracle asks for -- initial bounds, q_order and caps -- with a
 transfer-matrix DP over positions whose cost grows with the window, not
-with the number of configurations.  The tests count the stream as the
-reference for the DP, and check the stream against brute force.
+with the number of configurations.  Its state, the last l entries and the
+color weights, is one int: the entries as digits in base level + 1 above
+the weights in mixed radix over the caps, so that each unit placed adds one
+constant to it; the weights are decoded back into tuples only at the end.
+The tests count the stream as the reference for the DP, and check the
+stream against brute force.
 
 A weight is a plain tuple (k_0, ..., k_l).  `weight_parts` is the one check
 of its length, entries and level, and every route of the package reads its
@@ -175,18 +179,30 @@ def weight_degree_counts(weight, q_order, caps):
     with degree <= q_order and color weights <= caps, at rank l = len(caps);
     the result equals counting enumerate_configs's stream.  The DP
     advances a table {state: degree list} one position s at a time.  A state
-    is the flat tuple (a_{s-l}, ..., a_{s-1}, n_1, ..., n_l); the degree is
-    not part of it but the slot of the list it carries: slot d counts the
-    partial configurations on positions < s that reach the state with degree
-    d <= q_order.  The list is one int with a B-bit slot per degree, slot d
-    at bits [d B, (d + 1) B), so that each step below is one operation on
-    the whole list.  At s the degrees > q_order - (s // l + 1) can place no
-    further unit: that tail (x & ~keep) moves into a finished list per
-    n-vector, and a state with no live degree left (x == 0) is dropped.  The
-    rest places a_s = 0, or a_s = v >= 1 within the same bounds as the walk,
-    by shifting the list v * (s // l + 1) slots up ((x << B tf v) & full);
-    v stops early once the shift pushes every live degree past q_order.  Two
-    lists merge by +.
+    is the window (a_{s-l}, ..., a_{s-1}) and the color weights
+    n = (n_1, ..., n_l) reached so far, kept as one int key w N + n.  The
+    window is the integer w whose digits in base level + 1 are its entries,
+    the oldest digit most significant.  The weights are the mixed-radix
+    integer n = sum n_i stride_i over the caps, with stride_i the product
+    of cap_j + 1 over j < i and N the product of all l of them.  The degree
+    is not part of the state but the slot of the list it carries: slot d
+    counts the partial configurations on positions < s that reach the state
+    with degree d <= q_order.  The list is one int with a B-bit slot per
+    degree, slot d at bits [d B, (d + 1) B), so that each step below is one
+    operation on the whole list.  At s the degrees > q_order - (s // l + 1)
+    can place no further unit: that tail (x & ~keep) moves into a finished
+    list per n, and a state with no live degree left (x == 0) is dropped.
+    The rest places a_s = 0, which drops the oldest digit and appends a zero
+    (key shifted[w] + n), or a_s = v >= 1 within the same bounds as the
+    walk.  Each further unit adds the one constant N + stride_{s % l + 1} to
+    the key (the newest digit and n_{s % l + 1} grow by one) and shifts the
+    list s // l + 1 slots up ((x << B tf) & full); v stops early once the
+    shift pushes every live degree past q_order.  Two lists merge by +.  The
+    window's part of the bound on a_s (level, q_order and the initial bounds
+    at s < l) comes from a table per position over the windows whose entries
+    sum to <= level, C(level + l, l) of them; the cap's part is read off n,
+    so no table is indexed by n.  Only the finished n are decoded back into
+    tuples, at the end.
 
     Position t holds part t // l + 1 in color t % l, so the partial
     configurations counted in one slot d are distinct l-colored partitions
@@ -201,7 +217,21 @@ def weight_degree_counts(weight, q_order, caps):
     Q = q_order + 1
     B = _colored_partitions(l, q_order).bit_length() + 1
     full = (1 << B * Q) - 1
-    table = {(0,) * (2 * l): 1}
+    strides = []  # n in mixed radix over the caps: n_i counts stride_i
+    N = 1
+    for cap in caps:
+        strides.append(N)
+        N *= cap + 1
+    R = level + 1  # a window entry is a digit in base R
+    top = R ** (l - 1)  # the place value of the oldest digit
+    # every window whose entries sum to <= level: {its digits: their sum}
+    sums = {0: 0}
+    for _ in range(l):
+        sums = {w * R + a: u + a for w, u in sums.items()
+                for a in range(level - u + 1)}
+    # the key of a state in window w after placing a_s = 0, less its n part
+    shifted = {w: w % top * R * N for w in sums}
+    table = {0: 1}
     finished = {}
     s = 0
     while table:
@@ -211,38 +241,43 @@ def weight_degree_counts(weight, q_order, caps):
         step = B * tf
         vq = q_order // tf  # a larger a_s shifts every degree past q_order
         color = s % l
-        ci = l + color  # index of this position's color count
-        cap = caps[color]
+        stride, cap = strides[color], caps[color]
+        radix = cap + 1
+        unit = N + stride  # one more unit at s: a_s + 1 and n_color + 1
+        # positions before s < l all sit in the window, and
+        # init_bounds[s] <= level
+        bound = init_bounds[s] if s < l else level
+        room = {w: min(bound - u, vq) for w, u in sums.items()}
         nxt = {}
         for key, x in table.items():
+            w, n = key // N, key % N
             if x > keep:
-                n = key[l:]
                 finished[n] = finished.get(n, 0) + (x & ~keep)
                 x &= keep
                 if not x:
                     continue
-            used = sum(key[:l])
-            vmax = min(level - used, vq, cap - key[ci])
-            if s < l:
-                # positions before s < l all sit in the window
-                vmax = min(vmax, init_bounds[s] - used)
-            shifted = key[1:l]
-            k0 = shifted + (0,) + key[l:]
-            nxt[k0] = nxt.get(k0, 0) + x
-            before = key[l:ci]
-            after = key[ci + 1:]
-            c = key[ci]
-            for v in range(1, vmax + 1):
-                new = (x << step * v) & full
-                if not new:
-                    break  # a larger v shifts every live degree out too
-                k = shifted + (v,) + before + (c + v,) + after
-                nxt[k] = nxt.get(k, 0) + new
+            k = shifted[w] + n
+            nxt[k] = nxt.get(k, 0) + x
+            # the cap's part of the bound; an if is cheaper than min() here
+            vmax = cap - n // stride % radix
+            if room[w] < vmax:
+                vmax = room[w]
+            for _ in range(vmax):
+                x = (x << step) & full
+                if not x:
+                    break  # a larger a_s shifts every live degree out too
+                k += unit
+                nxt[k] = nxt.get(k, 0) + x
         table = nxt
         s += 1
     mask = (1 << B) - 1
-    return {n + (d,): c for n, fin in finished.items()
-            for d in range(Q) if (c := fin >> B * d & mask)}
+    out = {}
+    for n, fin in finished.items():
+        n = tuple(n // stride % (cap + 1) for stride, cap in zip(strides, caps))
+        for d in range(Q):
+            if c := fin >> B * d & mask:
+                out[n + (d,)] = c
+    return out
 
 
 def character_oracle(weight, q_order, caps):

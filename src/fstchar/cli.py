@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from importlib import resources
 from itertools import zip_longest
 
@@ -403,6 +402,9 @@ def main(argv=None):
         return 2
     except Exception as exc:  # internal inconsistency
         if args.traceback:
+            # imported here: it and textwrap cost every run about 2 ms
+            import traceback
+
             traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -356,6 +356,13 @@ class TestKernels:
             assert by_degree == [colored_partitions(l, d)
                                  for d in range(q_order + 1)], q_order
 
+    def test_caps_beyond_any_table(self):
+        # the weights in mixed radix range over prod(cap_i + 1) = 10**24
+        # values, so a table indexed by them could not be built
+        case = dict(l=4, level=2, init_bounds=(1, 1, 2, 2), q_order=6,
+                    caps=(10**6,) * 4)
+        assert counts(case) == streamed_histogram(case)
+
     def test_kernel_reports_kind(self):
         assert KERNEL == "pure"
 
@@ -369,7 +376,7 @@ class TestKernels:
 @st.composite
 def random_windows(draw):
     """An oracle window: initial bounds, q_order from -1 and caps."""
-    l = draw(st.integers(1, 3))
+    l = draw(st.integers(1, 4))
     level = draw(st.integers(1, 4))
     parts = draw(st.lists(st.integers(0, level), min_size=l, max_size=l))
     acc, bounds = 0, []
@@ -390,6 +397,11 @@ def random_windows(draw):
 @example(dict(l=3, level=2, init_bounds=(1, 2, 2), q_order=10,
               caps=(10, 10, 10)))
 @example(dict(l=2, level=1, init_bounds=(1, 1), q_order=-1, caps=(2, 2)))
+@example(dict(l=4, level=3, init_bounds=(1, 1, 2, 3), q_order=7,
+              caps=(4, 3, 5, 2)))
+# color 2 has radix 1, so colors 2 and 3 share one mixed-radix stride
+@example(dict(l=3, level=3, init_bounds=(2, 2, 3), q_order=9,
+              caps=(3, 0, 2)))
 def test_dp_matches_stream_on_random_windows(kwargs):
     hist = counts(kwargs)
     # the degree lists carry zero counts; none may reach the histogram

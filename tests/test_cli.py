@@ -349,15 +349,24 @@ class TestVerify:
                             raising=False)
         assert _worker_count(8, 8) == 1
 
-    def test_import_loads_no_process_pool(self):
+    @staticmethod
+    def loaded_by_import(module):
+        """Whether a fresh `import fstchar.cli` loads `module`."""
         src = Path(__file__).resolve().parents[1] / "src"
         out = subprocess.run(
             [sys.executable, "-c", "import sys, fstchar.cli; "
-             "print('concurrent.futures' in sys.modules)"],
+             f"print({module!r} in sys.modules)"],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, check=True,
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip() == "True"
+
+    def test_import_loads_no_process_pool(self):
+        assert not self.loaded_by_import("concurrent.futures")
+
+    def test_import_loads_no_traceback(self):
+        # only --traceback prints one, on an internal error
+        assert not self.loaded_by_import("traceback")
 
     def test_benchmark_tracer_finds_every_traced_name(self):
         # perfbench/traced_cli.py reports null for a metric whose function or
