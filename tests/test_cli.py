@@ -359,7 +359,9 @@ class TestVerify:
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, check=True,
         )
-        return out.stdout.strip() == "True"
+        loaded = out.stdout.strip()
+        assert loaded in ("True", "False"), loaded
+        return loaded == "True"
 
     def test_import_loads_no_process_pool(self):
         assert not self.loaded_by_import("concurrent.futures")
