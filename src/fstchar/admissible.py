@@ -292,4 +292,4 @@ def character_oracle(weight, q_order, caps):
         if row is None:
             row = rows[n] = [0] * (q_order + 1)
         row[key[-1]] = count
-    return CharSeries(len(caps), caps, q_order, rows)
+    return CharSeries(caps, q_order, rows)

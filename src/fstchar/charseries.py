@@ -21,18 +21,19 @@ from .qseries import QSeries
 class CharSeries:
     """Character series sum_n A^n(q) z_1^{n_1} ... z_l^{n_l} on a fixed window."""
 
-    __slots__ = ("num_z", "caps", "q_order", "coeffs")
+    __slots__ = ("caps", "q_order", "coeffs")
 
-    def __init__(self, num_z, caps, q_order, coeffs=None):
-        """`coeffs` maps exponent vectors to rows of length q_order + 1."""
+    def __init__(self, caps, q_order, coeffs=None):
+        """`coeffs` maps exponent vectors to rows of length q_order + 1;
+        the rank, the number of variables, is len(caps)."""
         caps = tuple(caps)
-        if len(caps) != num_z or any(c < 0 for c in caps):
-            raise ValueError(f"caps {caps} invalid for {num_z} variables")
+        if any(c < 0 for c in caps):
+            raise ValueError(f"caps {caps} must be >= 0")
         terms = {}
         if coeffs:
             for n, row in coeffs.items():
                 n = tuple(n)
-                if len(n) != num_z:
+                if len(n) != len(caps):
                     raise ValueError(f"exponent vector {n} has wrong arity")
                 if any(x < 0 for x in n) or any(x > c for x, c in zip(n, caps)):
                     raise ValueError(f"exponent vector {n} outside caps {caps}")
@@ -42,7 +43,6 @@ class CharSeries:
                                      f"not q_order + 1 = {q_order + 1}")
                 if any(row):
                     terms[n] = row
-        object.__setattr__(self, "num_z", num_z)
         object.__setattr__(self, "caps", caps)
         object.__setattr__(self, "q_order", q_order)
         object.__setattr__(self, "coeffs", terms)
@@ -51,16 +51,12 @@ class CharSeries:
         raise AttributeError("CharSeries is immutable")
 
     def __reduce__(self):
-        return (CharSeries, (self.num_z, self.caps, self.q_order, self.coeffs))
+        return (CharSeries, (self.caps, self.q_order, self.coeffs))
 
     # -- queries -----------------------------------------------------------
 
     def same_window(self, other):
-        return (
-            self.num_z == other.num_z
-            and self.caps == other.caps
-            and self.q_order == other.q_order
-        )
+        return self.caps == other.caps and self.q_order == other.q_order
 
     def __eq__(self, other):
         if not isinstance(other, CharSeries):
@@ -69,7 +65,7 @@ class CharSeries:
 
     def __repr__(self):
         return (
-            f"CharSeries(l={self.num_z}, caps={self.caps}, "
+            f"CharSeries(l={len(self.caps)}, caps={self.caps}, "
             f"q_order={self.q_order}, {len(self.coeffs)} terms)"
         )
 
@@ -77,7 +73,7 @@ class CharSeries:
 
     def to_json(self):
         return {
-            "l": self.num_z,
+            "l": len(self.caps),
             "caps": list(self.caps),
             "q_order": self.q_order,
             "terms": [
@@ -90,9 +86,11 @@ class CharSeries:
     def from_json(cls, obj):
         """Read `to_json`.
 
-        A series trusted below q_order, or an exponent vector or exponent
-        given twice, raises ValueError.
+        A series trusted below q_order, an exponent vector or exponent given
+        twice, or an "l" other than the number of caps raises ValueError.
         """
+        if obj["l"] != len(obj["caps"]):
+            raise ValueError(f"l = {obj['l']} disagrees with caps {obj['caps']}")
         q_order, rows = obj["q_order"], {}
         for n, series in obj["terms"]:
             if series["trunc"] < q_order:
@@ -104,11 +102,11 @@ class CharSeries:
             rows[tuple(n)] = dense_row(terms.items(), q_order)
         if len(rows) < len(obj["terms"]):
             raise ValueError("an exponent vector is given twice")
-        return cls(obj["l"], obj["caps"], q_order, rows)
+        return cls(obj["caps"], q_order, rows)
 
     def render_table(self):
         """Plain-text table, one line per exponent vector, for human diffing."""
-        lines = [f"# l={self.num_z} caps={list(self.caps)} q_order={self.q_order}"]
+        lines = [f"# l={len(self.caps)} caps={list(self.caps)} q_order={self.q_order}"]
         for n in sorted(self.coeffs):
             lines.append(f"z^{list(n)}: {QSeries.from_row(self.coeffs[n])!r}")
         return "\n".join(lines) + "\n"
@@ -137,8 +135,8 @@ def specialize(char):
     shift that the caps allow at that n, so no coefficient outside the
     window can reach it.
     """
-    if char.num_z != 2:
-        raise ValueError(f"specialize needs 2 variables, got {char.num_z}")
+    if len(char.caps) != 2:
+        raise ValueError(f"specialize needs 2 variables, got {len(char.caps)}")
     cap1, cap2 = char.caps
     buckets = [{} for _ in range(cap1 + cap2 + 1)]
     for (n1, n2), row in char.coeffs.items():

@@ -186,7 +186,7 @@ def cmd_character(args):
             coeffs = _pmap([(fermionic.a_coefficient, (weight, n1, n2, qmax))
                             for n1, n2 in grid], args.jobs)
             rows = [dense_row(c.coeffs.items(), qmax) for c in coeffs]
-            result = CharSeries(2, caps, qmax, dict(zip(grid, rows)))
+            result = CharSeries(caps, qmax, dict(zip(grid, rows)))
         text = (
             _json_dumps(result.to_json())
             if args.format == "json"

@@ -15,8 +15,11 @@ with phantom entries N_{1,k+1} = 0 and N_{2,0} = 0.  The building blocks:
     l^2_p = q^{sum p_i N_{2,i}}
     d^2_p = prod_{i=1..k} (1 - q^{N_{2,i}-N_{2,i-1}}  if p_i = 0, p_{i-1} = 1)
 
-All functions are pure; coefficient computations for distinct (n_1, n_2)
-are independent and may run in parallel.
+A pattern sum is a generator of `_summand` templates, one per pattern.
+`linear_term` is the one that is evaluated on N, for `a_coefficient`; its
+alternative, starred, m and n forms are generators that `identity_battery`
+reads.  All functions are pure; coefficient computations for distinct
+(n_1, n_2) are independent and may run in parallel.
 """
 
 import itertools
@@ -188,21 +191,6 @@ def _plan(summands, w):
     return tuple(summands(*w))
 
 
-def _pattern_sum(summands, w, N, q_order, positive=False):
-    """Evaluate the pattern sum `summands` at weight w on N, to q_order.
-
-    `summands(k0, k1, k2)` yields one `_summand` per pattern; once the
-    weight and N are checked, `_evaluate` sums the cached templates.
-    With `positive`, every weight entry must be >= 1.
-    """
-    w = weight_parts(w, 2)
-    if positive and min(w) < 1:
-        raise ValueError("all three weight entries must be >= 1")
-    if N.k != sum(w):
-        raise ValueError("sequence length must equal the level")
-    return _evaluate(_plan(summands, w), N, q_order)
-
-
 def _evaluate(templates, N, q_order):
     """Sum of the `_summand` templates on N, expanded sparsely to q_order.
 
@@ -231,27 +219,34 @@ def _evaluate(templates, N, q_order):
 
 
 def _linear_term_summands(k0, k1, k2):
+    """The linear term: patterns with k_1+k_2 ones, axis-1 deltas."""
     for p in patterns(k0 + k1 + k2, k1 + k2):
         yield _summand(p, flip_last(k1, 1, p), 1, p)
 
 
 def _linear_term_alt_summands(k0, k1, k2):
+    """Its equivalent form: patterns with k_2 ones, axis-2 deltas."""
     for p in patterns(k0 + k1 + k2, k2):
         yield _summand(flip_last(k1, 0, p), p, 2, p)
 
 
 def _linear_term_star_summands(k0, k1, k2):
+    """The starred variant: right boundary bit 1, and the summand for p gains
+    (1 - q^{N_{2,pos}}), pos locating the (k_2+1)-th one of p.  It and the
+    two flipped sums below need a strictly positive triple."""
     for p in patterns(k0 + k1 + k2, k1 + k2):
         yield _summand(p, flip_last(k1, 1, p), 1, replace(p, right=1),
                        extra=pos(1, k2 + 1, p))
 
 
 def _m_term_summands(k0, k1, k2):
+    """m: patterns with k_0+k_2 ones, axis-2 deltas with left bit 1."""
     for p in patterns(k0 + k1 + k2, k0 + k2):
         yield _summand(flip_first(k2, 1, p), p, 2, replace(p, left=1))
 
 
 def _n_term_summands(k0, k1, k2):
+    """n: patterns with k_0 ones; equals m (a checked identity)."""
     for p in patterns(k0 + k1 + k2, k0):
         flipped = flip_first(k2, 0, p)
         yield _summand(p, flipped, 1, p, extra=pos(0, 1, flipped))
@@ -266,33 +261,13 @@ def linear_term(w, N, q_order):
     per weight and cached; on N the exponent is a sum of entries of N at the
     template's indices, and the product is expanded in one sparse dict with
     nothing above q_order, so a zero gap drops the summand and no series
-    product is taken.
+    product is taken.  This is the one pattern sum evaluated on N here; the
+    variants above are template generators that `identity_battery` reads.
     """
-    return _pattern_sum(_linear_term_summands, w, N, q_order)
-
-
-def linear_term_alt(w, N, q_order):
-    """Equivalent form indexed by patterns with k_2 ones (axis-2 deltas)."""
-    return _pattern_sum(_linear_term_alt_summands, w, N, q_order)
-
-
-def linear_term_star(w, N, q_order):
-    """Variant with right boundary bit 1 and one extra fired factor per summand.
-
-    Each summand for p gains (1 - q^{N_{2,pos}}) where pos locates the
-    (k_2+1)-th one of p; defined for strictly positive triples only.
-    """
-    return _pattern_sum(_linear_term_star_summands, w, N, q_order, positive=True)
-
-
-def m_term(w, N, q_order):
-    """Sum over patterns with k_0+k_2 ones, axis-2 deltas with left bit 1."""
-    return _pattern_sum(_m_term_summands, w, N, q_order, positive=True)
-
-
-def n_term(w, N, q_order):
-    """Sum over patterns with k_0 ones; equals m_term (tested identity)."""
-    return _pattern_sum(_n_term_summands, w, N, q_order, positive=True)
+    w = weight_parts(w, 2)
+    if N.k != sum(w):
+        raise ValueError("sequence length must equal the level")
+    return _evaluate(_plan(_linear_term_summands, w), N, q_order)
 
 
 def n_sequence_pairs(k, n1, n2, q_order):
@@ -384,7 +359,7 @@ def character_fermionic(w, q_order, caps):
         for n2 in range(caps[1] + 1):
             series = a_coefficient(w, n1, n2, q_order)
             rows[(n1, n2)] = dense_row(series.coeffs.items(), q_order)
-    return CharSeries(2, caps, q_order, rows)
+    return CharSeries(caps, q_order, rows)
 
 
 # -- identity battery ---------------------------------------------------------

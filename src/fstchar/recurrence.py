@@ -56,17 +56,9 @@ def level_weights(k, l):
     """All weights of level k for rank l, in the canonical (descending) order."""
     if k < 1 or l < 1:
         raise ValueError("need k >= 1 and l >= 1")
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for v in range(remaining, -1, -1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], k, l + 1)
-    return out
+    return [(*head, k - sum(head))
+            for head in itertools.product(range(k, -1, -1), repeat=l)
+            if sum(head) <= k]
 
 
 def build_equation(weight, l):

@@ -117,7 +117,7 @@ def char_sum(a, b, sign=1):
         total = terms.setdefault(n, [0] * (a.q_order + 1))
         for e, c in enumerate(coeffs):
             total[e] += sign * c
-    return CharSeries(a.num_z, a.caps, a.q_order, terms)
+    return CharSeries(a.caps, a.q_order, terms)
 
 
 def scale_by_monomial(char, q_shift, z_shifts):
@@ -131,11 +131,11 @@ def scale_by_monomial(char, q_shift, z_shifts):
         moved = tuple(x + s for x, s in zip(n, z_shifts))
         if all(0 <= x <= c for x, c in zip(moved, char.caps)):
             terms[moved] = _moved_row(coeffs, q_shift)
-    return CharSeries(char.num_z, char.caps, char.q_order, terms)
+    return CharSeries(char.caps, char.q_order, terms)
 
 
 def dilate(char):
     """Substitute z_i -> z_i q: the coefficient at n picks up q^{n_1+...+n_l}."""
-    return CharSeries(char.num_z, char.caps, char.q_order, {
+    return CharSeries(char.caps, char.q_order, {
         n: _moved_row(coeffs, sum(n)) for n, coeffs in char.coeffs.items()
     })

@@ -121,10 +121,6 @@ WEIGHT_CALLS = {
     "weight_degree_counts": lambda w: weight_degree_counts(w, 4, (2, 2)),
     "character_oracle": lambda w: character_oracle(w, 4, (2, 2)),
     "linear_term": lambda w: fermionic.linear_term(w, _N, 4),
-    "linear_term_alt": lambda w: fermionic.linear_term_alt(w, _N, 4),
-    "linear_term_star": lambda w: fermionic.linear_term_star(w, _N, 4),
-    "m_term": lambda w: fermionic.m_term(w, _N, 4),
-    "n_term": lambda w: fermionic.n_term(w, _N, 4),
     "a_coefficient": lambda w: a_coefficient(w, 1, 0, 4),
     "character_fermionic": lambda w: character_fermionic(w, 4, (2, 2)),
     "chi_fjmmt2_alternating": lambda w: chi_fjmmt2_alternating(w, 4),
@@ -256,7 +252,7 @@ class TestCharacterOracle:
     def test_negative_q_order_is_zero(self):
         # the closed formula gives the zero series on the same window
         ch = character_oracle((1, 0, 0), -1, (2, 2))
-        assert ch == CharSeries(2, (2, 2), -1, {})
+        assert ch == CharSeries((2, 2), -1, {})
         assert ch == character_fermionic((1, 0, 0), -1, (2, 2))
 
     @pytest.mark.parametrize("count", [character_oracle, weight_degree_counts])

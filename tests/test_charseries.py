@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,29 +16,29 @@ SPEC2 = ((-2, "one"), (-1, "one"))
 
 
 def constant_one(caps=(4, 4), q_order=10):
-    return CharSeries(2, caps, q_order, {(0, 0): row({0: 1}, q_order)})
+    return CharSeries(caps, q_order, {(0, 0): row({0: 1}, q_order)})
 
 
 class TestWindowInvariants:
     def test_rejects_vectors_outside_caps(self):
         with pytest.raises(ValueError):
-            CharSeries(2, (2, 2), 5, {(3, 0): row({0: 1}, 5)})
+            CharSeries((2, 2), 5, {(3, 0): row({0: 1}, 5)})
         with pytest.raises(ValueError):
-            CharSeries(2, (2, 2), 5, {(-1, 0): row({0: 1}, 5)})
+            CharSeries((2, 2), 5, {(-1, 0): row({0: 1}, 5)})
 
     @pytest.mark.parametrize("length", [0, 5, 7])
     def test_rejects_rows_of_the_wrong_length(self, length):
         # a short row would leave coefficients unknown, a long one holds
         # coefficients beyond the truncation order
         with pytest.raises(ValueError, match="has length"):
-            CharSeries(2, (2, 2), 5, {(1, 0): [1] * length})
+            CharSeries((2, 2), 5, {(1, 0): [1] * length})
 
     def test_stores_rows_as_tuples(self):
-        c = CharSeries(2, (2, 2), 3, {(1, 0): [0, 1, 0, 2]})
+        c = CharSeries((2, 2), 3, {(1, 0): [0, 1, 0, 2]})
         assert c.coeffs == {(1, 0): (0, 1, 0, 2)}
 
     def test_drops_zero_series(self):
-        c = CharSeries(2, (2, 2), 5, {(1, 1): (0,) * 6})
+        c = CharSeries((2, 2), 5, {(1, 1): (0,) * 6})
         assert c.coeffs == {}
 
     def test_window_mismatch_raises(self):
@@ -76,6 +78,26 @@ class TestWindowInvariants:
         with pytest.raises(ValueError, match="given twice"):
             CharSeries.from_json(obj)
 
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_from_json_rejects_a_rank_other_than_the_caps(self, rank):
+        # the rank is len(caps); the file states it once more as "l"
+        obj = character_oracle((1, 1, 0), 8, (3, 3)).to_json()
+        obj["l"] = rank
+        with pytest.raises(ValueError, match="disagrees with caps"):
+            CharSeries.from_json(obj)
+
+
+# the process pool returns both value types by pickling, through __reduce__
+@pytest.mark.parametrize("value", [
+    CharSeries((3,), 5, {(1,): row({0: 1, 2: -3}, 5)}),
+    character_oracle((1, 1, 0), 8, (3, 3)),
+    CharSeries((2, 2, 2), 5, {(0, 1, 0): row({0: 1}, 5),
+                              (2, 2, 2): row({5: 4}, 5)}),
+    QSeries({-3: 2, 0: 1, 4: -1}, 6),
+], ids=["rank-1", "rank-2", "rank-3", "qseries-negative-exponent"])
+def test_pickle_round_trip(value):
+    assert pickle.loads(pickle.dumps(value)) == value
+
 
 class TestOperations:
     """The reference operations of `reference`, which the equation below uses."""
@@ -92,7 +114,7 @@ class TestOperations:
         assert dilate(constant_one()) == constant_one()
 
     def test_dilate_single_term(self):
-        c = CharSeries(2, (2, 2), 10, {(1, 1): row({0: 1}, 10)})
+        c = CharSeries((2, 2), 10, {(1, 1): row({0: 1}, 10)})
         assert dilate(c).coeffs == {(1, 1): row({2: 1}, 10)}
 
     def test_dilate_matches_weighted_oracle(self):
@@ -139,7 +161,7 @@ def generic_specialize(char, q_scale, spec_vars):
     buckets = {}
     for n, coeffs in char.coeffs.items():
         z_exp = sum(n[i] for i in z_vars)
-        moved = sum(n[i] * offsets[i] for i in range(char.num_z))
+        moved = sum(n[i] * offsets[i] for i in range(len(char.caps)))
         bucket = buckets.setdefault(z_exp, {})
         for e, c in enumerate(coeffs):
             out_e = q_scale * e + moved
@@ -161,20 +183,20 @@ def generic_specialize(char, q_scale, spec_vars):
 
 class TestSpecialize:
     def test_spec1_of_q_z1(self):
-        c = CharSeries(2, (2, 2), 8, {(1, 0): row({1: 1}, 8)})
+        c = CharSeries((2, 2), 8, {(1, 0): row({1: 1}, 8)})
         out = specialize(c)
         assert isinstance(out, dict)
         assert out[1].coeffs == {0: 1}  # q^{2*1 - 2} = 1 at z^1
 
     def test_spec2_of_q_z2(self):
-        c = CharSeries(2, (2, 2), 8, {(0, 1): row({1: 1}, 8)})
+        c = CharSeries((2, 2), 8, {(0, 1): row({1: 1}, 8)})
         out = spec2(c)
         assert isinstance(out, QSeries)
         assert out.coeffs == {1: 1}  # q^{2*1 - 1}
 
     def test_rejects_other_variable_counts(self):
-        for c in (CharSeries(1, (3,), 5, {(1,): row({0: 1}, 5)}),
-                  CharSeries(3, (2, 2, 2), 5, {(0, 1, 0): row({0: 1}, 5)})):
+        for c in (CharSeries((3,), 5, {(1,): row({0: 1}, 5)}),
+                  CharSeries((2, 2, 2), 5, {(0, 1, 0): row({0: 1}, 5)})):
             for spec in (specialize, spec2):
                 with pytest.raises(ValueError):
                     spec(c)
@@ -199,7 +221,7 @@ def char_strategy():
         vectors = st.tuples(st.integers(0, caps[0]), st.integers(0, caps[1]))
         rows = st.lists(st.integers(-5, 5), min_size=q_order + 1,
                         max_size=q_order + 1)
-        return CharSeries(2, caps, q_order,
+        return CharSeries(caps, q_order,
                           draw(st.dictionaries(vectors, rows, max_size=8)))
 
     return build()
@@ -207,8 +229,8 @@ def char_strategy():
 
 @settings(max_examples=100, deadline=None)
 @given(char_strategy())
-@example(CharSeries(2, (0, 4), 5, {(0, 4): (1, 0, 0, 0, 0, -2)}))
-@example(CharSeries(2, (4, 0), 5, {(4, 0): (0, 3, 0, 0, 0, 0)}))
+@example(CharSeries((0, 4), 5, {(0, 4): (1, 0, 0, 0, 0, -2)}))
+@example(CharSeries((4, 0), 5, {(4, 0): (0, 3, 0, 0, 0, 0)}))
 def test_specialize_matches_generic_map(c):
     graded = specialize(c)
     assert graded == generic_specialize(c, 2, SPEC1)
@@ -228,8 +250,8 @@ coeff_strategy = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(coeff_strategy, coeff_strategy)
 def test_specialize_is_linear(ca, cb):
-    a = CharSeries(2, (2, 2), 8, ca)
-    b = CharSeries(2, (2, 2), 8, cb)
+    a = CharSeries((2, 2), 8, ca)
+    b = CharSeries((2, 2), 8, cb)
     total = char_sum(a, b)
     assert spec2(total) == spec2(a) + spec2(b)
     left, right_a, right_b = (specialize(c) for c in (total, a, b))

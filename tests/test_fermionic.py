@@ -19,11 +19,7 @@ from fstchar.fermionic import (
     flip_first,
     flip_last,
     linear_term,
-    linear_term_alt,
-    linear_term_star,
-    m_term,
     n_sequence_pairs,
-    n_term,
     pattern_le,
     patterns,
     pos,
@@ -37,6 +33,18 @@ def mono(e, q_order=POLY_ORDER):
 
 def one(q_order=POLY_ORDER):
     return QSeries.one(q_order)
+
+
+# the variant pattern sums are template generators, evaluated here as
+# `linear_term` evaluates its own
+ALT = fermionic._linear_term_alt_summands
+STAR = fermionic._linear_term_star_summands
+M_TERM = fermionic._m_term_summands
+N_TERM = fermionic._n_term_summands
+
+
+def pattern_sum(summands, w, N, q_order):
+    return fermionic._evaluate(fermionic._plan(summands, w), N, q_order)
 
 
 class TestPatternBasics:
@@ -190,9 +198,8 @@ class TestLinearTerm:
                 for k0 in range(k + 1):
                     for k1 in range(k - k0 + 1):
                         w = (k0, k1, k - k0 - k1)
-                        assert linear_term(w, N, POLY_ORDER) == linear_term_alt(
-                            w, N, POLY_ORDER
-                        ), (w, N)
+                        assert linear_term(w, N, POLY_ORDER) == pattern_sum(
+                            ALT, w, N, POLY_ORDER), (w, N)
 
     def test_no_second_axis_block(self):
         # k_2 = 0 collapses to the single power q^{N_{1,k_0+1}+...+N_{1,k}}
@@ -200,7 +207,7 @@ class TestLinearTerm:
             k1 = 3 - k0
             for N in nsequence_battery(3, count=5):
                 expected = mono(sum(N.n1[k0:]))
-                assert linear_term_alt((k0, k1, 0), N, POLY_ORDER) == expected
+                assert pattern_sum(ALT, (k0, k1, 0), N, POLY_ORDER) == expected
 
     def test_no_first_entry(self):
         # k_0 = 0 collapses to q^{sum N_{1,*} + N_{2,1}+...+N_{2,k_2}}
@@ -226,19 +233,13 @@ class TestStarAndFlippedSums:
                             - linear_term((k0, k1 - 1, k2 + 1), N, POLY_ORDER)
                             + linear_term((k0 - 1, k1, k2 + 1), N, POLY_ORDER)
                         )
-                        assert lhs == linear_term_star(
-                            (k0, k1, k2), N, POLY_ORDER
-                        ), (k0, k1, k2, N)
-
-    def test_star_rejects_zero_entries(self):
-        N = NSequences((1, 1), (1, 1))
-        with pytest.raises(ValueError):
-            linear_term_star((1, 1, 0), N, POLY_ORDER)
+                        assert lhs == pattern_sum(
+                            STAR, (k0, k1, k2), N, POLY_ORDER), (k0, k1, k2, N)
 
     def test_star_all_zero_sequences_vanish(self):
         # the extra factor is 1 - q^0 = 0 for every summand
         N = NSequences((0, 0, 0), (0, 0, 0))
-        assert linear_term_star((1, 1, 1), N, POLY_ORDER).is_zero()
+        assert pattern_sum(STAR, (1, 1, 1), N, POLY_ORDER).is_zero()
 
     def test_star_boundary_factor(self):
         # at k=3, w=(1,1,1): the pattern (1,1,0) has p_3 = 0 and picks up
@@ -264,14 +265,14 @@ class TestStarAndFlippedSums:
                         k2 = k - k0 - k1
                         if k2 < 1:
                             continue
-                        assert m_term((k0, k1, k2), N, POLY_ORDER) == n_term(
-                            (k0, k1, k2), N, POLY_ORDER
-                        ), (k0, k1, k2)
+                        w = (k0, k1, k2)
+                        assert pattern_sum(M_TERM, w, N, POLY_ORDER) == (
+                            pattern_sum(N_TERM, w, N, POLY_ORDER)), w
 
     def test_flipped_sums_single_patterns_by_hand(self):
         # k=3, w=(1,1,1): expand both sums explicitly
         N = NSequences((4, 2, 1), (1, 3, 8))
-        got_m = m_term((1, 1, 1), N, POLY_ORDER)
+        got_m = pattern_sum(M_TERM, (1, 1, 1), N, POLY_ORDER)
         expected = QSeries.zero(POLY_ORDER)
         for p in patterns(3, 2):
             term = _product_l_term(1, flip_first(1, 1, p), N, POLY_ORDER)
@@ -282,8 +283,8 @@ class TestStarAndFlippedSums:
 
     def test_degenerate_all_zero(self):
         N = NSequences((0, 0, 0), (0, 0, 0))
-        m = m_term((1, 1, 1), N, POLY_ORDER)
-        n = n_term((1, 1, 1), N, POLY_ORDER)
+        m = pattern_sum(M_TERM, (1, 1, 1), N, POLY_ORDER)
+        n = pattern_sum(N_TERM, (1, 1, 1), N, POLY_ORDER)
         assert m == n
         assert all(e == 0 for e in m.coeffs)
 
@@ -537,7 +538,7 @@ class TestAgainstSeriesProducts:
     def test_linear_term_and_alt(self, wN, q_order):
         w, N = wN
         assert linear_term(w, N, q_order) == _product_linear_term(w, N, q_order)
-        assert linear_term_alt(w, N, q_order) == _product_linear_term_alt(
+        assert pattern_sum(ALT, w, N, q_order) == _product_linear_term_alt(
             w, N, q_order)
 
     @settings(max_examples=200, deadline=None)
@@ -545,10 +546,10 @@ class TestAgainstSeriesProducts:
     @example(ZERO_GAPS, 40)
     def test_star_m_and_n_terms(self, wN, q_order):
         w, N = wN
-        assert linear_term_star(w, N, q_order) == _product_linear_term_star(
+        assert pattern_sum(STAR, w, N, q_order) == _product_linear_term_star(
             w, N, q_order)
-        assert m_term(w, N, q_order) == _product_m_term(w, N, q_order)
-        assert n_term(w, N, q_order) == _product_n_term(w, N, q_order)
+        assert pattern_sum(M_TERM, w, N, q_order) == _product_m_term(w, N, q_order)
+        assert pattern_sum(N_TERM, w, N, q_order) == _product_n_term(w, N, q_order)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(WEIGHTS_1_TO_4), st.integers(0, 6), st.integers(0, 6),

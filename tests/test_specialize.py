@@ -433,7 +433,7 @@ class TestVerifiersCanFail:
             char = real(*args)
             rows = dict(char.coeffs)
             rows[(1, 0)] = (1,) + rows[(1, 0)][1:]
-            return CharSeries(2, char.caps, char.q_order, rows)
+            return CharSeries(char.caps, char.q_order, rows)
 
         monkeypatch.setattr(specialize, "character_oracle", oracle)
         report = verify_union_identity((1, 1, 0), 10)
