@@ -16,7 +16,8 @@ with phantom entries N_{1,k+1} = 0 and N_{2,0} = 0.  The building blocks:
     d^2_p = prod_{i=1..k} (1 - q^{N_{2,i}-N_{2,i-1}}  if p_i = 0, p_{i-1} = 1)
 
 A pattern sum is a generator of `_summand` templates, one per pattern.
-`linear_term` is the one that is evaluated on N, for `a_coefficient`; its
+The linear term is the one that is evaluated on N: `linear_term` for one
+N, and `a_coefficient` through the same expansion loop, `_expand`.  Its
 alternative, starred, m and n forms are generators that `identity_battery`
 reads.  All functions are pure; coefficient computations for distinct
 (n_1, n_2) are independent and may run in parallel.
@@ -24,13 +25,13 @@ reads.  All functions are pure; coefficient computations for distinct
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import add, sub
 
 from .admissible import weight_parts
 from .charseries import CharSeries, dense_row
-from .qseries import CACHE_SIZE, QSeries, divide_pochhammer
+from .qseries import CACHE_SIZE, QSeries, denominator_row
 from .reporting import CheckReport
 
 
@@ -54,7 +55,6 @@ class BinaryPattern:
         return len(self.bits)
 
 
-@dataclass(frozen=True)
 class NSequences:
     """The two monotone integer sequences a fermionic summand is built from.
 
@@ -63,16 +63,14 @@ class NSequences:
     N_{1,i} - N_{1,i+1}, then N_{2,i} - N_{2,i-1} (i = 1..k, phantom entries
     N_{1,k+1} = N_{2,0} = 0), then N_{2,1..k}.  The 2k gaps are also the
     Pochhammer factors of `a_coefficient`, and the sequences are valid
-    exactly when no gap is negative.
+    exactly when no gap is negative.  Immutable; equal, hashed and pickled
+    by (n1, n2).
     """
 
-    n1: tuple  # (N_{1,1}, ..., N_{1,k}), weakly decreasing
-    n2: tuple  # (N_{2,1}, ..., N_{2,k}), weakly increasing
-    entries: tuple = field(init=False, repr=False, compare=False)
-    factors: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("n1", "n2", "entries", "factors")
 
-    def __post_init__(self):
-        n1, n2 = tuple(self.n1), tuple(self.n2)
+    def __init__(self, n1, n2):
+        n1, n2 = tuple(n1), tuple(n2)  # n1 weakly decreasing, n2 increasing
         if len(n1) != len(n2) or not n1:
             raise ValueError("n1 and n2 must have equal positive length")
         gaps = (*map(sub, n1, n1[1:] + (0,)), *map(sub, n2, (0,) + n2[:-1]))
@@ -83,6 +81,26 @@ class NSequences:
         object.__setattr__(self, "n2", n2)
         object.__setattr__(self, "entries", n1 + n2)
         object.__setattr__(self, "factors", gaps + n2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NSequences is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("NSequences is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, NSequences):
+            return NotImplemented
+        return self.n1 == other.n1 and self.n2 == other.n2
+
+    def __hash__(self):
+        return hash((self.n1, self.n2))
+
+    def __repr__(self):
+        return f"NSequences(n1={self.n1!r}, n2={self.n2!r})"
+
+    def __reduce__(self):
+        return (NSequences, (self.n1, self.n2))
 
     @property
     def k(self):
@@ -191,19 +209,18 @@ def _plan(summands, w):
     return tuple(summands(*w))
 
 
-def _evaluate(templates, N, q_order):
-    """Sum of the `_summand` templates on N, expanded sparsely to q_order.
+def _expand(templates, N, q_order, base, into):
+    """Add q^base times the sum of the `_summand` templates on N into `into`.
 
-    A template's exponent is the sum of `N.entries` at its `ones`, and each
-    factor (1 - q^gap) reads its gap in `N.factors` at its slot.  The
-    product is expanded term by term into one {exponent: coeff} dict that
-    keeps nothing above q_order; a zero gap makes its factor, and so its
-    summand, vanish.  The templates must have N's length.
+    A template's exponent is base plus the sum of `N.entries` at its
+    `ones`, and each factor (1 - q^gap) reads its gap in `N.factors` at its
+    slot.  The product is expanded term by term into the {exponent: coeff}
+    dict `into`, keeping nothing above q_order; a zero gap makes its factor,
+    and so its summand, vanish.  The templates must have N's length.
     """
     entries, factors = N.entries, N.factors
-    total = {}
     for ones, slots in templates:
-        e = sum([entries[i] for i in ones])
+        e = base + sum([entries[i] for i in ones])
         if e > q_order:
             continue
         terms = [(e, 1)]
@@ -214,7 +231,13 @@ def _evaluate(templates, N, q_order):
             terms += [(x + g, -c) for x, c in terms if x + g <= q_order]
         else:
             for x, c in terms:
-                total[x] = total.get(x, 0) + c
+                into[x] = into.get(x, 0) + c
+
+
+def _evaluate(templates, N, q_order):
+    """Sum of the `_summand` templates on N, expanded sparsely to q_order."""
+    total = {}
+    _expand(templates, N, q_order, 0, total)
     return QSeries(total, q_order)
 
 
@@ -261,8 +284,9 @@ def linear_term(w, N, q_order):
     per weight and cached; on N the exponent is a sum of entries of N at the
     template's indices, and the product is expanded in one sparse dict with
     nothing above q_order, so a zero gap drops the summand and no series
-    product is taken.  This is the one pattern sum evaluated on N here; the
-    variants above are template generators that `identity_battery` reads.
+    product is taken.  This is the public one-N evaluator; `a_coefficient`
+    expands the same templates with `_expand`.  The variants above are
+    template generators that `identity_battery` reads.
     """
     w = weight_parts(w, 2)
     if N.k != sum(w):
@@ -320,31 +344,32 @@ def a_coefficient(w, n1, n2, q_order):
     Sums q^{sum N1_i^2 + N2_i^2 + N1_i N2_i} * linear term over the
     NSequences with the given row sums, divided by the Pochhammer factors of
     the successive differences on both axes.  Only the NSequences whose base
-    exponent b is <= q_order are generated.  Each summand is evaluated
-    densely at order q_order - b: the linear term is copied into a
-    coefficient list, divided in place by (q)_g for each nonzero gap g
-    (`divide_pochhammer`, O(g * order) each), and added into one
-    accumulator at offset b.  Every factor has nonnegative exponents, so
-    this equals the product taken at the full order.
+    exponent b is <= q_order are generated.  Summands are grouped by their
+    denominator, keyed by the sorted nonzero gaps: each N's linear term is
+    expanded at offset b into its key's sparse dict (`_expand`).  Each
+    key's shared row of 1/prod (q)_g (`denominator_row`) is then added into
+    one accumulator once per exponent, times the merged coefficient.
     """
     w = weight_parts(w, 2)
     k = sum(w)
     if n1 < 0 or n2 < 0:
         raise ValueError("weights must be >= 0")
-    total = [0] * (q_order + 1)
+    templates = _plan(_linear_term_summands, w)
+    grouped = {}
     for N in n_sequence_pairs(k, n1, n2, q_order):
-        base = sum(
-            a * a + b * b + a * b for a, b in zip(N.n1, N.n2)
-        )
-        order = q_order - base
-        term = linear_term(w, N, order)
-        if term.is_zero():
-            continue
-        coeffs = dense_row(term.coeffs.items(), order)
-        for gap in N.factors[:2 * k]:
-            if gap:
-                divide_pochhammer(coeffs, gap)
-        total[base:] = map(add, total[base:], coeffs)
+        base = sum([a * a + b * b + a * b for a, b in zip(N.n1, N.n2)])
+        key = tuple(sorted([g for g in N.factors[:2 * k] if g]))
+        _expand(templates, N, q_order, base, grouped.setdefault(key, {}))
+    total = [0] * (q_order + 1)
+    for key, terms in grouped.items():
+        row = denominator_row(key, q_order)
+        for e, c in terms.items():
+            if c == 1:
+                total[e:] = map(add, total[e:], row)
+            elif c == -1:
+                total[e:] = map(sub, total[e:], row)
+            elif c:
+                total[e:] = [t + c * x for t, x in zip(total[e:], row)]
     return QSeries.from_row(total)
 
 

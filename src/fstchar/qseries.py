@@ -14,8 +14,10 @@ text.  The coefficients of a two-variable character are dense rows in
 `CharSeries` instead; `from_row` turns a row into a QSeries for output.
 
 No route takes a series product: they divide coefficient lists in place
-(`divide_pochhammer`).  `__mul__`, `pochhammer` and `inv_pochhammer` stay
-for the tests' references and the `qseries.*` metrics of `perfbench/`.
+(`divide_pochhammer`), and share their denominator rows 1/prod (q^s; q^s)_m
+through one cache, `denominator_row`.  `__mul__`, `pochhammer` and
+`inv_pochhammer` stay for the tests' references and the `qseries.*` metrics
+of `perfbench/`.
 """
 
 from functools import lru_cache
@@ -159,9 +161,12 @@ class QSeries:
 
 # Entries kept by each lru_cache of the package.  `fermionic._plan` holds one
 # template list per pattern sum and weight, at most 5 per weight of the
-# levels run: `verify --suite lemmas --level 5` leaves 140 entries.  No route
-# calls the two q-special functions below; their caches serve only the tests
-# and the `qseries.*` metrics of perfbench/.
+# levels run: `verify --suite lemmas --level 5` leaves 140 entries.
+# `denominator_row` keeps one row per key, prefixes included: 129 rows (13,800
+# hits) after `verify --suite fjmmt --level 4 --zmax 14 --qmax 36`, 108 after
+# `verify --suite all --level 3 --zmax 8 --qmax 20 --jobs 1`, 124 after
+# `verify --suite fjmmt2 --level 4 --qmax 30`.  No route calls `pochhammer`
+# or `inv_pochhammer`; their caches serve the tests and perfbench/ only.
 CACHE_SIZE = 512
 
 
@@ -210,3 +215,19 @@ def inv_pochhammer(n, q_order, scale=1):
         coeffs[0] = 1
     divide_pochhammer(coeffs, n, scale)
     return QSeries.from_row(coeffs)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def denominator_row(key, q_order, scale=1):
+    """The tuple row of 1/prod_{m in key} (q^scale; q^scale)_m to q_order.
+
+    Entry e is the coefficient of q^e.  The row of `key` is its prefix
+    key's row, `key[:-1]`, divided by one `divide_pochhammer` for its last
+    entry; the empty key gives the series 1.  Callers share one row per key,
+    so they pass keys sorted and copy a row before they change it.
+    """
+    if not key:
+        return (1,) + (0,) * q_order if q_order >= 0 else ()
+    row = list(denominator_row(key[:-1], q_order, scale))
+    divide_pochhammer(row, key[-1], scale)
+    return tuple(row)

@@ -22,7 +22,7 @@ from operator import add, mul
 from .admissible import character_oracle, energy, enumerate_configs, weight_parts
 from .charseries import specialize
 from .fermionic import character_fermionic
-from .qseries import QSeries, divide_pochhammer
+from .qseries import QSeries, denominator_row
 from .reporting import CheckReport
 
 
@@ -95,28 +95,6 @@ def fjmmt_linear_coeffs(k, k0):
     return tuple(coeffs)
 
 
-def _denominators(q_order, scale):
-    """Lookup of the coefficient lists of 1/prod_j (q^scale; q^scale)_{m_j}.
-
-    The key is the sorted tuple of nonzero multiplicities m_j, and each list
-    runs to q_order.  The returned lookup builds each list once: a copy of
-    its prefix key's list divided in place by (q^scale; q^scale)_{m} for
-    the key's last entry m (`divide_pochhammer`).  Callers only read the
-    lists.
-    """
-    denominators = {(): [1] + [0] * q_order}
-
-    def denominator(key):
-        denom = denominators.get(key)
-        if denom is None:
-            denom = denominator(key[:-1])[:]
-            divide_pochhammer(denom, key[-1], scale)
-            denominators[key] = denom
-        return denom
-
-    return denominator
-
-
 def chi_fjmmt(k0, k1, z_cap, q_order):
     """Principally specialized character for weights with k_2 = 0, as {n: QSeries}.
 
@@ -126,7 +104,8 @@ def chi_fjmmt(k0, k1, z_cap, q_order):
 
     One more unit of m_i raises the exponent by (2A m)_i + A_ii + linear_i
     and n by its part size, the data `_walk` runs on.  The denominators
-    come from `_denominators` at scale 2.  Each z-degree keeps one
+    are the shared rows of `denominator_row` at scale 2, keyed by the
+    sorted nonzero entries of m.  Each z-degree keeps one
     accumulator list, and a term adds its denominator into it at offset
     `expo`; no series product is taken.
     """
@@ -135,10 +114,9 @@ def chi_fjmmt(k0, k1, z_cap, q_order):
     matrix = fjmmt_matrix(k)
     linear = fjmmt_linear_coeffs(k, k0)
     terms = {n: [0] * (q_order + 1) for n in range(z_cap + 1)}
-    denominator = _denominators(q_order, 2)
 
     def add_term(m, n, expo):
-        denom = denominator(tuple(sorted(x for x in m if x)))
+        denom = denominator_row(tuple(sorted([x for x in m if x])), q_order, 2)
         acc = terms[n]
         acc[expo:] = map(add, acc[expo:], denom)
 
@@ -179,10 +157,10 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
     zero sizes and cap 0 since the sum has no z.
 
     n_sites = None means unbounded site count: every binomial is replaced by
-    its stabilized value 1/(q)_{m_j}, so a term is its denominator from
-    `_denominators` at scale 1, added into one accumulator list at its
-    exponent.  For a finite n_sites a term is a copy of the denominator cut
-    to the order left above its exponent, multiplied in place by the
+    its stabilized value 1/(q)_{m_j}, so a term is its shared denominator
+    row from `denominator_row` at scale 1, added into one accumulator list
+    at its exponent.  For a finite n_sites a term is a list copy of that
+    row cut to the order left above its exponent, multiplied in place by the
     numerator factors (1 - q^e), e = top_j - m_j + 1 .. top_j, that fall
     within that order; a binomial with top_j < m_j drops the term.
 
@@ -200,13 +178,12 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
     matrix = fjmmt2_matrix(k)
     r = fjmmt2_r_vector(k, a, b)
     total = [0] * (q_order + 1)
-    denominator = _denominators(q_order, 1)
 
     def add_term(m, n, expo):
-        term = denominator(tuple(sorted(x for x in m if x)))
+        term = denominator_row(tuple(sorted([x for x in m if x])), q_order)
         if n_sites is not None:
             order = q_order - expo
-            term = term[:order + 1]
+            term = list(term[:order + 1])
             for j, mj in enumerate(m):
                 if not mj:
                     continue

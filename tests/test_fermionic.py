@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from dataclasses import replace
 from functools import lru_cache
 
@@ -112,6 +113,32 @@ class TestNSequences:
         N = NSequences((3, 1), (2, 5))
         assert N1(N, 3) == 0 and N2(N, 0) == 0
         assert N1(N, 1) == 3 and N2(N, 2) == 5
+
+    def test_equality_and_hash(self):
+        N = NSequences([3, 1], [2, 5])
+        assert N == NSequences((3, 1), (2, 5))
+        assert hash(N) == hash(NSequences((3, 1), (2, 5)))
+        assert N != NSequences((3, 1), (2, 6))
+        assert N != ((3, 1), (2, 5))
+        assert len({N, NSequences((3, 1), (2, 5)), NSequences((1, 1), (2, 5))}) == 2
+
+    def test_repr(self):
+        assert repr(NSequences((3, 1), (2, 5))) == "NSequences(n1=(3, 1), n2=(2, 5))"
+
+    def test_immutable(self):
+        N = NSequences((3, 1), (2, 5))
+        for name in ("n1", "n2", "entries", "factors", "other"):
+            with pytest.raises(AttributeError):
+                setattr(N, name, (0, 0))
+            with pytest.raises(AttributeError):
+                delattr(N, name)
+        assert N.entries == (3, 1, 2, 5) and N.factors == (2, 1, 2, 3, 2, 5)
+
+    def test_pickle_round_trip(self):
+        N = NSequences((3, 1), (2, 5))
+        back = pickle.loads(pickle.dumps(N))
+        assert back == N and hash(back) == hash(N)
+        assert (back.entries, back.factors) == (N.entries, N.factors)
 
 
 class TestTerms:
@@ -382,6 +409,47 @@ class TestACoefficient:
                 assert a_coefficient(w, n1, n2, q_order) == (
                     _a_coefficient_full_order(w, n1, n2, q_order)
                 ), (w, n1, n2)
+
+
+def _grouped_terms(w, n1, n2, q_order):
+    """The sparse dicts `a_coefficient` merges, by sorted nonzero-gap key."""
+    k = sum(w)
+    templates = fermionic._plan(fermionic._linear_term_summands, w)
+    grouped = {}
+    for N in n_sequence_pairs(k, n1, n2, q_order):
+        key = tuple(sorted(g for g in N.factors[:2 * k] if g))
+        fermionic._expand(templates, N, q_order, _base(N),
+                          grouped.setdefault(key, {}))
+    return grouped
+
+
+class TestGroupedSum:
+    """Summands grouped by denominator key against the unpruned product sum."""
+
+    def test_merged_coefficient_two(self):
+        # both summands of N = ((1, 0), (0, 1)) land on q^3: the slice-add
+        # for a coefficient other than +-1 runs
+        w, q_order = (1, 0, 1), 12
+        assert _grouped_terms(w, 1, 1, q_order) == {(1, 1): {3: 2, 4: -1}}
+        assert a_coefficient(w, 1, 1, q_order) == (
+            _a_coefficient_full_order(w, 1, 1, q_order))
+
+    @pytest.mark.parametrize("w, n1, n2", [
+        ((1, 1, 1), 0, 0), ((1, 1, 1), 3, 0), ((1, 1, 1), 0, 3),
+        ((2, 1, 1), 4, 4), ((0, 3, 0), 6, 3), ((2, 0, 1), 3, 3),
+    ])
+    def test_zero_gap_cells(self, w, n1, n2):
+        q_order = 24
+        grouped = _grouped_terms(w, n1, n2, q_order)
+        # some N of the cell has a zero gap, so its key is shorter than 2k
+        assert any(len(key) < 2 * sum(w) for key in grouped)
+        assert a_coefficient(w, n1, n2, q_order) == (
+            _a_coefficient_full_order(w, n1, n2, q_order))
+
+    def test_empty_key_cell(self):
+        # the only N of cell (0, 0) has no nonzero gap: its row is 1
+        assert _grouped_terms((1, 1, 1), 0, 0, 6) == {(): {0: 1}}
+        assert a_coefficient((1, 1, 1), 0, 0, 6) == QSeries.one(6)
 
 
 class TestCharacterFermionic:

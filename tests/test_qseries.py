@@ -4,7 +4,13 @@ from hypothesis import strategies as st
 
 from reference import gaussian_binomial
 
-from fstchar.qseries import QSeries, divide_pochhammer, inv_pochhammer, pochhammer
+from fstchar.qseries import (
+    QSeries,
+    denominator_row,
+    divide_pochhammer,
+    inv_pochhammer,
+    pochhammer,
+)
 
 
 def series(d, trunc=20):
@@ -192,6 +198,59 @@ class TestDividePochhammer:
     def test_inv_pochhammer_below_order_zero(self):
         assert inv_pochhammer(3, -1) == QSeries.zero(-1)
         assert inv_pochhammer(3, 0) == QSeries.one(0)
+
+
+class TestDenominatorRow:
+    """Rows of 1/prod (q^s; q^s)_m against products of `pochhammer`."""
+
+    @staticmethod
+    def times_pochhammers(row, key, q_order, scale):
+        out = QSeries.from_row(row)
+        for m in key:
+            out = out * pochhammer(m, q_order, scale)
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 12), max_size=5).map(lambda key: tuple(sorted(key))),
+           st.integers(0, 30), st.sampled_from([1, 2]))
+    def test_inverts_the_product(self, key, q_order, scale):
+        row = denominator_row(key, q_order, scale)
+        assert isinstance(row, tuple) and len(row) == q_order + 1
+        assert self.times_pochhammers(row, key, q_order, scale) == QSeries.one(q_order)
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_equals_product_of_inverses(self, scale):
+        key, q_order = (1, 2, 2, 5), 24
+        expected = QSeries.one(q_order)
+        for m in key:
+            expected = expected * inv_pochhammer(m, q_order, scale)
+        assert QSeries.from_row(denominator_row(key, q_order, scale)) == expected
+
+    def test_empty_key_is_one(self):
+        assert denominator_row((), 6) == (1, 0, 0, 0, 0, 0, 0)
+        assert denominator_row((), 6, 2) == (1, 0, 0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_entries_at_or_above_the_order(self, scale):
+        # (q^s; q^s)_m is 1 + O(q^s): only its factors below q^{q_order} count
+        q_order = 5
+        assert denominator_row((5, 9), q_order, scale) == (
+            denominator_row((5, 5), q_order, scale))
+        assert denominator_row((6, 40), q_order) == denominator_row((5, 5), q_order)
+        assert self.times_pochhammers(
+            denominator_row((5, 9), q_order, scale), (5, 9), q_order, scale,
+        ) == QSeries.one(q_order)
+
+    @pytest.mark.parametrize("key", [(), (1,), (3, 7)])
+    def test_order_zero(self, key):
+        assert denominator_row(key, 0) == (1,)
+        assert denominator_row(key, 0, 2) == (1,)
+
+    def test_rows_are_shared_and_read_only(self):
+        row = denominator_row((2, 3), 10)
+        assert denominator_row((2, 3), 10) is row
+        with pytest.raises(TypeError):
+            row[0] = 5
 
 
 class TestGaussianBinomial:

@@ -12,7 +12,8 @@ from fstchar import specialize
 from fstchar.admissible import character_oracle
 from fstchar.charseries import CharSeries
 from fstchar.cli import main
-from fstchar.qseries import QSeries, inv_pochhammer
+from fstchar.fermionic import a_coefficient
+from fstchar.qseries import QSeries, denominator_row, inv_pochhammer
 from fstchar.specialize import (
     chi_fjmmt,
     chi_fjmmt2,
@@ -322,6 +323,28 @@ class TestChiFjmmt2:
 
     def test_saturated_pairs_collapse(self):
         assert chi_fjmmt2(1, 2, 2, None, 12) == chi_fjmmt2(1, 1, 2, None, 12)
+
+
+class TestSharedDenominatorRows:
+    """The finite-site sum copies a shared row before it multiplies in place."""
+
+    @pytest.mark.parametrize("a, b, k, w", [
+        (0, 2, 2, (1, 0, 1)), (1, 1, 3, (1, 1, 1)), (0, 3, 3, (2, 1, 0)),
+    ])
+    def test_later_readers_see_fresh_rows(self, a, b, k, w):
+        q_order = 16
+        denominator_row.cache_clear()
+        assert chi_fjmmt2(a, b, k, 3, q_order) == (
+            _chi_fjmmt2_products(a, b, k, 3, q_order))
+        # the rows the finite-site sum read are the ones read next
+        assert denominator_row.cache_info().currsize > 1
+        assert chi_fjmmt2(a, b, k, None, q_order) == (
+            _chi_fjmmt2_products(a, b, k, None, q_order))
+        oracle = character_oracle(w, q_order, (4, 4))
+        for n1 in range(5):
+            for n2 in range(5):
+                assert a_coefficient(w, n1, n2, q_order) == QSeries.from_row(
+                    oracle.coeffs.get((n1, n2), (0,) * (q_order + 1))), (n1, n2)
 
 
 class TestVerifiers:
