@@ -173,8 +173,10 @@ class TestCharacter:
         assert code == 0
         assert out.startswith("# l=2")
 
-    # stdout sha256 prefixes of `character` runs, recorded at 67e1c2f; no
-    # benchmark workload runs `character`, so only this pins their output
+    # stdout sha256 prefixes of runs that no benchmark workload makes: no
+    # workload runs `character`, the level-2 golden report or a text-format
+    # report, so only this pins their output.  The first four were recorded
+    # at 67e1c2f, the rest at fc1faf8
     PINNED = [
         ("character --method fjmmt --weight 2,0,0 --zmax 6 --qmax 20",
          "59028fa7ccc2af10"),
@@ -184,6 +186,13 @@ class TestCharacter:
          "a844704a3af51345"),
         ("character --method fjmmt2 --ab 1,1 --level 3 --sites 4 --qmax 24"
          " --format text", "590523dc5d4bf7fd"),
+        ("verify --suite all", "0c53e9c1f4fba67d"),
+        ("verify --suite system --l 2 --level 2 --zmax 4 --qmax 10"
+         " --format text", "c6231c4d8cf20426"),
+        ("character --method fermionic --l 2 --weight 1,1,0 --zmax 4 --qmax 12",
+         "0bc8e65baa7b6f84"),
+        ("character --method fermionic --l 2 --weight 2,0,1 --zmax 3 --qmax 10"
+         " --format text", "4bb962f21325caa1"),
     ]
 
     @pytest.mark.parametrize("command, prefix", PINNED)
