@@ -1,22 +1,19 @@
 """Batch command-line interface: characters, verification suites, listings.
 
 Exit codes: 0 success, 1 verification violations or internal inconsistency,
-2 invalid configuration.  Each command gathers its independent computations
-into one list of calls and maps it through at most one process pool, sized
-by the command's total tasks and the CPUs.  Results come back in list order,
-so output is byte-identical for any parallelism degree.
+2 invalid configuration.  The commands only parse, call the library and
+print.  `verify` gathers its independent computations into one list of
+calls and maps it through at most one process pool, sized by its total
+tasks and the CPUs.  Results come back in list order, so output is
+byte-identical for any parallelism degree.
 """
 
 import argparse
 import json
 import os
 import sys
-from importlib import resources
-from itertools import zip_longest
 
 from . import admissible, fermionic, recurrence, specialize
-from .charseries import CharSeries, dense_row
-from .reporting import CheckReport
 
 DEFAULTS = {"l": 2, "level": 2, "zmax": 6, "qmax": 16, "jobs": 1}
 
@@ -58,7 +55,7 @@ def _read_config_file(path):
                     raise CliError(f"unknown config key {key!r} in {path} "
                                    f"(known: {', '.join(DEFAULTS)})")
                 values[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}")
     return values
 
@@ -164,7 +161,8 @@ def cmd_character(args):
         except ValueError:
             raise CliError(
                 f"--sites must be an integer or 'inf', got {args.sites!r}")
-    _check_settings(l, args.jobs, l2_only, level, zmax=zmax, qmax=qmax, sites=sites)
+    _check_settings(l, l2_only=l2_only, level=level, zmax=zmax, qmax=qmax,
+                    sites=sites)
     if method == "fjmmt2" and args.ab is None:
         raise CliError("method fjmmt2 needs --ab a,b")
     if method != "fjmmt2" and args.weight is None:
@@ -178,15 +176,9 @@ def cmd_character(args):
             raise CliError(f"--ab must be a pair a,b of entries >= 0, got {args.ab!r}")
 
     if method in ("oracle", "fermionic"):
-        caps = (zmax,) * l
-        if method == "oracle":
-            result = admissible.character_oracle(weight, qmax, caps)
-        else:
-            grid = [(n1, n2) for n1 in range(zmax + 1) for n2 in range(zmax + 1)]
-            coeffs = _pmap([(fermionic.a_coefficient, (weight, n1, n2, qmax))
-                            for n1, n2 in grid], args.jobs)
-            rows = [dense_row(c.coeffs.items(), qmax) for c in coeffs]
-            result = CharSeries(caps, qmax, dict(zip(grid, rows)))
+        route = (admissible.character_oracle if method == "oracle"
+                 else fermionic.character_fermionic)
+        result = route(weight, qmax, (zmax,) * l)
         text = (
             _json_dumps(result.to_json())
             if args.format == "json"
@@ -219,35 +211,6 @@ def cmd_character(args):
 # -- verify -------------------------------------------------------------------
 
 
-def _golden_system():
-    """The packaged transcription of the level-2, rank-2 recurrence system."""
-    return (resources.files("fstchar.data") / "system_l2_k2.txt").read_text("utf-8")
-
-
-def _system_suite(l, level, chars):
-    """The recurrence check on the table `chars` {weight: oracle character}
-    and, at l = level = 2, the check of the packaged transcription."""
-    reports = [recurrence.verify_system(chars)]
-    if (l, level) == (2, 2):
-        rendered = recurrence.render_system(recurrence.build_system(2, 2))
-        golden_report = CheckReport(name="recurrence-golden[k=2,l=2]")
-        golden_report.checked = 1
-        # lines keep their ends, so a missing final newline differs too
-        lines = zip_longest(
-            rendered.splitlines(True), _golden_system().splitlines(True),
-            fillvalue="<eof>",
-        )
-        for bad, (got, want) in enumerate(lines):
-            if got != want:
-                golden_report.add_violation(
-                    where={"line": bad + 1},
-                    expected=want.rstrip("\n"), actual=got.rstrip("\n"),
-                )
-                break
-        reports.append(golden_report)
-    return reports
-
-
 def cmd_verify(args):
     suite = args.suite
     l, level, zmax, qmax = args.l, args.level, args.zmax, args.qmax
@@ -255,7 +218,8 @@ def cmd_verify(args):
     l2_only = None if suite == "system" else f"suite {suite}"
     _check_settings(l, args.jobs, l2_only, level, zmax=zmax, qmax=qmax)
     # every suite's independent calls go through one map, in report order;
-    # the system suite's are its oracle characters, checked here afterwards.
+    # the system suite's are its oracle characters, checked here afterwards,
+    # and at l = level = 2 the check of the transcribed system.
     # Every suite but system runs at l = 2, so they share these weights
     weights = recurrence.level_weights(level, l)
     caps = (zmax,) * l
@@ -263,6 +227,8 @@ def cmd_verify(args):
     if suite in ("system", "all"):
         calls += [(admissible.character_oracle, (weight, qmax, caps))
                   for weight in weights]
+        if (l, level) == (2, 2):
+            calls.append((recurrence.verify_transcription, ()))
     if suite in ("lemmas", "all"):
         calls += [(fermionic.identity_battery, (k,))
                   for k in range(1, min(level, 5) + 1)]
@@ -277,7 +243,7 @@ def cmd_verify(args):
     reports = []
     if suite in ("system", "all"):
         chars, results = results[:len(weights)], results[len(weights):]
-        reports = _system_suite(l, level, dict(zip(weights, chars)))
+        reports = [recurrence.verify_system(dict(zip(weights, chars)))]
     reports += results
 
     ok = all(r.ok for r in reports)
@@ -363,7 +329,6 @@ def build_parser():
     p_char.add_argument("--ab", help="a,b pair for method fjmmt2")
     p_char.add_argument("--level", type=int, help="level for method fjmmt2")
     p_char.add_argument("--sites", help="site count for fjmmt2 (integer or inf)")
-    p_char.add_argument("--jobs", type=int, help="worker processes")
     p_char.set_defaults(func=cmd_character, defaults=DEFAULTS)
 
     p_verify = subparsers.add_parser(

@@ -13,6 +13,8 @@ exponents turn negative vanish.
 `verify_system` reads a table {weight: CharSeries} of one level on one
 window, which any route(weight, q_order, caps) fills as
 {w: route(w, q_order, caps) for w in level_weights(k, len(caps))}.
+`verify_transcription` checks the rendered level-2, rank-2 system against
+its transcription from the paper, `LEVEL2_SYSTEM`.
 """
 
 import itertools
@@ -89,6 +91,39 @@ def build_system(k, l):
 
 def render_system(equations):
     return "\n".join(eq.render() for eq in equations) + "\n"
+
+
+# the level-2, rank-2 system as transcribed from the paper, one line per
+# equation in canonical weight order
+LEVEL2_SYSTEM = """\
+A[2,0,0](n1,n2) - A[1,1,0](n1,n2) = q^(n1+n2) * A[0,2,0](n1-2,n2)
+A[1,1,0](n1,n2) - A[0,2,0](n1,n2) - A[1,0,1](n1,n2) + A[0,1,1](n1,n2) = q^(n1+n2) * A[0,1,1](n1-1,n2-1)
+A[1,0,1](n1,n2) - A[0,1,1](n1,n2) = q^(n1+n2) * A[1,1,0](n1-1,n2)
+A[0,2,0](n1,n2) - A[0,1,1](n1,n2) = q^(n1+n2) * A[0,0,2](n1,n2-2)
+A[0,1,1](n1,n2) - A[0,0,2](n1,n2) = q^(n1+n2) * A[1,0,1](n1,n2-1)
+A[0,0,2](n1,n2) = q^(n1+n2) * A[2,0,0](n1,n2)
+"""
+
+
+def verify_transcription():
+    """Check render_system(build_system(2, 2)) against LEVEL2_SYSTEM; one report.
+
+    The texts count as one comparison; the first line that differs is the
+    violation.  Lines keep their ends, so a missing final newline differs
+    too, and a text that ends early reads `<eof>` there.
+    """
+    report = CheckReport(name="recurrence-golden[k=2,l=2]", checked=1)
+    lines = itertools.zip_longest(
+        render_system(build_system(2, 2)).splitlines(True),
+        LEVEL2_SYSTEM.splitlines(True), fillvalue="<eof>",
+    )
+    for number, (got, want) in enumerate(lines, start=1):
+        if got != want:
+            report.add_violation(where={"line": number},
+                                 expected=want.rstrip("\n"),
+                                 actual=got.rstrip("\n"))
+            break
+    return report
 
 
 def verify_system(chars):

@@ -6,7 +6,6 @@ no tolerances anywhere.
 """
 
 import time
-from importlib import resources
 
 from conftest import POLY_ORDER, nsequence_battery
 from reference import gaussian_binomial
@@ -19,7 +18,7 @@ from fstchar.admissible import (
 )
 from fstchar.fermionic import character_fermionic, identity_battery, linear_term
 from fstchar.qseries import QSeries, inv_pochhammer, pochhammer
-from fstchar.recurrence import build_system, level_weights, render_system, verify_system
+from fstchar.recurrence import level_weights, verify_system, verify_transcription
 from fstchar.specialize import verify_spec1, verify_spec2, verify_union_identity
 
 from test_fermionic import expected_level2_linear_term
@@ -67,12 +66,7 @@ def test_criterion_2_recurrence_system():
         checked += report.checked
         if not report.ok:
             bad.append(((l, level), report.violations[0]))
-    golden = (
-        resources.files("fstchar.data")
-        .joinpath("system_l2_k2.txt")
-        .read_text(encoding="utf-8")
-    )
-    golden_ok = render_system(build_system(2, 2)) == golden
+    golden_ok = verify_transcription().ok
     ok = not bad and golden_ok
     report_line(
         2, "recurrence system + golden",

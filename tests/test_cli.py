@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fstchar import cli
+from fstchar import cli, recurrence
 from fstchar.cli import _worker_count, main
 
 
@@ -61,17 +61,6 @@ class TestCharacter:
             "--weight", "1,0,0,0", "--zmax", "2", "--qmax", "4",
         )
         assert code == 2
-
-    def test_jobs_do_not_change_output(self, capsys):
-        argv = [
-            "character", "--method", "fermionic", "--l", "2",
-            "--weight", "1,1,0", "--zmax", "3", "--qmax", "8",
-        ]
-        code, serial, _ = run(capsys, *argv, "--jobs", "1")
-        assert code == 0
-        code, parallel, _ = run(capsys, *argv, "--jobs", "3")
-        assert code == 0
-        assert serial == parallel
 
     def test_fjmmt_method(self, capsys):
         code, out, _ = run(
@@ -240,16 +229,16 @@ class TestVerify:
         assert any(n.startswith("recurrence-golden") for n in names)
 
     def test_corrupted_golden_exits_1(self, capsys, monkeypatch):
-        golden = cli._golden_system()
+        golden = recurrence.LEVEL2_SYSTEM
         lines = golden.splitlines(True)
         assert len(lines) == 6
         changed = golden.replace("A[0,2,0](n1-2,n2)", "A[0,2,0](n1-1,n2)")
-        # a changed first line, a file that ends one line early, and one
+        # a changed first line, a text that ends one line early, and one
         # that lacks its final newline
         for bad, line, expected in ((changed, 1, changed.splitlines()[0]),
                                     ("".join(lines[:-1]), 6, "<eof>"),
                                     (golden[:-1], 6, lines[-1][:-1])):
-            monkeypatch.setattr(cli, "_golden_system", lambda text=bad: text)
+            monkeypatch.setattr(recurrence, "LEVEL2_SYSTEM", bad)
             code, out, _ = run(
                 capsys, "verify", "--suite", "system", "--l", "2",
                 "--level", "2", "--zmax", "3", "--qmax", "8",
@@ -553,7 +542,8 @@ class TestConfigFile:
         assert settled == [cli.DEFAULTS["qmax"], 3, 2]
 
     def test_key_without_flag_not_read(self, capsys, tmp_path):
-        # list-admissible has no --jobs or --level, so it never reads them
+        # list-admissible has no --jobs or --level, and character no --jobs,
+        # so they never read them
         cfg = tmp_path / "run.cfg"
         cfg.write_text("jobs=abc\nlevel=abc\n")
         code, out, err = run(
@@ -567,6 +557,13 @@ class TestConfigFile:
         )
         assert (code, out) == (2, "")
         assert "config value for level is not valid" in err
+        cfg.write_text("jobs=abc\n")
+        code, out, err = run(
+            capsys, "--config", str(cfg), "character", "--method",
+            "fermionic", "--weight", "1,0,0", "--zmax", "2", "--qmax", "4",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["q_order"] == 4
 
 
 class TestSettingsCheck:
@@ -608,7 +605,7 @@ class TestSettingsCheck:
         (["verify", "--suite", "lemmas", "--level", "1", "--jobs", "-3"],
          "--jobs must be >= 1"),
         (["character", "--method", "fermionic", "--weight", "1,0,0",
-          "--jobs", "0"], "--jobs must be >= 1"),
+          "--jobs", "0"], "unrecognized arguments: --jobs 0"),
         (["list-admissible", "--weight", "1,0,0", "--jobs", "2"],
          "unrecognized arguments: --jobs 2"),
         (["list-admissible", "--l", "3", "--weight", "1,0,0,0", "--init", "0,0"],
@@ -648,6 +645,17 @@ class TestSettingsCheck:
         assert code == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "lemmas", "--level", "1"],
+        ["list-admissible", "--weight", "1,0,0", "--qmax", "2"],
+    ], ids=["verify", "list-admissible"])
+    def test_undecodable_config_exits_2(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe=1\n")
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {cfg}: ")
 
     def test_config_window_checked_too(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

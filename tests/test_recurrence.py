@@ -1,15 +1,15 @@
-from importlib import resources
-
 import pytest
 
 from fstchar.admissible import character_oracle
 from fstchar.charseries import CharSeries
 from fstchar.recurrence import (
+    LEVEL2_SYSTEM,
     build_equation,
     build_system,
     level_weights,
     render_system,
     verify_system,
+    verify_transcription,
 )
 
 
@@ -63,12 +63,9 @@ class TestBuildSystem:
         assert eq.rhs_shift == (1, 0)
 
     def test_golden_transcription(self):
-        golden = (
-            resources.files("fstchar.data")
-            .joinpath("system_l2_k2.txt")
-            .read_text(encoding="utf-8")
-        )
-        assert render_system(build_system(2, 2)) == golden
+        assert render_system(build_system(2, 2)) == LEVEL2_SYSTEM
+        report = verify_transcription()
+        assert report.ok and report.checked == 1
 
 
 def oracle_table(k, q_order, caps):
