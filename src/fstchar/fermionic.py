@@ -25,7 +25,6 @@ reads.  All functions are pure; coefficient computations for distinct
 
 import itertools
 import random
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import add, sub
 
@@ -35,20 +34,48 @@ from .qseries import CACHE_SIZE, QSeries, denominator_row
 from .reporting import CheckReport
 
 
-@dataclass(frozen=True)
 class BinaryPattern:
-    bits: tuple
-    left: int = 0    # boundary bit p_0
-    right: int = 0   # boundary bit p_{k+1}
+    """A pattern p in {0,1}^k with its boundary bits p_0 (`left`) and
+    p_{k+1} (`right`), both 0 unless given.  Immutable; equal, hashed and
+    pickled by (bits, left, right).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(self.bits))
-        if len(self.bits) < 1:
+    __slots__ = ("bits", "left", "right")
+
+    def __init__(self, bits, left=0, right=0):
+        bits = tuple(bits)
+        if len(bits) < 1:
             raise ValueError("patterns need length k >= 1")
-        if any(b not in (0, 1) for b in self.bits):
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("pattern entries must be bits")
-        if self.left not in (0, 1) or self.right not in (0, 1):
+        if left not in (0, 1) or right not in (0, 1):
             raise ValueError("boundary bits must be 0 or 1")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BinaryPattern is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("BinaryPattern is immutable")
+
+    def _fields(self):
+        return self.bits, self.left, self.right
+
+    def __eq__(self, other):
+        if not isinstance(other, BinaryPattern):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "BinaryPattern(bits={!r}, left={!r}, right={!r})".format(*self._fields())
+
+    def __reduce__(self):
+        return (BinaryPattern, self._fields())
 
     @property
     def k(self):
@@ -258,14 +285,14 @@ def _linear_term_star_summands(k0, k1, k2):
     (1 - q^{N_{2,pos}}), pos locating the (k_2+1)-th one of p.  It and the
     two flipped sums below need a strictly positive triple."""
     for p in patterns(k0 + k1 + k2, k1 + k2):
-        yield _summand(p, flip_last(k1, 1, p), 1, replace(p, right=1),
-                       extra=pos(1, k2 + 1, p))
+        yield _summand(p, flip_last(k1, 1, p), 1,
+                       BinaryPattern(p.bits, right=1), extra=pos(1, k2 + 1, p))
 
 
 def _m_term_summands(k0, k1, k2):
     """m: patterns with k_0+k_2 ones, axis-2 deltas with left bit 1."""
     for p in patterns(k0 + k1 + k2, k0 + k2):
-        yield _summand(flip_first(k2, 1, p), p, 2, replace(p, left=1))
+        yield _summand(flip_first(k2, 1, p), p, 2, BinaryPattern(p.bits, left=1))
 
 
 def _n_term_summands(k0, k1, k2):

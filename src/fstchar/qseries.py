@@ -165,8 +165,12 @@ class QSeries:
 # `denominator_row` keeps one row per key, prefixes included: 129 rows (13,800
 # hits) after `verify --suite fjmmt --level 4 --zmax 14 --qmax 36`, 108 after
 # `verify --suite all --level 3 --zmax 8 --qmax 20 --jobs 1`, 124 after
-# `verify --suite fjmmt2 --level 4 --qmax 30`.  No route calls `pochhammer`
-# or `inv_pochhammer`; their caches serve the tests and perfbench/ only.
+# `verify --suite fjmmt2 --level 4 --qmax 30`.  `specialize.prefix_census`
+# and `specialize.chi_fjmmt2` keep one series per distinct call: 10 and 13
+# entries after `verify --suite all --level 3 --zmax 8 --qmax 20 --jobs 1`
+# (40 and 24 hits), 21 and 26 after `verify --suite fjmmt2 --level 5
+# --qmax 40`.  No route calls `pochhammer` or `inv_pochhammer`; their caches
+# serve the tests and perfbench/ only.
 CACHE_SIZE = 512
 
 

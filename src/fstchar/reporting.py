@@ -1,9 +1,6 @@
 """Verification reports: a uniform pass/fail container for all checkers."""
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class CheckReport:
     """Outcome of one verification run.
 
@@ -12,10 +9,11 @@ class CheckReport:
     instance) comparisons, `window` records the bounds they were made on.
     """
 
-    name: str
-    window: dict = field(default_factory=dict)
-    checked: int = 0
-    violations: list = field(default_factory=list)
+    def __init__(self, name, window=None, checked=0, violations=None):
+        self.name = name
+        self.window = {} if window is None else window
+        self.checked = checked
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self):

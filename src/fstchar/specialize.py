@@ -17,12 +17,13 @@ their exponent vectors through one pruned walk, `_walk`, and both spec_2
 checks build their report through one frame, `_spec2_frame`.
 """
 
+from functools import lru_cache
 from operator import add, mul
 
 from .admissible import character_oracle, energy, enumerate_configs, weight_parts
 from .charseries import specialize
 from .fermionic import character_fermionic
-from .qseries import QSeries, denominator_row
+from .qseries import CACHE_SIZE, QSeries, denominator_row
 from .reporting import CheckReport
 
 
@@ -147,6 +148,7 @@ def fjmmt2_r_vector(k, a, b):
     )
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def chi_fjmmt2(a, b, k, n_sites, q_order):
     """The level-k fermionic sum with Gaussian-binomial factors, as a QSeries.
 
@@ -168,6 +170,8 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
     constraint encoded by b is already slack there, and larger b values
     describe the same set.  This matches the out-of-range terms produced by
     the alternating-sum identity for weights with k_2 = 0.
+
+    Cached: the spec_2 checks of one level repeat the same stabilized sums.
     """
     if k < 1:
         raise ValueError(f"need level k >= 1, got {k}")
@@ -216,8 +220,12 @@ def chi_fjmmt2_alternating(weight, q_order):
 # -- censuses (brute-force side of the comparisons) --------------------------
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def prefix_census(k, a, b, energy_max):
-    """sum q^{first moment} over admissible configs with exact prefix a_0=a, a_1=b."""
+    """sum q^{first moment} over admissible configs with exact prefix a_0=a, a_1=b.
+
+    Cached: the union checks of one level share most of their prefixes.
+    """
     terms = {}
     for config in enumerate_configs(
         2, (k, 0, 0), init_prefix=(a, b), energy_max=energy_max

@@ -361,12 +361,14 @@ class TestVerify:
         assert loaded in ("True", "False"), loaded
         return loaded == "True"
 
-    def test_import_loads_no_process_pool(self):
-        assert not self.loaded_by_import("concurrent.futures")
-
-    def test_import_loads_no_traceback(self):
-        # only --traceback prints one, on an internal error
-        assert not self.loaded_by_import("traceback")
+    @pytest.mark.parametrize("module", [
+        "concurrent.futures",  # only a pooled run starts one
+        "traceback",           # only --traceback prints one, on an internal error
+        "dataclasses",         # with inspect, ast, dis and tokenize: ~12 ms a run
+        "inspect",
+    ])
+    def test_import_loads_only_what_every_run_needs(self, module):
+        assert not self.loaded_by_import(module)
 
     def test_benchmark_tracer_finds_every_traced_name(self):
         # perfbench/traced_cli.py reports null for a metric whose function or

@@ -1,6 +1,5 @@
 import itertools
 import pickle
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -26,6 +25,8 @@ from fstchar.fermionic import (
     pos,
 )
 from fstchar.qseries import QSeries, inv_pochhammer
+from fstchar.recurrence import RecurrenceEquation, build_equation
+from fstchar.reporting import CheckReport
 
 
 def mono(e, q_order=POLY_ORDER):
@@ -139,6 +140,67 @@ class TestNSequences:
         back = pickle.loads(pickle.dumps(N))
         assert back == N and hash(back) == hash(N)
         assert (back.entries, back.factors) == (N.entries, N.factors)
+
+
+# the other frozen value types, by name: a value, an equal one built apart,
+# an unequal one, the field names and the repr text
+VALUES = {
+    "BinaryPattern": (
+        BinaryPattern([1, 0], right=1), BinaryPattern((1, 0), 0, 1),
+        BinaryPattern((1, 0), left=1, right=1), ("bits", "left", "right"),
+        "BinaryPattern(bits=(1, 0), left=0, right=1)",
+    ),
+    "RecurrenceEquation": (
+        build_equation((1, 0, 1), 2),
+        RecurrenceEquation((1, 0, 1), ((1, (1, 0, 1)), (-1, (0, 1, 1))),
+                           (1, 1, 0), (1, 0)),
+        build_equation((0, 1, 1), 2), ("weight", "lhs", "rhs_weight", "rhs_shift"),
+        "RecurrenceEquation(weight=(1, 0, 1), lhs=((1, (1, 0, 1)), "
+        "(-1, (0, 1, 1))), rhs_weight=(1, 1, 0), rhs_shift=(1, 0))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+class TestValueTypes:
+    """The cases of TestNSequences for the other frozen value types."""
+
+    def test_equality_and_hash(self, name):
+        value, same, other, fields, _ = VALUES[name]
+        assert value == same and hash(value) == hash(same)
+        assert value != other
+        assert value != tuple(getattr(value, f) for f in fields)
+        assert len({value, same, other}) == 2
+
+    def test_repr(self, name):
+        value, *_, text = VALUES[name]
+        assert repr(value) == text
+
+    def test_immutable(self, name):
+        value, same, _, fields, _ = VALUES[name]
+        for attr in (*fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, attr, (0, 0))
+            with pytest.raises(AttributeError):
+                delattr(value, attr)
+        assert value == same
+
+    def test_pickle_round_trip(self, name):
+        value = VALUES[name][0]
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and hash(back) == hash(value)
+        assert repr(back) == repr(value)
+
+
+def test_report_pickle_round_trip():
+    # pool workers send their reports back pickled
+    report = CheckReport("r[1]", {"q_order": 3})
+    report.check({"n": [1, 0]}, QSeries({0: 1}, 3), QSeries({1: 1}, 3))
+    report.check({"n": [0, 1]}, 2, 2)
+    back = pickle.loads(pickle.dumps(report))
+    assert not back.ok and back.checked == 2
+    assert back.to_json() == report.to_json()
+    assert back.render_text() == report.render_text()
 
 
 class TestTerms:
@@ -274,7 +336,7 @@ class TestStarAndFlippedSums:
         N = NSequences((6, 5, 3), (2, 4, 9))
         total = QSeries.zero(POLY_ORDER)
         for p in patterns(3, 2):
-            bumped = replace(p, right=1)
+            bumped = BinaryPattern(p.bits, right=1)
             factor = _product_delta_term(1, bumped, N, POLY_ORDER)
             plain = _product_delta_term(1, p, N, POLY_ORDER)
             if p.bits[-1] == 0:
@@ -304,7 +366,8 @@ class TestStarAndFlippedSums:
         for p in patterns(3, 2):
             term = _product_l_term(1, flip_first(1, 1, p), N, POLY_ORDER)
             term = term * _product_l_term(2, p, N, POLY_ORDER)
-            term = term * _product_delta_term(2, replace(p, left=1), N, POLY_ORDER)
+            term = term * _product_delta_term(
+                2, BinaryPattern(p.bits, left=1), N, POLY_ORDER)
             expected = expected + term
         assert got_m == expected
 
@@ -525,7 +588,7 @@ def _product_linear_term_star(w, N, q_order):
     for p in patterns(sum(w), k1 + k2):
         extra = _product_one_minus_q(N2(N, pos(1, k2 + 1, p)), q_order)
         term = _product_l_term(1, p, N, q_order) * _product_delta_term(
-            1, replace(p, right=1), N, q_order)
+            1, BinaryPattern(p.bits, right=1), N, q_order)
         term = term * _product_l_term(2, flip_last(k1, 1, p), N, q_order)
         total = total + term * extra
     return total
@@ -538,7 +601,7 @@ def _product_m_term(w, N, q_order):
         term = _product_l_term(1, flip_first(k2, 1, p), N, q_order)
         term = term * _product_l_term(2, p, N, q_order)
         total = total + term * _product_delta_term(
-            2, replace(p, left=1), N, q_order)
+            2, BinaryPattern(p.bits, left=1), N, q_order)
     return total
 
 

@@ -13,7 +13,7 @@ from fstchar.admissible import character_oracle
 from fstchar.charseries import CharSeries
 from fstchar.cli import main
 from fstchar.fermionic import a_coefficient
-from fstchar.qseries import QSeries, denominator_row, inv_pochhammer
+from fstchar.qseries import CACHE_SIZE, QSeries, denominator_row, inv_pochhammer
 from fstchar.specialize import (
     chi_fjmmt,
     chi_fjmmt2,
@@ -333,6 +333,8 @@ class TestSharedDenominatorRows:
     ])
     def test_later_readers_see_fresh_rows(self, a, b, k, w):
         q_order = 16
+        # memoized sums from earlier tests would skip the rows
+        chi_fjmmt2.cache_clear()
         denominator_row.cache_clear()
         assert chi_fjmmt2(a, b, k, 3, q_order) == (
             _chi_fjmmt2_products(a, b, k, 3, q_order))
@@ -345,6 +347,20 @@ class TestSharedDenominatorRows:
             for n2 in range(5):
                 assert a_coefficient(w, n1, n2, q_order) == QSeries.from_row(
                     oracle.coeffs.get((n1, n2), (0,) * (q_order + 1))), (n1, n2)
+
+
+class TestMemo:
+    """Each census and stabilized sum is computed once per process."""
+
+    @pytest.mark.parametrize("fn, args", [
+        (prefix_census, (3, 1, 1, 12)), (chi_fjmmt2, (1, 2, 3, None, 12)),
+    ], ids=["prefix_census", "chi_fjmmt2"])
+    def test_repeated_call_is_a_hit(self, fn, args):
+        assert fn.cache_parameters()["maxsize"] == CACHE_SIZE
+        first = fn(*args)
+        hits = fn.cache_info().hits
+        assert fn(*args) == first == fn.__wrapped__(*args)
+        assert fn.cache_info().hits == hits + 1
 
 
 class TestVerifiers:
@@ -401,7 +417,11 @@ class TestVerifiers:
 
 
 def _one_config_fewer(monkeypatch):
-    """Drop one configuration from the stream that the censuses count."""
+    """Drop one configuration from the stream that the censuses count.
+
+    The censuses run unmemoized meanwhile: the memo would hand back the
+    clean counts, and would keep the short one after the test.
+    """
     real = specialize.enumerate_configs
     dropped = []
 
@@ -412,6 +432,8 @@ def _one_config_fewer(monkeypatch):
         return iter(configs)
 
     monkeypatch.setattr(specialize, "enumerate_configs", stream)
+    monkeypatch.setattr(specialize, "prefix_census",
+                        specialize.prefix_census.__wrapped__)
 
 
 def _bump(series):
