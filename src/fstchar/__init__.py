@@ -1,4 +1,8 @@
-"""Exact characters of principal-like subspace modules for rank-2 affine type.
+"""Exact characters of principal-like subspace modules of affine sl(l+1).
+
+The oracle, its configuration stream and the recurrence system run at any
+rank l; the closed fermionic formula, the pattern identities and the
+one-variable sums reached through the specializations are rank 2 (sl(3)).
 
 The package computes truncated formal characters three independent ways --
 brute-force enumeration of admissible configurations, a closed fermionic

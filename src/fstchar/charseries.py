@@ -15,13 +15,18 @@ coefficient truncated at its guaranteed-valid order 2Q - n - min(n, cap_1).
 spec_2 is spec_1 at z = 1 (`specialize.spec2`).
 """
 
-from .qseries import QSeries
+from .qseries import Frozen, QSeries
 
 
-class CharSeries:
-    """Character series sum_n A^n(q) z_1^{n_1} ... z_l^{n_l} on a fixed window."""
+class CharSeries(Frozen):
+    """Character series sum_n A^n(q) z_1^{n_1} ... z_l^{n_l} on a fixed window.
+
+    Unhashable: it holds a dict.
+    """
 
     __slots__ = ("caps", "q_order", "coeffs")
+    _args = ("caps", "q_order", "coeffs")
+    __hash__ = None
 
     def __init__(self, caps, q_order, coeffs=None):
         """`coeffs` maps exponent vectors to rows of length q_order + 1;
@@ -46,22 +51,6 @@ class CharSeries:
         object.__setattr__(self, "caps", caps)
         object.__setattr__(self, "q_order", q_order)
         object.__setattr__(self, "coeffs", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CharSeries is immutable")
-
-    def __reduce__(self):
-        return (CharSeries, (self.caps, self.q_order, self.coeffs))
-
-    # -- queries -----------------------------------------------------------
-
-    def same_window(self, other):
-        return self.caps == other.caps and self.q_order == other.q_order
-
-    def __eq__(self, other):
-        if not isinstance(other, CharSeries):
-            return NotImplemented
-        return self.same_window(other) and self.coeffs == other.coeffs
 
     def __repr__(self):
         return (

@@ -30,17 +30,17 @@ from operator import add, sub
 
 from .admissible import weight_parts
 from .charseries import CharSeries, dense_row
-from .qseries import CACHE_SIZE, QSeries, denominator_row
+from .qseries import CACHE_SIZE, Frozen, QSeries, denominator_row
 from .reporting import CheckReport
 
 
-class BinaryPattern:
+class BinaryPattern(Frozen):
     """A pattern p in {0,1}^k with its boundary bits p_0 (`left`) and
-    p_{k+1} (`right`), both 0 unless given.  Immutable; equal, hashed and
-    pickled by (bits, left, right).
+    p_{k+1} (`right`), both 0 unless given.
     """
 
     __slots__ = ("bits", "left", "right")
+    _args = ("bits", "left", "right")
 
     def __init__(self, bits, left=0, right=0):
         bits = tuple(bits)
@@ -54,35 +54,12 @@ class BinaryPattern:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryPattern is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("BinaryPattern is immutable")
-
-    def _fields(self):
-        return self.bits, self.left, self.right
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryPattern):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "BinaryPattern(bits={!r}, left={!r}, right={!r})".format(*self._fields())
-
-    def __reduce__(self):
-        return (BinaryPattern, self._fields())
-
     @property
     def k(self):
         return len(self.bits)
 
 
-class NSequences:
+class NSequences(Frozen):
     """The two monotone integer sequences a fermionic summand is built from.
 
     Built once with them: `entries` is n1 + n2, and `factors` holds the
@@ -90,11 +67,12 @@ class NSequences:
     N_{1,i} - N_{1,i+1}, then N_{2,i} - N_{2,i-1} (i = 1..k, phantom entries
     N_{1,k+1} = N_{2,0} = 0), then N_{2,1..k}.  The 2k gaps are also the
     Pochhammer factors of `a_coefficient`, and the sequences are valid
-    exactly when no gap is negative.  Immutable; equal, hashed and pickled
-    by (n1, n2).
+    exactly when no gap is negative.  Equal, hashed and pickled by (n1, n2)
+    alone; the derived `entries` and `factors` are built again on unpickling.
     """
 
     __slots__ = ("n1", "n2", "entries", "factors")
+    _args = ("n1", "n2")
 
     def __init__(self, n1, n2):
         n1, n2 = tuple(n1), tuple(n2)  # n1 weakly decreasing, n2 increasing
@@ -108,26 +86,6 @@ class NSequences:
         object.__setattr__(self, "n2", n2)
         object.__setattr__(self, "entries", n1 + n2)
         object.__setattr__(self, "factors", gaps + n2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NSequences is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("NSequences is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, NSequences):
-            return NotImplemented
-        return self.n1 == other.n1 and self.n2 == other.n2
-
-    def __hash__(self):
-        return hash((self.n1, self.n2))
-
-    def __repr__(self):
-        return f"NSequences(n1={self.n1!r}, n2={self.n2!r})"
-
-    def __reduce__(self):
-        return (NSequences, (self.n1, self.n2))
 
     @property
     def k(self):

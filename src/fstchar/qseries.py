@@ -5,8 +5,12 @@ truncation order Q: terms with exponent > Q are discarded and considered
 unknown, terms with exponent <= Q are exact.  Exponents may be negative,
 coefficients are ordinary Python integers (arbitrary precision).
 
-All operations are pure; values are immutable by convention and safe to
-share between threads or processes.
+All operations are pure.  The value types of the package (`QSeries`,
+`CharSeries`, `BinaryPattern`, `NSequences`, `RecurrenceEquation`) share one
+protocol, `Frozen`, which refuses to set or delete their attributes; they
+are safe to share between threads or processes.  The `coeffs` dicts of
+`QSeries` and `CharSeries` stay immutable only by convention: cached
+results share them, so no caller may change one.
 
 QSeries carries the one-variable results (the specializations, the known
 sums, the pattern sums, the censuses) and renders every series as JSON or
@@ -23,15 +27,54 @@ of `perfbench/`.
 from functools import lru_cache
 
 
-class QSeries:
+class Frozen:
+    """An immutable value, equal, hashed, printed and pickled by its fields.
+
+    A subclass names its constructor arguments, in order, in `_args`, and
+    its constructor stores them with `object.__setattr__`.  Two values are
+    equal when they have the same type and equal fields, `repr` reads
+    `Name(field=value, ...)`, and pickling calls the constructor again with
+    the fields.  Setting or deleting any attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in self._args:
+            if getattr(self, f) != getattr(other, f):
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, f) for f in self._args]))
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._args])
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), tuple([getattr(self, f) for f in self._args]))
+
+
+class QSeries(Frozen):
     """Truncated Laurent series with exact integer coefficients.
 
     The truncation order of the result of a binary operation is the minimum
     of the operands' truncation orders: a coefficient is retained only where
-    both inputs are trustworthy.
+    both inputs are trustworthy.  Unhashable: it holds a dict.
     """
 
     __slots__ = ("coeffs", "trunc")
+    _args = ("coeffs", "trunc")
+    __hash__ = None
 
     def __init__(self, coeffs=None, trunc=0):
         terms = {}
@@ -41,12 +84,6 @@ class QSeries:
                     terms[e] = c
         object.__setattr__(self, "coeffs", terms)
         object.__setattr__(self, "trunc", trunc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
-
-    def __reduce__(self):
-        return (QSeries, (self.coeffs, self.trunc))
 
     # -- constructors ------------------------------------------------------
 
@@ -67,11 +104,6 @@ class QSeries:
 
     def is_zero(self):
         return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.trunc == other.trunc and self.coeffs == other.coeffs
 
     # -- arithmetic --------------------------------------------------------
 

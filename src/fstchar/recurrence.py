@@ -21,51 +21,27 @@ import itertools
 from operator import add, sub
 
 from .admissible import weight_parts
-from .qseries import QSeries
+from .qseries import Frozen, QSeries
 from .reporting import CheckReport
 
 
-class RecurrenceEquation:
+class RecurrenceEquation(Frozen):
     """The equation of one weight, as `build_equation` makes it.
 
     `weight` is the defining weight (k_0, ..., k_l), `lhs` its terms
     ((sign, weight), ...) with the defining weight first, `rhs_weight` the
     cyclic shift (k_l, k_0, ..., k_{l-1}) and `rhs_shift` (k_0, ...,
-    k_{l-1}), read as n_i -> n_i - shift[i-1].  Immutable; equal, hashed
-    and pickled by these four fields.
+    k_{l-1}), read as n_i -> n_i - shift[i-1].
     """
 
     __slots__ = ("weight", "lhs", "rhs_weight", "rhs_shift")
+    _args = ("weight", "lhs", "rhs_weight", "rhs_shift")
 
     def __init__(self, weight, lhs, rhs_weight, rhs_shift):
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs_weight", rhs_weight)
         object.__setattr__(self, "rhs_shift", rhs_shift)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RecurrenceEquation is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("RecurrenceEquation is immutable")
-
-    def _fields(self):
-        return self.weight, self.lhs, self.rhs_weight, self.rhs_shift
-
-    def __eq__(self, other):
-        if not isinstance(other, RecurrenceEquation):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return ("RecurrenceEquation(weight={!r}, lhs={!r}, rhs_weight={!r}, "
-                "rhs_shift={!r})".format(*self._fields()))
-
-    def __reduce__(self):
-        return (RecurrenceEquation, self._fields())
 
     def render(self):
         def var_text(shift):

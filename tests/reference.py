@@ -109,7 +109,7 @@ def _moved_row(coeffs, exponent):
 
 def char_sum(a, b, sign=1):
     """a + sign * b for two CharSeries on the same window."""
-    if not a.same_window(b):
+    if (a.caps, a.q_order) != (b.caps, b.q_order):
         raise ValueError(f"window mismatch: {a.caps}/{a.q_order} "
                          f"vs {b.caps}/{b.q_order}")
     terms = {n: list(coeffs) for n, coeffs in a.coeffs.items()}

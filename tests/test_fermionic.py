@@ -11,6 +11,7 @@ from reference import N1, N2, shift
 
 from fstchar import fermionic
 from fstchar.admissible import character_oracle
+from fstchar.charseries import CharSeries
 from fstchar.fermionic import (
     BinaryPattern,
     NSequences,
@@ -115,20 +116,10 @@ class TestNSequences:
         assert N1(N, 3) == 0 and N2(N, 0) == 0
         assert N1(N, 1) == 3 and N2(N, 2) == 5
 
-    def test_equality_and_hash(self):
-        N = NSequences([3, 1], [2, 5])
-        assert N == NSequences((3, 1), (2, 5))
-        assert hash(N) == hash(NSequences((3, 1), (2, 5)))
-        assert N != NSequences((3, 1), (2, 6))
-        assert N != ((3, 1), (2, 5))
-        assert len({N, NSequences((3, 1), (2, 5)), NSequences((1, 1), (2, 5))}) == 2
-
-    def test_repr(self):
-        assert repr(NSequences((3, 1), (2, 5))) == "NSequences(n1=(3, 1), n2=(2, 5))"
-
     def test_immutable(self):
+        # the derived slots; n1, n2 and any other name are VALUES cases
         N = NSequences((3, 1), (2, 5))
-        for name in ("n1", "n2", "entries", "factors", "other"):
+        for name in ("entries", "factors"):
             with pytest.raises(AttributeError):
                 setattr(N, name, (0, 0))
             with pytest.raises(AttributeError):
@@ -136,19 +127,35 @@ class TestNSequences:
         assert N.entries == (3, 1, 2, 5) and N.factors == (2, 1, 2, 3, 2, 5)
 
     def test_pickle_round_trip(self):
+        # pickled by (n1, n2) alone, so unpickling builds the derived slots
         N = NSequences((3, 1), (2, 5))
         back = pickle.loads(pickle.dumps(N))
-        assert back == N and hash(back) == hash(N)
         assert (back.entries, back.factors) == (N.entries, N.factors)
 
 
-# the other frozen value types, by name: a value, an equal one built apart,
-# an unequal one, the field names and the repr text
+# the frozen value types, by name: a value, an equal one built apart, an
+# unequal one, the field names, the repr text and whether it is hashable
 VALUES = {
+    "QSeries": (
+        QSeries({0: 1, 2: -3}, 5), QSeries({0: 1, 1: 0, 2: -3, 7: 4}, 5),
+        QSeries({0: 1, 2: -3}, 6), ("coeffs", "trunc"),
+        "QSeries(1 - 3*q^2; O(q^6))", False,
+    ),
+    "CharSeries": (
+        CharSeries((2, 2), 3, {(1, 0): (1, 0, 2, 0)}),
+        CharSeries([2, 2], 3, {(1, 0): [1, 0, 2, 0], (0, 0): [0, 0, 0, 0]}),
+        CharSeries((2, 3), 3, {(1, 0): (1, 0, 2, 0)}), ("caps", "q_order", "coeffs"),
+        "CharSeries(l=2, caps=(2, 2), q_order=3, 1 terms)", False,
+    ),
     "BinaryPattern": (
         BinaryPattern([1, 0], right=1), BinaryPattern((1, 0), 0, 1),
         BinaryPattern((1, 0), left=1, right=1), ("bits", "left", "right"),
-        "BinaryPattern(bits=(1, 0), left=0, right=1)",
+        "BinaryPattern(bits=(1, 0), left=0, right=1)", True,
+    ),
+    "NSequences": (
+        NSequences([3, 1], [2, 5]), NSequences((3, 1), (2, 5)),
+        NSequences((3, 1), (2, 6)), ("n1", "n2"),
+        "NSequences(n1=(3, 1), n2=(2, 5))", True,
     ),
     "RecurrenceEquation": (
         build_equation((1, 0, 1), 2),
@@ -156,28 +163,32 @@ VALUES = {
                            (1, 1, 0), (1, 0)),
         build_equation((0, 1, 1), 2), ("weight", "lhs", "rhs_weight", "rhs_shift"),
         "RecurrenceEquation(weight=(1, 0, 1), lhs=((1, (1, 0, 1)), "
-        "(-1, (0, 1, 1))), rhs_weight=(1, 1, 0), rhs_shift=(1, 0))",
+        "(-1, (0, 1, 1))), rhs_weight=(1, 1, 0), rhs_shift=(1, 0))", True,
     ),
 }
 
 
 @pytest.mark.parametrize("name", VALUES)
 class TestValueTypes:
-    """The cases of TestNSequences for the other frozen value types."""
+    """The `Frozen` protocol: equality, hash, repr, immutability, pickling."""
 
     def test_equality_and_hash(self, name):
-        value, same, other, fields, _ = VALUES[name]
-        assert value == same and hash(value) == hash(same)
-        assert value != other
+        value, same, other, fields, _, hashable = VALUES[name]
+        assert value == same and value != other
         assert value != tuple(getattr(value, f) for f in fields)
-        assert len({value, same, other}) == 2
+        if hashable:
+            assert hash(value) == hash(same)
+            assert len({value, same, other}) == 2
+        else:
+            with pytest.raises(TypeError):
+                hash(value)
 
     def test_repr(self, name):
-        value, *_, text = VALUES[name]
+        value, *_, text, _ = VALUES[name]
         assert repr(value) == text
 
     def test_immutable(self, name):
-        value, same, _, fields, _ = VALUES[name]
+        value, same, _, fields, _, _ = VALUES[name]
         for attr in (*fields, "other"):
             with pytest.raises(AttributeError):
                 setattr(value, attr, (0, 0))
@@ -186,10 +197,11 @@ class TestValueTypes:
         assert value == same
 
     def test_pickle_round_trip(self, name):
-        value = VALUES[name][0]
+        value, *_, hashable = VALUES[name]
         back = pickle.loads(pickle.dumps(value))
-        assert back == value and hash(back) == hash(value)
-        assert repr(back) == repr(value)
+        assert back == value and repr(back) == repr(value)
+        if hashable:
+            assert hash(back) == hash(value)
 
 
 def test_report_pickle_round_trip():

@@ -362,6 +362,14 @@ class TestMemo:
         assert fn(*args) == first == fn.__wrapped__(*args)
         assert fn.cache_info().hits == hits + 1
 
+    def test_cached_census_cannot_lose_an_attribute(self):
+        # every later caller gets the same object from the cache
+        for name in ("coeffs", "trunc"):
+            with pytest.raises(AttributeError):
+                delattr(prefix_census(2, 0, 0, 6), name)
+        assert prefix_census(2, 0, 0, 6).trunc == 6
+        assert prefix_census(2, 0, 0, 6) == prefix_census.__wrapped__(2, 0, 0, 6)
+
 
 class TestVerifiers:
     def test_spec1_level1(self):
