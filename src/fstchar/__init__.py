@@ -31,7 +31,6 @@ from .admissible import (
 )
 from .charseries import CharSeries
 from .fermionic import (
-    BinaryPattern,
     NSequences,
     a_coefficient,
     character_fermionic,
@@ -52,7 +51,6 @@ __all__ = [
     "enumerate_configs",
     "weight_parts",
     "CharSeries",
-    "BinaryPattern",
     "NSequences",
     "a_coefficient",
     "character_fermionic",

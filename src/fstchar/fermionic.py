@@ -1,9 +1,9 @@
 """Pattern calculus on {0,1}^k and the closed fermionic character formula.
 
-Conventions.  A pattern p = (p_1, ..., p_k) carries explicit boundary bits
-p_0 (left) and p_{k+1} (right), both 0 unless a construction says otherwise;
-they are part of the value because the delta-products below consult them.
-The two families of integer sequences are
+Conventions.  A pattern p = (p_1, ..., p_k) is a plain tuple of bits.  Of
+the boundary bits, d^1_p reads only p_{k+1} and d^2_p only p_0, so a
+summand takes the one it reads as its `edge` bit, 0 unless a construction
+says otherwise.  The two families of integer sequences are
 
     N_{1,1} >= N_{1,2} >= ... >= N_{1,k} >= 0     (axis 1, read decreasing)
     N_{2,k} >= N_{2,k-1} >= ... >= N_{2,1} >= 0   (axis 2, read increasing)
@@ -32,31 +32,6 @@ from .admissible import weight_parts
 from .charseries import CharSeries, dense_row
 from .qseries import CACHE_SIZE, Frozen, QSeries, denominator_row
 from .reporting import CheckReport
-
-
-class BinaryPattern(Frozen):
-    """A pattern p in {0,1}^k with its boundary bits p_0 (`left`) and
-    p_{k+1} (`right`), both 0 unless given.
-    """
-
-    __slots__ = ("bits", "left", "right")
-    _args = ("bits", "left", "right")
-
-    def __init__(self, bits, left=0, right=0):
-        bits = tuple(bits)
-        if len(bits) < 1:
-            raise ValueError("patterns need length k >= 1")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("pattern entries must be bits")
-        if left not in (0, 1) or right not in (0, 1):
-            raise ValueError("boundary bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    @property
-    def k(self):
-        return len(self.bits)
 
 
 class NSequences(Frozen):
@@ -93,24 +68,21 @@ class NSequences(Frozen):
 
 
 def patterns(k, ones):
-    """All of {0,1}^k with the given number of ones, in lexicographic order."""
+    """All of {0,1}^k with `ones` ones, in lexicographic order of their positions."""
+    if k < 1:
+        raise ValueError("patterns need length k >= 1")
     if not 0 <= ones <= k:
         return []
-    out = []
-    for positions in itertools.combinations(range(k), ones):
-        bits = [0] * k
-        for pos in positions:
-            bits[pos] = 1
-        out.append(BinaryPattern(tuple(bits)))
-    return out
+    return [tuple(int(i in ones_at) for i in range(k))
+            for ones_at in itertools.combinations(range(k), ones)]
 
 
 def pattern_le(p, p2):
     """p <= p2 iff every prefix sum of p is >= the matching prefix sum of p2."""
-    if p.k != p2.k:
+    if len(p) != len(p2):
         raise ValueError("patterns must have equal length")
     acc1 = acc2 = 0
-    for b1, b2 in zip(p.bits, p2.bits):
+    for b1, b2 in zip(p, p2):
         acc1 += b1
         acc2 += b2
         if acc1 < acc2:
@@ -119,13 +91,13 @@ def pattern_le(p, p2):
 
 
 def flip_first(i, j, p):
-    """Flip the first i occurrences of bit value j; boundaries reset to 0."""
-    return _flip(i, j, p, range(p.k))
+    """Flip the first i occurrences of bit value j."""
+    return _flip(i, j, p, range(len(p)))
 
 
 def flip_last(i, j, p):
-    """Flip the last i occurrences of bit value j; boundaries reset to 0."""
-    return _flip(i, j, p, range(p.k - 1, -1, -1))
+    """Flip the last i occurrences of bit value j."""
+    return _flip(i, j, p, range(len(p) - 1, -1, -1))
 
 
 def _flip(i, j, p, order):
@@ -133,7 +105,7 @@ def _flip(i, j, p, order):
         raise ValueError("bit value must be 0 or 1")
     if i < 0:
         raise ValueError("flip count must be >= 0")
-    bits = list(p.bits)
+    bits = list(p)
     left = i
     for m in order:
         if left == 0:
@@ -142,8 +114,8 @@ def _flip(i, j, p, order):
             bits[m] = 1 - j
             left -= 1
     if left:
-        raise ValueError(f"pattern {p.bits} has fewer than {i} entries equal to {j}")
-    return BinaryPattern(tuple(bits))
+        raise ValueError(f"pattern {p} has fewer than {i} entries equal to {j}")
+    return tuple(bits)
 
 
 def pos(value, j, p):
@@ -151,38 +123,39 @@ def pos(value, j, p):
     if j < 1:
         raise ValueError("occurrence index is 1-based")
     seen = 0
-    for m, b in enumerate(p.bits, start=1):
+    for m, b in enumerate(p, start=1):
         if b == value:
             seen += 1
             if seen == j:
                 return m
-    raise ValueError(f"pattern {p.bits} has fewer than {j} entries equal to {value}")
+    raise ValueError(f"pattern {p} has fewer than {j} entries equal to {value}")
 
 
-def _fired(axis, p):
+def _fired(axis, p, edge):
     """0-based indices i - 1 of the factors (1 - q^{gap}) that d^axis_p fires.
 
-    Axis 1 fires factor i when p_i = 0, p_{i+1} = 1 (the right boundary bit
-    stands in for p_{k+1}); axis 2 fires when p_i = 0, p_{i-1} = 1 (the left
-    boundary bit stands in for p_0).
+    Axis 1 fires factor i when p_i = 0, p_{i+1} = 1, axis 2 when p_i = 0,
+    p_{i-1} = 1; the bit `edge` stands in for p_{k+1} on axis 1 and for p_0
+    on axis 2, the only boundary bit each reads.
     """
-    bits = (p.left,) + p.bits + (p.right,)
+    bits = (edge,) + p + (edge,)
     step = 1 if axis == 1 else -1
-    return [i - 1 for i in range(1, p.k + 1) if not bits[i] and bits[i + step]]
+    return [i - 1 for i in range(1, len(p) + 1) if not bits[i] and bits[i + step]]
 
 
-def _summand(p1, p2, axis, p_delta, extra=None):
+def _summand(p1, p2, axis, p_delta, extra=None, edge=0):
     """l^1_{p1} l^2_{p2} d^axis_{p_delta}, times (1 - q^{N_{2,extra}}) if given.
 
-    Kept as the index template `(ones, slots)` that `_evaluate` reads:
-    `ones` holds the positions of the 1-bits of `p1.bits + p2.bits` in
-    `N.entries`, so p2's bit i sits at k + i, and `slots` the positions of
-    the factors' exponents in `N.factors`.
+    `edge` is the boundary bit d^axis reads (p_{k+1} on axis 1, p_0 on axis
+    2).  Kept as the index template `(ones, slots)` that `_evaluate` reads:
+    `ones` holds the positions of the 1-bits of `p1 + p2` in `N.entries`, so
+    p2's bit i sits at k + i, and `slots` the positions of the factors'
+    exponents in `N.factors`.
     """
-    k = p1.k
-    ones = tuple(i for i, b in enumerate(p1.bits + p2.bits) if b)
+    k = len(p1)
+    ones = tuple(i for i, b in enumerate(p1 + p2) if b)
     offset = 0 if axis == 1 else k
-    slots = tuple(offset + i for i in _fired(axis, p_delta))
+    slots = tuple(offset + i for i in _fired(axis, p_delta, edge))
     if extra is not None:
         slots += (2 * k + extra - 1,)
     return ones, slots
@@ -239,18 +212,17 @@ def _linear_term_alt_summands(k0, k1, k2):
 
 
 def _linear_term_star_summands(k0, k1, k2):
-    """The starred variant: right boundary bit 1, and the summand for p gains
+    """The starred variant: boundary bit p_{k+1} = 1, and the summand for p gains
     (1 - q^{N_{2,pos}}), pos locating the (k_2+1)-th one of p.  It and the
     two flipped sums below need a strictly positive triple."""
     for p in patterns(k0 + k1 + k2, k1 + k2):
-        yield _summand(p, flip_last(k1, 1, p), 1,
-                       BinaryPattern(p.bits, right=1), extra=pos(1, k2 + 1, p))
+        yield _summand(p, flip_last(k1, 1, p), 1, p, pos(1, k2 + 1, p), edge=1)
 
 
 def _m_term_summands(k0, k1, k2):
-    """m: patterns with k_0+k_2 ones, axis-2 deltas with left bit 1."""
+    """m: patterns with k_0+k_2 ones, axis-2 deltas with boundary bit p_0 = 1."""
     for p in patterns(k0 + k1 + k2, k0 + k2):
-        yield _summand(flip_first(k2, 1, p), p, 2, BinaryPattern(p.bits, left=1))
+        yield _summand(flip_first(k2, 1, p), p, 2, p, edge=1)
 
 
 def _n_term_summands(k0, k1, k2):
@@ -264,7 +236,7 @@ def linear_term(w, N, q_order):
     """Sum over patterns with k_1+k_2 ones of l^1_p d^1_p l^2_{g(p)}.
 
     g moves the last k_1 ones to zeros before the axis-2 power is read off.
-    Default boundary bits throughout.  Each summand is a monomial times the
+    Boundary bit 0 throughout.  Each summand is a monomial times the
     fired factors (1 - q^gap).  Its index template (`_summand`) is built once
     per weight and cached; on N the exponent is a sum of entries of N at the
     template's indices, and the product is expanded in one sparse dict with
@@ -419,18 +391,18 @@ def identity_battery(k):
         window={"instances": len(instances), "entry_max": ENTRY_MAX},
     )
 
-    zero = BinaryPattern((0,) * k)
+    zero = (0,) * k
     sides = []  # (tag, where, lhs templates, rhs templates), in check order
     for i in range(k + 1):
         for p in patterns(k, i):
             sides.append((
-                "prefix-sum-expansion-axis1", {"p": p.bits},
+                "prefix-sum-expansion-axis1", {"p": p},
                 [_summand(p, zero, 1, zero)],
                 [_summand(p2, zero, 1, p2)
                  for p2 in patterns(k, i) if pattern_le(p2, p)],
             ))
             sides.append((
-                "prefix-sum-expansion-axis2", {"p": p.bits},
+                "prefix-sum-expansion-axis2", {"p": p},
                 [_summand(zero, p, 2, zero)],
                 [_summand(zero, p2, 2, p2)
                  for p2 in patterns(k, i) if pattern_le(p, p2)],

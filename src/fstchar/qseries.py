@@ -5,12 +5,12 @@ truncation order Q: terms with exponent > Q are discarded and considered
 unknown, terms with exponent <= Q are exact.  Exponents may be negative,
 coefficients are ordinary Python integers (arbitrary precision).
 
-All operations are pure.  The value types of the package (`QSeries`,
-`CharSeries`, `BinaryPattern`, `NSequences`, `RecurrenceEquation`) share one
-protocol, `Frozen`, which refuses to set or delete their attributes; they
-are safe to share between threads or processes.  The `coeffs` dicts of
-`QSeries` and `CharSeries` stay immutable only by convention: cached
-results share them, so no caller may change one.
+All operations are pure.  The four value types of the package (`QSeries`,
+`CharSeries`, `NSequences`, `RecurrenceEquation`) share one protocol,
+`Frozen`, which refuses to set or delete their attributes; they are safe to
+share between threads or processes.  A QSeries holds its terms read-only,
+as cached ones are shared with every caller; `CharSeries` is never cached,
+so its `coeffs` stays a plain dict, immutable only by convention.
 
 QSeries carries the one-variable results (the specializations, the known
 sums, the pattern sums, the censuses) and renders every series as JSON or
@@ -25,6 +25,7 @@ of `perfbench/`.
 """
 
 from functools import lru_cache
+from types import MappingProxyType
 
 
 class Frozen:
@@ -69,7 +70,8 @@ class QSeries(Frozen):
 
     The truncation order of the result of a binary operation is the minimum
     of the operands' truncation orders: a coefficient is retained only where
-    both inputs are trustworthy.  Unhashable: it holds a dict.
+    both inputs are trustworthy.  Unhashable: `coeffs` is a read-only
+    mapping, pickled as a dict.
     """
 
     __slots__ = ("coeffs", "trunc")
@@ -82,8 +84,11 @@ class QSeries(Frozen):
             for e, c in coeffs.items():
                 if c and e <= trunc:
                     terms[e] = c
-        object.__setattr__(self, "coeffs", terms)
+        object.__setattr__(self, "coeffs", MappingProxyType(terms))
         object.__setattr__(self, "trunc", trunc)
+
+    def __reduce__(self):
+        return (QSeries, (self.coeffs.copy(), self.trunc))
 
     # -- constructors ------------------------------------------------------
 
@@ -111,7 +116,7 @@ class QSeries(Frozen):
         if not isinstance(other, QSeries):
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        terms = dict(self.coeffs)
+        terms = self.coeffs.copy()
         for e, c in other.coeffs.items():
             terms[e] = terms.get(e, 0) + c
         return QSeries(terms, trunc)
@@ -120,7 +125,7 @@ class QSeries(Frozen):
         if not isinstance(other, QSeries):
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        terms = dict(self.coeffs)
+        terms = self.coeffs.copy()
         for e, c in other.coeffs.items():
             terms[e] = terms.get(e, 0) - c
         return QSeries(terms, trunc)

@@ -641,6 +641,14 @@ class TestSettingsCheck:
          "method fjmmt2 needs --ab a,b"),
         (["list-admissible", "--qmax", "3"],
          "the following arguments are required: --weight"),
+        (["character", "--method", "fjmmt2", "--ab", "3,0", "--level", "2",
+          "--qmax", "4"], "--ab out of range for level 2"),
+        (["list-admissible", "--weight", "1,0,0", "--init", "0,0,0"],
+         "--init must be a pair a,b"),
+        (["list-admissible", "--weight", "1,0,0", "--init=-1,0", "--qmax", "3"],
+         "init_prefix must be a pair"),
+        (["character", "--method", "oracle", "--weight", "a,b,c"],
+         "must be a comma-separated integer list"),
     ])
     def test_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

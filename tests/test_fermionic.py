@@ -13,7 +13,6 @@ from fstchar import fermionic
 from fstchar.admissible import character_oracle
 from fstchar.charseries import CharSeries
 from fstchar.fermionic import (
-    BinaryPattern,
     NSequences,
     a_coefficient,
     character_fermionic,
@@ -52,56 +51,57 @@ def pattern_sum(summands, w, N, q_order):
 
 class TestPatternBasics:
     def test_le_reflexive(self):
-        p = BinaryPattern((1, 0, 1))
+        p = (1, 0, 1)
         assert pattern_le(p, p)
 
     def test_le_examples(self):
-        assert pattern_le(BinaryPattern((1, 0)), BinaryPattern((0, 1)))
-        assert not pattern_le(BinaryPattern((0, 1)), BinaryPattern((1, 0)))
-        assert pattern_le(BinaryPattern((1, 0, 1)), BinaryPattern((0, 1, 1)))
+        assert pattern_le((1, 0), (0, 1))
+        assert not pattern_le((0, 1), (1, 0))
+        assert pattern_le((1, 0, 1), (0, 1, 1))
 
     def test_le_length_mismatch(self):
         with pytest.raises(ValueError):
-            pattern_le(BinaryPattern((1,)), BinaryPattern((1, 0)))
+            pattern_le((1,), (1, 0))
 
     def test_patterns_counts(self):
         assert len(patterns(5, 2)) == 10
-        assert patterns(3, 0)[0].bits == (0, 0, 0)
+        assert patterns(3, 0) == [(0, 0, 0)]
         assert patterns(3, 4) == []
 
+    @pytest.mark.parametrize("k, ones", [(0, 0), (0, 1), (-1, 0)])
+    def test_patterns_need_length(self, k, ones):
+        with pytest.raises(ValueError, match="length k >= 1"):
+            patterns(k, ones)
+
     def test_flip_last_one(self):
-        assert flip_last(1, 1, BinaryPattern((1, 0, 1))).bits == (1, 0, 0)
+        assert flip_last(1, 1, (1, 0, 1)) == (1, 0, 0)
 
     def test_flip_first_two_zeros(self):
-        assert flip_first(2, 0, BinaryPattern((0, 1, 0, 0))).bits == (1, 1, 1, 0)
+        assert flip_first(2, 0, (0, 1, 0, 0)) == (1, 1, 1, 0)
 
     def test_flip_zero_is_identity(self):
-        p = BinaryPattern((0, 1, 1))
-        assert flip_first(0, 1, p).bits == p.bits
-        assert flip_last(0, 0, p).bits == p.bits
+        p = (0, 1, 1)
+        assert flip_first(0, 1, p) == p
+        assert flip_last(0, 0, p) == p
 
     def test_flip_insufficient_raises(self):
-        with pytest.raises(ValueError):
-            flip_first(2, 1, BinaryPattern((1, 0)))
+        with pytest.raises(ValueError, match="fewer than 2 entries"):
+            flip_first(2, 1, (1, 0))
 
     def test_flip_round_trip_on_suffix(self):
-        p = BinaryPattern((1, 0, 1, 1))
-        assert flip_last(2, 0, flip_last(2, 1, p)).bits == p.bits
+        p = (1, 0, 1, 1)
+        assert flip_last(2, 0, flip_last(2, 1, p)) == p
 
     def test_bit_count_changes(self):
-        p = BinaryPattern((1, 0, 1, 1))
-        assert sum(flip_last(2, 1, p).bits) == sum(p.bits) - 2
-        assert sum(flip_first(1, 0, p).bits) == sum(p.bits) + 1
+        p = (1, 0, 1, 1)
+        assert sum(flip_last(2, 1, p)) == sum(p) - 2
+        assert sum(flip_first(1, 0, p)) == sum(p) + 1
 
     def test_pos(self):
-        assert pos(1, 1, BinaryPattern((0, 1, 1))) == 2
-        assert pos(0, 2, BinaryPattern((0, 1, 0))) == 3
-        with pytest.raises(ValueError):
-            pos(1, 3, BinaryPattern((0, 1, 1)))
-
-    def test_boundary_bits_validated(self):
-        with pytest.raises(ValueError):
-            BinaryPattern((1, 0), left=2)
+        assert pos(1, 1, (0, 1, 1)) == 2
+        assert pos(0, 2, (0, 1, 0)) == 3
+        with pytest.raises(ValueError, match="fewer than 3 entries"):
+            pos(1, 3, (0, 1, 1))
 
 
 class TestNSequences:
@@ -146,11 +146,6 @@ VALUES = {
         CharSeries([2, 2], 3, {(1, 0): [1, 0, 2, 0], (0, 0): [0, 0, 0, 0]}),
         CharSeries((2, 3), 3, {(1, 0): (1, 0, 2, 0)}), ("caps", "q_order", "coeffs"),
         "CharSeries(l=2, caps=(2, 2), q_order=3, 1 terms)", False,
-    ),
-    "BinaryPattern": (
-        BinaryPattern([1, 0], right=1), BinaryPattern((1, 0), 0, 1),
-        BinaryPattern((1, 0), left=1, right=1), ("bits", "left", "right"),
-        "BinaryPattern(bits=(1, 0), left=0, right=1)", True,
     ),
     "NSequences": (
         NSequences([3, 1], [2, 5]), NSequences((3, 1), (2, 5)),
@@ -219,10 +214,10 @@ class TestTerms:
     """Hand examples of l^axis_p and d^axis_p as `_evaluate` sums them."""
 
     N = NSequences((5, 2), (3, 7))
-    ZERO = BinaryPattern((0, 0))
+    ZERO = (0, 0)
 
-    def term(self, p1, p2, axis, p_delta, N=None):
-        template = fermionic._summand(p1, p2, axis, p_delta)
+    def term(self, p1, p2, axis, p_delta, N=None, edge=0):
+        template = fermionic._summand(p1, p2, axis, p_delta, edge=edge)
         return fermionic._evaluate([template], N or self.N, POLY_ORDER)
 
     def test_l_term_all_zero_pattern(self):
@@ -230,38 +225,36 @@ class TestTerms:
 
     def test_l_terms_by_hand(self):
         # l^1_{10} l^2_{01} = q^{N_{1,1} + N_{2,2}}
-        p1, p2 = BinaryPattern((1, 0)), BinaryPattern((0, 1))
-        assert self.term(p1, p2, 1, self.ZERO) == mono(5 + 7)
+        assert self.term((1, 0), (0, 1), 1, self.ZERO) == mono(5 + 7)
 
     def test_delta_axis1_example(self):
         # fires on the 01 descent: 1 - q^{N_{1,1}-N_{1,2}}
-        p = BinaryPattern((0, 1))
-        assert self.term(self.ZERO, self.ZERO, 1, p) == one() - mono(3)
+        assert self.term(self.ZERO, self.ZERO, 1, (0, 1)) == one() - mono(3)
 
     def test_delta_axis2_default_boundary(self):
-        p = BinaryPattern((0, 1))
-        assert self.term(self.ZERO, self.ZERO, 2, p) == one()
+        assert self.term(self.ZERO, self.ZERO, 2, (0, 1)) == one()
 
     def test_delta_axis2_left_boundary_fires(self):
-        p = BinaryPattern((0, 1), left=1)
-        assert self.term(self.ZERO, self.ZERO, 2, p) == one() - mono(3)
+        # the edge bit stands in for p_0 on axis 2
+        assert self.term(self.ZERO, self.ZERO, 2, (0, 1), edge=1) == (
+            one() - mono(3))
 
     def test_delta_axis1_right_boundary_fires(self):
-        p = BinaryPattern((1, 0), right=1)
-        assert self.term(self.ZERO, self.ZERO, 1, p) == one() - mono(2)
+        # the edge bit stands in for p_{k+1} on axis 1
+        assert self.term(self.ZERO, self.ZERO, 1, (1, 0), edge=1) == (
+            one() - mono(2))
 
     def test_zero_gap_kills_factor(self):
         N = NSequences((4, 4), (0, 0))
-        p = BinaryPattern((0, 1))
-        assert self.term(self.ZERO, self.ZERO, 1, p, N).is_zero()
+        assert self.term(self.ZERO, self.ZERO, 1, (0, 1), N).is_zero()
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_axis2_bit_reads_its_own_entry(self, j):
         # six distinct entries, so a bit read at any other index shows; the
         # order is the exponent itself, so the term sits at the truncation edge
         N = NSequences((9, 6, 4), (1, 2, 7))
-        zero = BinaryPattern((0, 0, 0))
-        p2 = BinaryPattern(tuple(int(i == j) for i in range(1, 4)))
+        zero = (0, 0, 0)
+        p2 = tuple(int(i == j) for i in range(1, 4))
         template = fermionic._summand(zero, p2, 1, zero)
         q_order = N2(N, j)
         assert fermionic._evaluate([template], N, q_order) == mono(q_order, q_order)
@@ -348,10 +341,9 @@ class TestStarAndFlippedSums:
         N = NSequences((6, 5, 3), (2, 4, 9))
         total = QSeries.zero(POLY_ORDER)
         for p in patterns(3, 2):
-            bumped = BinaryPattern(p.bits, right=1)
-            factor = _product_delta_term(1, bumped, N, POLY_ORDER)
+            factor = _product_delta_term(1, p, N, POLY_ORDER, edge=1)
             plain = _product_delta_term(1, p, N, POLY_ORDER)
-            if p.bits[-1] == 0:
+            if p[-1] == 0:
                 assert factor == plain * (one() - mono(N1(N, 3)))
             else:
                 assert factor == plain
@@ -378,8 +370,7 @@ class TestStarAndFlippedSums:
         for p in patterns(3, 2):
             term = _product_l_term(1, flip_first(1, 1, p), N, POLY_ORDER)
             term = term * _product_l_term(2, p, N, POLY_ORDER)
-            term = term * _product_delta_term(
-                2, BinaryPattern(p.bits, left=1), N, POLY_ORDER)
+            term = term * _product_delta_term(2, p, N, POLY_ORDER, edge=1)
             expected = expected + term
         assert got_m == expected
 
@@ -551,23 +542,24 @@ class TestCharacterFermionic:
 
 def _product_l_term(axis, p, N, q_order):
     seq = N.n1 if axis == 1 else N.n2
-    return QSeries({sum(b * x for b, x in zip(p.bits, seq)): 1}, q_order)
+    return QSeries({sum(b * x for b, x in zip(p, seq)): 1}, q_order)
 
 
 def _product_one_minus_q(exponent, q_order):
     return QSeries.one(q_order) - QSeries({exponent: 1}, q_order)
 
 
-def _product_delta_term(axis, p, N, q_order):
-    k = p.k
+def _product_delta_term(axis, p, N, q_order, edge=0):
+    """d^axis_p, with `edge` as p_{k+1} on axis 1 and as p_0 on axis 2."""
+    k = len(p)
     out = QSeries.one(q_order)
     for i in range(1, k + 1):
-        here = p.bits[i - 1]
+        here = p[i - 1]
         if axis == 1:
-            neighbor = p.bits[i] if i < k else p.right
+            neighbor = p[i] if i < k else edge
             gap = N1(N, i) - N1(N, i + 1)
         else:
-            neighbor = p.bits[i - 2] if i >= 2 else p.left
+            neighbor = p[i - 2] if i >= 2 else edge
             gap = N2(N, i) - N2(N, i - 1)
         if here == 0 and neighbor == 1:
             out = out * _product_one_minus_q(gap, q_order)
@@ -600,7 +592,7 @@ def _product_linear_term_star(w, N, q_order):
     for p in patterns(sum(w), k1 + k2):
         extra = _product_one_minus_q(N2(N, pos(1, k2 + 1, p)), q_order)
         term = _product_l_term(1, p, N, q_order) * _product_delta_term(
-            1, BinaryPattern(p.bits, right=1), N, q_order)
+            1, p, N, q_order, edge=1)
         term = term * _product_l_term(2, flip_last(k1, 1, p), N, q_order)
         total = total + term * extra
     return total
@@ -612,8 +604,7 @@ def _product_m_term(w, N, q_order):
     for p in patterns(sum(w), k0 + k2):
         term = _product_l_term(1, flip_first(k2, 1, p), N, q_order)
         term = term * _product_l_term(2, p, N, q_order)
-        total = total + term * _product_delta_term(
-            2, BinaryPattern(p.bits, left=1), N, q_order)
+        total = total + term * _product_delta_term(2, p, N, q_order, edge=1)
     return total
 
 
@@ -716,24 +707,23 @@ class TestAgainstSeriesProducts:
 
 
 def _patterns_of_length(k):
-    """Any pattern of length k, with any boundary bits."""
-    bits = st.lists(st.integers(0, 1), min_size=k, max_size=k).map(tuple)
-    return st.builds(BinaryPattern, bits, st.integers(0, 1), st.integers(0, 1))
+    """Any pattern of length k."""
+    return st.lists(st.integers(0, 1), min_size=k, max_size=k).map(tuple)
 
 
 @st.composite
 def single_summands(draw):
-    """N, then p1, p2, axis, p_delta and extra of one `_summand` on it."""
+    """N, then p1, p2, axis, p_delta, extra and edge of one `_summand` on it."""
     _, N = draw(weight_and_sequences())
     p1, p2, p_delta = (draw(_patterns_of_length(N.k)) for _ in range(3))
     axis = draw(st.sampled_from([1, 2]))
     extra = draw(st.one_of(st.none(), st.integers(1, N.k)))
-    return N, p1, p2, axis, p_delta, extra
+    edge = draw(st.integers(0, 1))
+    return N, p1, p2, axis, p_delta, extra, edge
 
 
-ZERO3 = BinaryPattern((0, 0, 0))
-ONES3 = BinaryPattern((1, 1, 1), left=1, right=1)
-EDGES = BinaryPattern((0, 0, 0), left=1, right=1)
+ZERO3 = (0, 0, 0)
+ONES3 = (1, 1, 1)
 
 
 class TestEvaluator:
@@ -744,19 +734,19 @@ class TestEvaluator:
 
     @settings(max_examples=300, deadline=None)
     @given(single_summands(), orders)
-    @example((SPREAD, ZERO3, ZERO3, 1, ZERO3, None), 40)
-    @example((SPREAD, ZERO3, ZERO3, 2, ZERO3, 1), 40)
-    @example((SPREAD, ONES3, ZERO3, 1, EDGES, None), 40)
-    @example((SPREAD, ZERO3, ONES3, 2, EDGES, 3), 40)
-    @example((ZERO_GAPS, ONES3, ONES3, 2, EDGES, 1), 40)
-    @example((SPREAD, ONES3, ONES3, 1, EDGES, 2), -1)
+    @example((SPREAD, ZERO3, ZERO3, 1, ZERO3, None, 0), 40)
+    @example((SPREAD, ZERO3, ZERO3, 2, ZERO3, 1, 0), 40)
+    @example((SPREAD, ONES3, ZERO3, 1, ZERO3, None, 1), 40)
+    @example((SPREAD, ZERO3, ONES3, 2, ZERO3, 3, 1), 40)
+    @example((ZERO_GAPS, ONES3, ONES3, 2, ZERO3, 1, 1), 40)
+    @example((SPREAD, ONES3, ONES3, 1, ZERO3, 2, 1), -1)
     def test_single_template(self, summand, q_order):
-        N, p1, p2, axis, p_delta, extra = summand
-        template = fermionic._summand(p1, p2, axis, p_delta, extra)
+        N, p1, p2, axis, p_delta, extra, edge = summand
+        template = fermionic._summand(p1, p2, axis, p_delta, extra, edge)
         expected = (
             _product_l_term(1, p1, N, q_order)
             * _product_l_term(2, p2, N, q_order)
-            * _product_delta_term(axis, p_delta, N, q_order)
+            * _product_delta_term(axis, p_delta, N, q_order, edge)
         )
         if extra is not None:
             expected = expected * _product_one_minus_q(N2(N, extra), q_order)

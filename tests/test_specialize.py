@@ -13,7 +13,13 @@ from fstchar.admissible import character_oracle
 from fstchar.charseries import CharSeries
 from fstchar.cli import main
 from fstchar.fermionic import a_coefficient
-from fstchar.qseries import CACHE_SIZE, QSeries, denominator_row, inv_pochhammer
+from fstchar.qseries import (
+    CACHE_SIZE,
+    QSeries,
+    denominator_row,
+    inv_pochhammer,
+    pochhammer,
+)
 from fstchar.specialize import (
     chi_fjmmt,
     chi_fjmmt2,
@@ -370,6 +376,20 @@ class TestMemo:
         assert prefix_census(2, 0, 0, 6).trunc == 6
         assert prefix_census(2, 0, 0, 6) == prefix_census.__wrapped__(2, 0, 0, 6)
 
+    @pytest.mark.parametrize("fn, args", [
+        (prefix_census, (2, 0, 0, 6)), (chi_fjmmt2, (1, 2, 3, None, 12)),
+        (pochhammer, (2, 5)), (inv_pochhammer, (2, 5)),
+    ], ids=["prefix_census", "chi_fjmmt2", "pochhammer", "inv_pochhammer"])
+    def test_cached_series_cannot_change(self, fn, args):
+        # the cache hands this same QSeries to every later caller
+        series = fn(*args)
+        with pytest.raises(TypeError):
+            series.coeffs[0] = 99
+        with pytest.raises(TypeError):
+            del series.coeffs[0]
+        assert fn(*args) is series
+        assert series == fn.__wrapped__(*args)
+
 
 class TestVerifiers:
     def test_spec1_level1(self):
@@ -478,20 +498,33 @@ class TestVerifiersCanFail:
         with pytest.raises(AssertionError, match="failed to reach the target"):
             check((1, 1, 0), 10)
 
-    def test_negative_exponent_in_union_report(self, monkeypatch):
-        # q^0 z_1 specializes to q^-2, which no admissible configuration gives
-        real = specialize.character_oracle
+    @staticmethod
+    def _with_q0_z1(monkeypatch, name):
+        """Patch the character builder `name` to add q^0 z_1 to its result.
 
-        def oracle(*args):
+        Both specializations send q^0 z_1 to q^-2, which no admissible
+        configuration gives.
+        """
+        real = getattr(specialize, name)
+
+        def character(*args):
             char = real(*args)
             rows = dict(char.coeffs)
             rows[(1, 0)] = (1,) + rows[(1, 0)][1:]
             return CharSeries(char.caps, char.q_order, rows)
 
-        monkeypatch.setattr(specialize, "character_oracle", oracle)
+        monkeypatch.setattr(specialize, name, character)
+
+    def test_negative_exponent_in_union_report(self, monkeypatch):
+        self._with_q0_z1(monkeypatch, "character_oracle")
         report = verify_union_identity((1, 1, 0), 10)
         assert report.violations[0]["where"] == {"issue": "negative exponent"}
         assert report.checked == 1
+
+    def test_negative_exponent_in_spec1_report(self, monkeypatch):
+        self._with_q0_z1(monkeypatch, "character_fermionic")
+        report = verify_spec1(1, 1, 3, 8)
+        assert report.violations[0]["where"] == {"z": 1, "issue": "negative exponent"}
 
     @pytest.mark.parametrize("perturb, check, args", [
         (_one_config_fewer, verify_union_identity, ((1, 1, 0), 10)),
