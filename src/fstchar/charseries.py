@@ -9,10 +9,10 @@ identical finite window.  A CharSeries has no arithmetic: the routes hand
 over their rows, and the checks compare, specialize or read them.  Output
 renders each row through `QSeries.from_row`.
 
-`specialize` is the one specialization map: spec_1 (q -> q^2,
-z_1 -> q^{-2} z, z_2 -> q^{-1} z) of a two-variable character, each z^n
-coefficient truncated at its guaranteed-valid order 2Q - n - min(n, cap_1).
-spec_2 is spec_1 at z = 1 (`specialize.spec2`).
+`specialize` is spec_1 (q -> q^2, z_1 -> q^{-2} z, z_2 -> q^{-1} z) of a
+two-variable character, for the z^n with n <= min(cap_1, cap_2), each
+truncated at its guaranteed-valid order 2Q - 2n.  spec_2
+(`specialize.spec2`) is spec_1 at z = 1, summed over every cell.
 """
 
 from .qseries import Frozen, QSeries
@@ -119,24 +119,24 @@ def specialize(char):
 
     The map sends q -> q^2, z_1 -> q^{-2} z, z_2 -> q^{-1} z, so the
     coefficient of q^m z_1^{n_1} z_2^{n_2} lands on q^{2m - 2n_1 - n_2} z^n
-    with n = n_1 + n_2.  Every n = 0..cap_1 + cap_2 is returned, zero or
-    not, valid to order 2Q - n - min(n, cap_1): 2Q plus the most negative
-    shift that the caps allow at that n, so no coefficient outside the
-    window can reach it.
+    with n = n_1 + n_2.  Every n = 0..min(cap_1, cap_2) is returned, zero or
+    not, valid to order 2Q - 2n, 2Q plus the most negative shift at n; a
+    larger n is left out, since its cells beyond the caps reach any order.
     """
     if len(char.caps) != 2:
         raise ValueError(f"specialize needs 2 variables, got {len(char.caps)}")
-    cap1, cap2 = char.caps
-    buckets = [{} for _ in range(cap1 + cap2 + 1)]
+    top = min(char.caps)
+    buckets = [{} for _ in range(top + 1)]
     for (n1, n2), row in char.coeffs.items():
+        if n1 + n2 > top:
+            continue
         bucket = buckets[n1 + n2]
         shift = -2 * n1 - n2
         for e, c in enumerate(row):
             if c:
                 out_e = 2 * e + shift
                 bucket[out_e] = bucket.get(out_e, 0) + c
-    order = 2 * char.q_order
     return {
-        n: QSeries(bucket, order - n - min(n, cap1))
+        n: QSeries(bucket, 2 * char.q_order - 2 * n)
         for n, bucket in enumerate(buckets)
     }

@@ -5,12 +5,12 @@ truncation order Q: terms with exponent > Q are discarded and considered
 unknown, terms with exponent <= Q are exact.  Exponents may be negative,
 coefficients are ordinary Python integers (arbitrary precision).
 
-All operations are pure.  The four value types of the package (`QSeries`,
-`CharSeries`, `NSequences`, `RecurrenceEquation`) share one protocol,
-`Frozen`, which refuses to set or delete their attributes; they are safe to
-share between threads or processes.  A QSeries holds its terms read-only,
-as cached ones are shared with every caller; `CharSeries` is never cached,
-so its `coeffs` stays a plain dict, immutable only by convention.
+All operations are pure.  The three value types of the package (`QSeries`,
+`CharSeries`, `NSequences`) share one protocol, `Frozen`, which refuses to
+set or delete their attributes; they are safe to share between threads or
+processes.  A QSeries holds its terms read-only, as cached ones are shared
+with every caller; `CharSeries` is never cached, so its `coeffs` stays a
+plain dict, immutable only by convention.
 
 QSeries carries the one-variable results (the specializations, the known
 sums, the pattern sums, the censuses) and renders every series as JSON or

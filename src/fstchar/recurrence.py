@@ -21,47 +21,8 @@ import itertools
 from operator import add, sub
 
 from .admissible import weight_parts
-from .qseries import Frozen, QSeries
+from .qseries import QSeries
 from .reporting import CheckReport
-
-
-class RecurrenceEquation(Frozen):
-    """The equation of one weight, as `build_equation` makes it.
-
-    `weight` is the defining weight (k_0, ..., k_l), `lhs` its terms
-    ((sign, weight), ...) with the defining weight first, `rhs_weight` the
-    cyclic shift (k_l, k_0, ..., k_{l-1}) and `rhs_shift` (k_0, ...,
-    k_{l-1}), read as n_i -> n_i - shift[i-1].
-    """
-
-    __slots__ = ("weight", "lhs", "rhs_weight", "rhs_shift")
-    _args = ("weight", "lhs", "rhs_weight", "rhs_shift")
-
-    def __init__(self, weight, lhs, rhs_weight, rhs_shift):
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs_weight", rhs_weight)
-        object.__setattr__(self, "rhs_shift", rhs_shift)
-
-    def render(self):
-        def var_text(shift):
-            parts = []
-            for i, s in enumerate(shift, start=1):
-                parts.append(f"n{i}-{s}" if s else f"n{i}")
-            return ",".join(parts)
-
-        unshifted = var_text((0,) * len(self.rhs_shift))
-        left = []  # the first term is the defining weight, with sign +1
-        for sign, w in self.lhs:
-            if left:
-                left.append("+" if sign > 0 else "-")
-            left.append(f"A[{','.join(map(str, w))}]({unshifted})")
-        qvars = "+".join(f"n{i}" for i in range(1, len(self.rhs_shift) + 1))
-        right = (
-            f"q^({qvars}) * A[{','.join(map(str, self.rhs_weight))}]"
-            f"({var_text(self.rhs_shift)})"
-        )
-        return f"{' '.join(left)} = {right}"
 
 
 def level_weights(k, l):
@@ -74,8 +35,12 @@ def level_weights(k, l):
 
 
 def build_equation(weight, l):
-    """The equation of a weight of rank l; its lhs runs over the subsets I of
-    the support by size, then lexicographically, so I = {} comes first."""
+    """The equation of a weight of rank l, as (lhs, rhs_weight, rhs_shift).
+
+    `lhs` is ((sign, w_I), ...) over the subsets I of the support by size,
+    then lexicographically, so I = {}, (1, weight), comes first; `rhs_weight`
+    is w' and `rhs_shift` (k_0, ..., k_{l-1}), read as n_i -> n_i - k_{i-1}.
+    """
     weight = weight_parts(weight, l)
     support = [i for i in range(l) if weight[i]]
     lhs = []
@@ -86,12 +51,7 @@ def build_equation(weight, l):
                 parts[i] -= 1
                 parts[i + 1] += 1
             lhs.append(((-1) ** size, tuple(parts)))
-    return RecurrenceEquation(
-        weight=weight,
-        lhs=tuple(lhs),
-        rhs_weight=weight[-1:] + weight[:-1],
-        rhs_shift=weight[:-1],
-    )
+    return tuple(lhs), weight[-1:] + weight[:-1], weight[:-1]
 
 
 def build_system(k, l):
@@ -99,8 +59,32 @@ def build_system(k, l):
     return [build_equation(w, l) for w in level_weights(k, l)]
 
 
+def render_equation(equation):
+    """One equation as text, `A[w](n1,...) ... = q^(n1+...) * A[w'](...)`."""
+    lhs, rhs_weight, rhs_shift = equation
+
+    def var_text(shift):
+        parts = []
+        for i, s in enumerate(shift, start=1):
+            parts.append(f"n{i}-{s}" if s else f"n{i}")
+        return ",".join(parts)
+
+    unshifted = var_text((0,) * len(rhs_shift))
+    left = []  # the first term is the defining weight, with sign +1
+    for sign, w in lhs:
+        if left:
+            left.append("+" if sign > 0 else "-")
+        left.append(f"A[{','.join(map(str, w))}]({unshifted})")
+    qvars = "+".join(f"n{i}" for i in range(1, len(rhs_shift) + 1))
+    right = (
+        f"q^({qvars}) * A[{','.join(map(str, rhs_weight))}]"
+        f"({var_text(rhs_shift)})"
+    )
+    return f"{' '.join(left)} = {right}"
+
+
 def render_system(equations):
-    return "\n".join(eq.render() for eq in equations) + "\n"
+    return "\n".join(map(render_equation, equations)) + "\n"
 
 
 # the level-2, rank-2 system as transcribed from the paper, one line per
@@ -156,25 +140,25 @@ def verify_system(chars):
         window={"caps": list(caps), "q_order": q_order},
     )
     zero = (0,) * (q_order + 1)
-    for equation in build_system(k, l):
-        (_, defining), *rest = equation.lhs
+    for terms, rhs_weight, rhs_shift in build_system(k, l):
+        (_, defining), *rest = terms
         first = chars[defining].coeffs
         rest = [(add if sign > 0 else sub, chars[w].coeffs) for sign, w in rest]
-        right = chars[equation.rhs_weight].coeffs
+        right = chars[rhs_weight].coeffs
         for n in itertools.product(*(range(c + 1) for c in caps)):
             lhs = first.get(n, zero)
             for op, rows in rest:
                 row = rows.get(n)
                 if row is not None:
                     lhs = tuple(map(op, lhs, row))
-            shifted = tuple(map(sub, n, equation.rhs_shift))
+            shifted = tuple(map(sub, n, rhs_shift))
             rhs = right.get(shifted) if min(shifted) >= 0 else None
             rhs = zero if rhs is None else ((0,) * sum(n) + rhs)[:q_order + 1]
             report.checked += 1
             if lhs != rhs:
                 report.add_violation(
                     where={
-                        "weight": list(equation.weight),
+                        "weight": list(defining),
                         "n": list(n),
                         "first_bad_exponent": next(
                             e for e, (a, b) in enumerate(zip(lhs, rhs)) if a != b),

@@ -9,11 +9,11 @@ class CheckReport:
     instance) comparisons, `window` records the bounds they were made on.
     """
 
-    def __init__(self, name, window=None, checked=0, violations=None):
+    def __init__(self, name, window=None, checked=0):
         self.name = name
         self.window = {} if window is None else window
         self.checked = checked
-        self.violations = [] if violations is None else violations
+        self.violations = []
 
     @property
     def ok(self):

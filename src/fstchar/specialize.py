@@ -28,16 +28,19 @@ from .reporting import CheckReport
 
 
 def spec2(char):
-    """spec_2 of a two-variable character: its spec_1 series summed at z = 1.
+    """spec_2 of a two-variable character: q^m z^n -> q^{2m - 2n_1 - n_2}.
 
-    Valid to the least spec_1 order, 2Q - 2cap_1 - cap_2 at n = cap_1 + cap_2.
+    Valid to 2Q - 2cap_1 - cap_2 on the window.  Cells beyond the caps count
+    as zero, so the caller's window must bound them, as `spec2_window` does.
     """
-    parts = specialize(char).values()
+    cap1, cap2 = char.caps
     terms = {}
-    for series in parts:
-        for e, c in series.coeffs.items():
-            terms[e] = terms.get(e, 0) + c
-    return QSeries(terms, min(series.trunc for series in parts))
+    for (n1, n2), row in char.coeffs.items():
+        for e, c in enumerate(row):
+            if c:
+                out_e = 2 * e - 2 * n1 - n2
+                terms[out_e] = terms.get(out_e, 0) + c
+    return QSeries(terms, 2 * char.q_order - 2 * cap1 - cap2)
 
 
 def _walk(matrix, steps, sizes, cap, q_order, visit):

@@ -9,6 +9,7 @@ from reference import char_sum, dilate, row, scale_by_monomial, shift
 from fstchar.admissible import character_oracle
 from fstchar.charseries import CharSeries, specialize
 from fstchar.qseries import QSeries
+from fstchar.recurrence import level_weights
 from fstchar.specialize import spec2
 
 SPEC1 = ((-2, "z"), (-1, "z"))
@@ -211,6 +212,17 @@ class TestSpecialize:
         assert scalar.trunc == 20 - 2 * 3 - 3
 
 
+@pytest.mark.parametrize("weight", level_weights(2, 2))
+def test_specialize_is_exact_to_its_stated_orders(weight):
+    # cells beyond caps (1, 1), such as (2, 0), feed z^2 at q^0: every
+    # returned z^n must agree with a window that holds all of its cells
+    narrow = specialize(character_oracle(weight, 10, (1, 1)))
+    wide = specialize(character_oracle(weight, 20, (6, 6)))
+    for n, series in narrow.items():
+        assert series == wide[n].truncate(series.trunc)
+    assert list(narrow) == [0, 1]
+
+
 def char_strategy():
     """Random two-variable CharSeries: caps 0..4, q_order -1..10."""
 
@@ -232,12 +244,10 @@ def char_strategy():
 @example(CharSeries((0, 4), 5, {(0, 4): (1, 0, 0, 0, 0, -2)}))
 @example(CharSeries((4, 0), 5, {(4, 0): (0, 3, 0, 0, 0, 0)}))
 def test_specialize_matches_generic_map(c):
-    graded = specialize(c)
-    assert graded == generic_specialize(c, 2, SPEC1)
+    # spec_1 is returned only for the z^n whose cells all lie within the caps
+    reference = generic_specialize(c, 2, SPEC1)
+    assert specialize(c) == {n: reference[n] for n in range(min(c.caps) + 1)}
     assert spec2(c) == generic_specialize(c, 2, SPEC2)
-    # spec_2 is the sum of the spec_1 series, valid to their least order
-    least = min(series.trunc for series in graded.values())
-    assert spec2(c) == sum(graded.values(), QSeries.zero(least))
 
 
 coeff_strategy = st.dictionaries(

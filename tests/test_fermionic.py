@@ -25,7 +25,6 @@ from fstchar.fermionic import (
     pos,
 )
 from fstchar.qseries import QSeries, inv_pochhammer
-from fstchar.recurrence import RecurrenceEquation, build_equation
 from fstchar.reporting import CheckReport
 
 
@@ -151,14 +150,6 @@ VALUES = {
         NSequences([3, 1], [2, 5]), NSequences((3, 1), (2, 5)),
         NSequences((3, 1), (2, 6)), ("n1", "n2"),
         "NSequences(n1=(3, 1), n2=(2, 5))", True,
-    ),
-    "RecurrenceEquation": (
-        build_equation((1, 0, 1), 2),
-        RecurrenceEquation((1, 0, 1), ((1, (1, 0, 1)), (-1, (0, 1, 1))),
-                           (1, 1, 0), (1, 0)),
-        build_equation((0, 1, 1), 2), ("weight", "lhs", "rhs_weight", "rhs_shift"),
-        "RecurrenceEquation(weight=(1, 0, 1), lhs=((1, (1, 0, 1)), "
-        "(-1, (0, 1, 1))), rhs_weight=(1, 1, 0), rhs_shift=(1, 0))", True,
     ),
 }
 

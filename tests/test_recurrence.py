@@ -7,6 +7,7 @@ from fstchar.recurrence import (
     build_equation,
     build_system,
     level_weights,
+    render_equation,
     render_system,
     verify_system,
     verify_transcription,
@@ -19,20 +20,25 @@ class TestIndexSets:
     raising k_{i+1} for i in I."""
 
     def test_single_support(self):
-        assert build_equation((2, 0, 0), 2).lhs == ((1, (2, 0, 0)), (-1, (1, 1, 0)))
+        lhs, _, _ = build_equation((2, 0, 0), 2)
+        assert lhs == ((1, (2, 0, 0)), (-1, (1, 1, 0)))
 
     def test_full_support(self):
-        assert build_equation((1, 1, 0), 2).lhs == (
+        lhs, _, _ = build_equation((1, 1, 0), 2)
+        assert lhs == (
             (1, (1, 1, 0)), (-1, (0, 2, 0)), (-1, (1, 0, 1)), (1, (0, 1, 1)),
         )
 
     def test_empty_support(self):
-        assert build_equation((0, 0, 2), 2).lhs == ((1, (0, 0, 2)),)
+        lhs, _, _ = build_equation((0, 0, 2), 2)
+        assert lhs == ((1, (0, 0, 2)),)
 
     def test_apply_examples(self):
         # k_2 is outside the index range {0, 1}, so (1, 0, 1) lowers k_0 only
-        assert build_equation((1, 0, 1), 2).lhs == ((1, (1, 0, 1)), (-1, (0, 1, 1)))
-        assert build_equation((0, 2, 0), 2).lhs == ((1, (0, 2, 0)), (-1, (0, 1, 1)))
+        lhs, _, _ = build_equation((1, 0, 1), 2)
+        assert lhs == ((1, (1, 0, 1)), (-1, (0, 1, 1)))
+        lhs, _, _ = build_equation((0, 2, 0), 2)
+        assert lhs == ((1, (0, 2, 0)), (-1, (0, 1, 1)))
 
 
 class TestBuildSystem:
@@ -48,19 +54,27 @@ class TestBuildSystem:
 
     def test_lhs_term_count(self):
         for l, k in [(2, 2), (2, 3), (3, 2)]:
-            for eq in build_system(k, l):
-                support = sum(1 for x in eq.weight[:l] if x)
-                assert len(eq.lhs) == 2 ** support
+            equations = build_system(k, l)
+            for (lhs, _, _), weight in zip(equations, level_weights(k, l)):
+                support = sum(1 for x in weight[:l] if x)
+                assert len(lhs) == 2 ** support
 
     def test_first_lhs_term_is_defining_weight(self):
-        for eq in build_system(3, 2):
-            sign, w = eq.lhs[0]
-            assert sign == 1 and w == eq.weight
+        for (lhs, _, _), weight in zip(build_system(3, 2), level_weights(3, 2)):
+            assert lhs[0] == (1, weight)
 
     def test_cyclic_rhs(self):
-        eq = build_system(2, 2)[2]  # weight (1, 0, 1)
-        assert eq.rhs_weight == (1, 1, 0)
-        assert eq.rhs_shift == (1, 0)
+        _, rhs_weight, rhs_shift = build_system(2, 2)[2]  # weight (1, 0, 1)
+        assert rhs_weight == (1, 1, 0)
+        assert rhs_shift == (1, 0)
+
+    def test_render_equation_off_rank_two(self):
+        assert render_equation(build_equation((2, 1), 1)) == (
+            "A[2,1](n1) - A[1,2](n1) = q^(n1) * A[1,2](n1-2)")
+        assert render_equation(build_equation((1, 0, 1, 1), 3)) == (
+            "A[1,0,1,1](n1,n2,n3) - A[0,1,1,1](n1,n2,n3)"
+            " - A[1,0,0,2](n1,n2,n3) + A[0,1,0,2](n1,n2,n3)"
+            " = q^(n1+n2+n3) * A[1,1,0,1](n1-1,n2,n3-1)")
 
     def test_golden_transcription(self):
         assert render_system(build_system(2, 2)) == LEVEL2_SYSTEM
