@@ -12,9 +12,10 @@ sum_i i*a_i, which is why spec_2 outputs match first-moment censuses.
 The comparison targets are two previously known closed forms: a principally
 specialized double sum over (q^2)-Pochhammer denominators (k_2 = 0 only,
 "fjmmt" below) and a level-k fermionic sum with Gaussian-binomial factors
-("fjmmt2" below, finite or stabilized infinite site count).  Both enumerate
-their exponent vectors through one pruned walk, `_walk`, and both spec_2
-checks build their report through one frame, `_spec2_frame`.
+("fjmmt2" below, finite or stabilized infinite site count).  Each is walked
+from a matrix and one vector r (`fjmmt_matrix`, `fjmmt_r_vector`;
+`fjmmt2_matrix`, `fjmmt2_r_vector`) by one pruned walk, `_walk`, and both
+spec_2 checks build their report through one frame, `_spec2_frame`.
 """
 
 from functools import lru_cache
@@ -47,9 +48,10 @@ def _walk(matrix, steps, sizes, cap, q_order, visit):
     """Call visit(m, n, expo) for each vector m with expo <= q_order, n <= cap.
 
     From m = 0 at expo = n = 0, one more unit of m_i raises expo by
-    (M m)_i + steps_i (M is `matrix`) and n by sizes_i.  M, steps and sizes
-    are >= 0, so neither falls as m grows, and each entry stops growing once
-    either bound is passed.  visit must not keep `m`, a shared list.
+    (M m)_i + r_i (M is `matrix`, r is `steps`, the sum's linear vector) and
+    n by sizes_i.  M, r and sizes are >= 0, so neither falls as m grows, and
+    each entry stops growing once either bound is passed.  visit must not
+    keep `m`, a shared list.
     """
     m = [0] * len(steps)
 
@@ -81,42 +83,28 @@ def fjmmt_matrix(k):
     return top + bottom
 
 
-def fjmmt_c_vector(k, k0):
-    """(0,...,0, 1, 2, ..., k-k0, 0,...,0): k0 leading zeros, then a zero block."""
-    return tuple([0] * k0 + list(range(1, k - k0 + 1)) + [0] * k)
+def fjmmt_r_vector(k, k0):
+    """(0,...,0 | 2, 4, ..., 2(k-k0) | 1, 2, ..., k): blocks of sizes k0, k-k0, k.
 
-
-def fjmmt_linear_coeffs(k, k0):
-    """Effective linear exponent per unit of m, with the overall q^{l_2} folded in."""
-    matrix = fjmmt_matrix(k)
-    c = fjmmt_c_vector(k, k0)
-    coeffs = []
-    for i in range(2 * k):
-        value = -matrix[i][i] + 2 * c[i]
-        if i >= k:
-            value += i - k + 1  # q^{l_2} contributes the part size per unit
-        coeffs.append(value)
-    return tuple(coeffs)
+    Per unit of m: 2c on the m_1 block, c = (0,...,0, 1, 2, ..., k-k0), and
+    on the m_2 block the part size that the factor q^{l_2} contributes.
+    """
+    return (0,) * k0 + tuple(range(2, 2 * (k - k0) + 1, 2)) + tuple(range(1, k + 1))
 
 
 def chi_fjmmt(k0, k1, z_cap, q_order):
     """Principally specialized character for weights with k_2 = 0, as {n: QSeries}.
 
-    Coefficient of z^n sums over l_1 + l_2 = n and exponent vectors m with
-    sum_j j*m_{ij} = l_i the term
-    q^{m.A.m - diag(A).m + 2c.m + l_2} / prod (q^2)_{m_{ij}}.
-
-    One more unit of m_i raises the exponent by (2A m)_i + A_ii + linear_i
-    and n by its part size, the data `_walk` runs on.  The denominators
-    are the shared rows of `denominator_row` at scale 2, keyed by the
-    sorted nonzero entries of m.  Each z-degree keeps one
-    accumulator list, and a term adds its denominator into it at offset
-    `expo`; no series product is taken.
+    The coefficient of z^n sums over m = (m_{1j} | m_{2j}) in N^{2k} with
+    sum_j j*(m_{1j} + m_{2j}) = n of q^{m.A.m - diag(A).m + r.m} / prod
+    (q^2)_{m_i}, A = `fjmmt_matrix`, r = `fjmmt_r_vector`.  One more unit of
+    m_i raises the exponent by (2A m)_i + r_i and n by its part size, the
+    data `_walk` runs on.  A term adds its shared `denominator_row` row at
+    scale 2 (keyed by the sorted nonzero entries of m) into the one
+    accumulator list of its z-degree at offset `expo`; no product is taken.
     """
     k0, k1, _ = weight_parts((k0, k1, 0), 2)
     k = k0 + k1
-    matrix = fjmmt_matrix(k)
-    linear = fjmmt_linear_coeffs(k, k0)
     terms = {n: [0] * (q_order + 1) for n in range(z_cap + 1)}
 
     def add_term(m, n, expo):
@@ -124,10 +112,9 @@ def chi_fjmmt(k0, k1, z_cap, q_order):
         acc = terms[n]
         acc[expo:] = map(add, acc[expo:], denom)
 
-    double = [[2 * x for x in row] for row in matrix]
-    steps = [matrix[i][i] + linear[i] for i in range(2 * k)]
+    double = [[2 * x for x in row] for row in fjmmt_matrix(k)]
     sizes = [j % k + 1 for j in range(2 * k)]  # part size of m_j in l_1 or l_2
-    _walk(double, steps, sizes, z_cap, q_order, add_term)
+    _walk(double, fjmmt_r_vector(k, k0), sizes, z_cap, q_order, add_term)
     return {n: QSeries.from_row(acc) for n, acc in terms.items()}
 
 

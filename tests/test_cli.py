@@ -440,6 +440,21 @@ class TestListAdmissible:
             config, degree, weight = json.loads(line)
             assert sum(i * a for i, a in enumerate(config)) <= 5
 
+    def test_text_format_lines(self, capsys):
+        code, out, err = run(
+            capsys, "list-admissible", "--l", "1", "--weight", "1,0",
+            "--zmax", "2", "--qmax", "4", "--format", "text",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "a=[] d=0 n=[0]",
+            "a=[1] d=1 n=[1]",
+            "a=[1, 0, 1] d=4 n=[2]",
+            "a=[0, 1] d=2 n=[1]",
+            "a=[0, 0, 1] d=3 n=[1]",
+            "a=[0, 0, 0, 1] d=4 n=[1]",
+        ]
+
     def test_missing_weight_exits_2(self, capsys):
         code, _, _ = run(capsys, "list-admissible", "--l", "2", "--qmax", "2")
         assert code == 2
@@ -499,6 +514,17 @@ class TestConfigFile:
             "--weight", "1,0,0", "--qmax", "4",
         )
         assert json.loads(overridden)["q_order"] == 4
+
+    def test_comments_and_blank_lines_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# w\n\nzmax=2\n  # c\nqmax=4\n")
+        code, out, _ = run(
+            capsys, "--config", str(cfg), "verify", "--suite", "system",
+            "--level", "1", "--format", "text",
+        )
+        assert code == 0
+        assert out.splitlines()[0].endswith(
+            "27 comparisons on {'caps': [2, 2], 'q_order': 4}")
 
     def test_bad_config_line_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -26,8 +26,8 @@ from fstchar.specialize import (
     chi_fjmmt2_alternating,
     fjmmt2_matrix,
     fjmmt2_r_vector,
-    fjmmt_linear_coeffs,
     fjmmt_matrix,
+    fjmmt_r_vector,
     prefix_census,
     spec2,
     verify_spec1,
@@ -41,10 +41,11 @@ class TestExponentData:
         golden = json.loads(
             (Path(__file__).parent / "data" / "fjmmt_k2.json").read_text()
         )
-        assert fjmmt_matrix(2) == golden["matrix"]
+        matrix = fjmmt_matrix(2)
+        assert matrix == golden["matrix"]
         for key, coeffs in golden["linear"].items():
-            k0 = int(key.split(",")[0])
-            assert list(fjmmt_linear_coeffs(2, k0)) == coeffs
+            r = fjmmt_r_vector(2, int(key.split(",")[0]))
+            assert [r[i] - matrix[i][i] for i in range(4)] == coeffs
 
     def test_matrix_symmetry(self):
         for k in (1, 2, 3):
@@ -110,9 +111,8 @@ def _chi_fjmmt_products(k0, k1, z_cap, q_order):
     """
     k = k0 + k1
     matrix = fjmmt_matrix(k)
-    linear = fjmmt_linear_coeffs(k, k0)
     sizes = [j % k + 1 for j in range(2 * k)]
-    steps = [matrix[i][i] + linear[i] for i in range(2 * k)]
+    steps = fjmmt_r_vector(k, k0)
     terms = {n: QSeries.zero(q_order) for n in range(z_cap + 1)}
     denominators = {(): QSeries.one(q_order)}
     m = [0] * (2 * k)
@@ -398,6 +398,14 @@ class TestVerifiers:
 
     def test_spec1_level2_pair(self):
         report = verify_spec1(1, 1, 5, 14)
+        assert report.ok, report.violations[:1]
+
+    @pytest.mark.parametrize("k0, level", [
+        (k0, level) for level in (5, 6) for k0 in range(level + 1)
+    ])
+    def test_spec1_levels_5_and_6(self, k0, level):
+        # r's blocks run to 6 entries here; the other spec1 tests stop at 4
+        report = verify_spec1(k0, level - k0, 6, 16)
         assert report.ok, report.violations[:1]
 
     @pytest.mark.parametrize("w", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
