@@ -53,13 +53,15 @@ class NSequences(Frozen):
         n1, n2 = tuple(n1), tuple(n2)  # n1 weakly decreasing, n2 increasing
         if len(n1) != len(n2) or not n1:
             raise ValueError("n1 and n2 must have equal positive length")
-        gaps = (*map(sub, n1, n1[1:] + (0,)), *map(sub, n2, (0,) + n2[:-1]))
+        entries = n1 + n2
+        # each entry less its neighbour: N_{1,i+1} on axis 1, N_{2,i-1} on axis 2
+        gaps = tuple(map(sub, entries, n1[1:] + (0, 0) + n2[:-1]))
         if min(gaps) < 0:
             raise ValueError(f"need n1 weakly decreasing, n2 weakly increasing "
                              f"and entries >= 0: {n1}, {n2}")
         object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "n2", n2)
-        object.__setattr__(self, "entries", n1 + n2)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "factors", gaps + n2)
 
     @property
@@ -167,16 +169,16 @@ def _plan(summands, w):
     return tuple(summands(*w))
 
 
-def _expand(templates, N, q_order, base, into):
+def _expand(templates, entries, factors, q_order, base, into):
     """Add q^base times the sum of the `_summand` templates on N into `into`.
 
-    A template's exponent is base plus the sum of `N.entries` at its
-    `ones`, and each factor (1 - q^gap) reads its gap in `N.factors` at its
-    slot.  The product is expanded term by term into the {exponent: coeff}
-    dict `into`, keeping nothing above q_order; a zero gap makes its factor,
-    and so its summand, vanish.  The templates must have N's length.
+    N is given by its `entries` and `factors` (see `NSequences`).  A
+    template's exponent is base plus the sum of `entries` at its `ones`, and
+    each factor (1 - q^gap) reads its gap in `factors` at its slot.  The
+    product is expanded term by term into the {exponent: coeff} dict `into`,
+    keeping nothing above q_order; a zero gap makes its factor, and so its
+    summand, vanish.  The templates must have N's length.
     """
-    entries, factors = N.entries, N.factors
     for ones, slots in templates:
         e = base + sum([entries[i] for i in ones])
         if e > q_order:
@@ -195,7 +197,7 @@ def _expand(templates, N, q_order, base, into):
 def _evaluate(templates, N, q_order):
     """Sum of the `_summand` templates on N, expanded sparsely to q_order."""
     total = {}
-    _expand(templates, N, q_order, 0, total)
+    _expand(templates, N.entries, N.factors, q_order, 0, total)
     return QSeries(total, q_order)
 
 
@@ -261,7 +263,8 @@ def n_sequence_pairs(k, n1, n2, q_order):
     carrying the partial form.  Since a^2 + b^2 + ab is convex and of degree
     2, m positions with remaining sums r1, r2 add at least
     (r1^2 + r2^2 + r1 r2) / m, and a branch is cut when that exceeds what is
-    left of q_order.
+    left of q_order.  No weight enters: `a_coefficient` calls this once per
+    level, window and cell, and every weight of the level shares the result.
     """
     if k < 1:
         raise ValueError("sequence length k must be >= 1")
@@ -295,6 +298,18 @@ def n_sequence_pairs(k, n1, n2, q_order):
     return out
 
 
+@lru_cache(maxsize=1)
+def _sequence_table(k, q_order):
+    """`(cells, keys)`: the NSequences records of one level and window.
+
+    `cells` maps (n1, n2) to one tuple `(base, key, entries, factors)` per N
+    of `n_sequence_pairs(k, n1, n2, q_order)`, filled by `a_coefficient`;
+    `keys` interns the denominator keys.  One table is kept, so a call at
+    another (k, q_order) drops it.
+    """
+    return {}, {}
+
+
 def a_coefficient(w, n1, n2, q_order):
     """Weight-(n1, n2) coefficient of the closed character formula.
 
@@ -305,18 +320,30 @@ def a_coefficient(w, n1, n2, q_order):
     denominator, keyed by the sorted nonzero gaps: each N's linear term is
     expanded at offset b into its key's sparse dict (`_expand`).  Each
     key's shared row of 1/prod (q)_g (`denominator_row`) is then added into
-    one accumulator once per exponent, times the merged coefficient.
+    one accumulator once per exponent, times the merged coefficient.  Each
+    N's b, key, entries and factors do not depend on the weight: they are
+    built once per level, window and cell (`_sequence_table`) and shared by
+    every weight of the level.
     """
     w = weight_parts(w, 2)
     k = sum(w)
     if n1 < 0 or n2 < 0:
         raise ValueError("weights must be >= 0")
+    cells, keys = _sequence_table(k, q_order)
+    records = cells.get((n1, n2))
+    if records is None:
+        records = []
+        for N in n_sequence_pairs(k, n1, n2, q_order):
+            base = sum([a * a + b * b + a * b for a, b in zip(N.n1, N.n2)])
+            key = tuple(sorted([g for g in N.factors[:2 * k] if g]))
+            key = keys.setdefault(key, key)
+            records.append((base, key, N.entries, N.factors))
+        records = cells[(n1, n2)] = tuple(records)
     templates = _plan(_linear_term_summands, w)
     grouped = {}
-    for N in n_sequence_pairs(k, n1, n2, q_order):
-        base = sum([a * a + b * b + a * b for a, b in zip(N.n1, N.n2)])
-        key = tuple(sorted([g for g in N.factors[:2 * k] if g]))
-        _expand(templates, N, q_order, base, grouped.setdefault(key, {}))
+    for base, key, entries, factors in records:
+        _expand(templates, entries, factors, q_order, base,
+                grouped.setdefault(key, {}))
     total = [0] * (q_order + 1)
     for key, terms in grouped.items():
         row = denominator_row(key, q_order)

@@ -206,8 +206,13 @@ class QSeries(Frozen):
 # and `specialize.chi_fjmmt2` keep one series per distinct call: 10 and 13
 # entries after `verify --suite all --level 3 --zmax 8 --qmax 20 --jobs 1`
 # (40 and 24 hits), 21 and 26 after `verify --suite fjmmt2 --level 5
-# --qmax 40`.  No route calls `pochhammer` or `inv_pochhammer`; their caches
-# serve the tests and perfbench/ only.
+# --qmax 40`.  `fermionic._sequence_table` keeps one table, not CACHE_SIZE:
+# the NSequences records of every cell of one level and window, which a call
+# at another level or window drops.  It holds 225 cells and 1,244 records
+# (0.4 MB) after `verify --suite fjmmt --level 4 --zmax 14 --qmax 36`, and
+# 1,066 cells and 12,463 records (4.4 MB) after `verify --suite fjmmt2
+# --level 5 --qmax 40`.  No route calls `pochhammer` or `inv_pochhammer`;
+# their caches serve the tests and perfbench/ only.
 CACHE_SIZE = 512
 
 

@@ -475,7 +475,7 @@ def _grouped_terms(w, n1, n2, q_order):
     grouped = {}
     for N in n_sequence_pairs(k, n1, n2, q_order):
         key = tuple(sorted(g for g in N.factors[:2 * k] if g))
-        fermionic._expand(templates, N, q_order, _base(N),
+        fermionic._expand(templates, N.entries, N.factors, q_order, _base(N),
                           grouped.setdefault(key, {}))
     return grouped
 
@@ -507,6 +507,69 @@ class TestGroupedSum:
         # the only N of cell (0, 0) has no nonzero gap: its row is 1
         assert _grouped_terms((1, 1, 1), 0, 0, 6) == {(): {0: 1}}
         assert a_coefficient((1, 1, 1), 0, 0, 6) == QSeries.one(6)
+
+
+# one a_coefficient call: a weight of level 1-4, a cell and a window, drawn
+# from few cells and windows so that calls meet at one level, cell or window
+coefficient_calls = st.tuples(
+    st.integers(1, 4).flatmap(lambda level: st.sampled_from(_triples(level))),
+    st.integers(0, 3), st.integers(0, 3), st.sampled_from([3, 8, 14]))
+
+
+class TestSequenceTable:
+    """The NSequences records that every weight of a level and window shares."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(coefficient_calls, min_size=1, max_size=8))
+    # a table keyed by the level alone would hand the q_order-3 records of
+    # cell (2, 2), which are none, to the q_order-14 call
+    @example([((1, 1, 0), 2, 2, 3), ((0, 1, 1), 2, 2, 14)])
+    # a table keyed by q_order alone would hand level-1 records to level 2
+    # and back
+    @example([((1, 0, 0), 1, 1, 8), ((2, 0, 0), 1, 1, 8), ((0, 0, 1), 1, 1, 8)])
+    def test_interleaved_calls_match_cold_ones(self, calls):
+        fermionic._sequence_table.cache_clear()
+        warm = [a_coefficient(w, n1, n2, q) for w, n1, n2, q in calls]
+        for (w, n1, n2, q_order), got in zip(calls, warm):
+            fermionic._sequence_table.cache_clear()
+            assert got == a_coefficient(w, n1, n2, q_order), (w, n1, n2, q_order)
+            assert got == _a_coefficient_full_order(w, n1, n2, q_order)
+
+    def test_one_cell_is_generated_once_per_level(self, monkeypatch):
+        generated = []
+
+        def counted(*args):
+            generated.append(args)
+            return n_sequence_pairs(*args)
+
+        monkeypatch.setattr(fermionic, "n_sequence_pairs", counted)
+        fermionic._sequence_table.cache_clear()
+        for w in LEVEL2_WEIGHTS:
+            a_coefficient(w, 2, 1, 12)
+        assert generated == [(2, 2, 1, 12)]
+
+    def test_one_table_is_kept(self):
+        a_coefficient((1, 1, 0), 2, 1, 10)
+        a_coefficient((1, 0, 1), 2, 1, 12)
+        a_coefficient((2, 1, 0), 2, 1, 12)
+        assert fermionic._sequence_table.cache_info().currsize <= 1
+
+    def test_records_are_tuples_without_nsequences(self):
+        fermionic._sequence_table.cache_clear()
+        a_coefficient((1, 1, 1), 3, 2, 20)
+        cells, keys = fermionic._sequence_table(3, 20)
+        records = cells[(3, 2)]
+        assert type(records) is tuple and records
+        assert all(type(r) is tuple for r in records)
+        assert not any(isinstance(x, NSequences) for r in records for x in r)
+        assert [r[1:] for r in records] == [
+            (tuple(sorted(g for g in N.factors[:6] if g)), N.entries, N.factors)
+            for N in n_sequence_pairs(3, 3, 2, 20)
+        ]
+        assert [r[0] for r in records] == [
+            _base(N) for N in n_sequence_pairs(3, 3, 2, 20)]
+        # equal keys are one shared tuple
+        assert all(keys[r[1]] is r[1] for r in records)
 
 
 class TestCharacterFermionic:

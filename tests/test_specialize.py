@@ -234,11 +234,17 @@ class TestChiFjmmt:
         assert chi_fjmmt(k0, k1, z_cap, q_order) == (
             _chi_fjmmt_products(k0, k1, z_cap, q_order))
 
+    # the one test of chi_fjmmt whose exponent data is built apart from
+    # fjmmt_r_vector, so it runs on drawn windows as well as the largest
     @pytest.mark.parametrize("k0, k1", [
         (k0, level - k0) for level in range(1, 4) for k0 in range(level + 1)
     ])
-    def test_matches_unpruned_sum(self, k0, k1):
-        assert chi_fjmmt(k0, k1, 6, 30) == _chi_fjmmt_unpruned(k0, k1, 6, 30)
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 30))
+    @example(6, 30)
+    def test_matches_unpruned_sum(self, k0, k1, z_cap, q_order):
+        assert chi_fjmmt(k0, k1, z_cap, q_order) == (
+            _chi_fjmmt_unpruned(k0, k1, z_cap, q_order))
 
     def test_empty_exponent_term(self):
         out = chi_fjmmt(2, 0, 3, 12)
