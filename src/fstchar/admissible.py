@@ -17,23 +17,26 @@ and a window is any combination of the bounds
   * energy_max: first moment sum t * a_t <= energy_max.
 
 At least one of q_order / energy_max must be set, otherwise the window is
-infinite; a negative bound leaves the window empty.  `enumerate_configs`
-streams the configurations of any such window one at a time from a
-depth-first walk.  `weight_degree_counts` counts only the window the
-character oracle asks for -- initial bounds, q_order and caps -- with a
-transfer-matrix DP over positions whose cost grows with the window, not
-with the number of configurations.  Its state, the last l entries and the
-color weights, is one int: the entries as digits in base level + 1 above
-the weights in mixed radix over the caps, so that each unit placed adds one
-constant to it; the weights are decoded back into tuples only at the end.
-The tests count the stream as the reference for the DP, and check the
-stream against brute force.
+infinite; a negative bound leaves the window empty.  An omitted bound is
+sys.maxsize, out of reach of the finite one, as degree <= level + 2 energy,
+energy <= l degree and n_i <= degree.  `enumerate_configs` streams the
+configurations of any such window one at a time from a depth-first walk.
+`weight_degree_counts` counts only the window the character oracle asks for
+-- initial bounds, q_order and caps -- with a transfer-matrix DP over
+positions whose cost grows with the window, not with the number of
+configurations.  Its state, the last l entries and the color weights, is
+one int: the entries as digits in base level + 1 above the weights in mixed
+radix over the caps, so that each unit placed adds one constant to it; the
+weights are decoded back into tuples only at the end.  The tests count the
+stream as the reference for the DP, and check the stream against brute
+force.
 
 A weight is a plain tuple (k_0, ..., k_l).  `weight_parts` is the one check
 of its length, entries and level, and every route of the package reads its
 weight through it.
 """
 
+import sys
 from itertools import accumulate
 from operator import index
 
@@ -76,50 +79,37 @@ def energy(config):
     return sum(t * a for t, a in enumerate(config))
 
 
-def _walk(l, level, init_bounds, init_prefix, q_order, caps, energy_max):
+def _walk(l, level, init_bounds, prefix, q_order, caps, energy_max):
     """Yield the live dense list at every admissible node of the window.
 
-    Exactly one of init_bounds / init_prefix is given, and the window has
-    passed the checks of `enumerate_configs`.  The list is reused between
-    yields; consumers must copy it if they keep it.  Every yielded node is
-    one admissible configuration (the list never has trailing zeros), and
-    each configuration appears exactly once.
+    Every bound is an int, and the prefix is () or has length l, so the
+    initial bounds act at s < l only without one.  The list is reused
+    between yields; consumers must copy it if they keep it.  Every yielded
+    node is one admissible configuration (the list never has trailing
+    zeros), and each configuration appears exactly once.
     """
-    dense = list(init_prefix or ())
-    if sum(dense) > level:
-        return  # the window sum over positions 0..l already fails
+    dense = list(prefix)
     counts, degree, energy = [0] * l, 0, 0
     for t, a in enumerate(dense):
         counts[t % l] += a
         degree += (t // l + 1) * a
         energy += t * a
-    if ((q_order is not None and degree > q_order)
-            or (energy_max is not None and energy > energy_max)
-            or (caps is not None
-                and any(c > cap for c, cap in zip(counts, caps)))):
+    if (sum(dense) > level or degree > q_order or energy > energy_max
+            or any(c > cap for c, cap in zip(counts, caps))):
         return  # the start already leaves the window
     start = len(dense)
     while dense and dense[-1] == 0:
         dense.pop()
 
-    def rec(start, degree, energy):
+    def rec(s, degree, energy):
         yield dense
-        s = start
-        while True:
-            tf = s // l + 1
-            if q_order is not None and degree + tf > q_order:
-                break
-            if energy_max is not None and energy + s > energy_max:
-                break
-            vmax = level - sum(dense[max(0, s - l):s])
-            if q_order is not None:
-                vmax = min(vmax, (q_order - degree) // tf)
-            if energy_max is not None and s >= 1:
-                vmax = min(vmax, (energy_max - energy) // s)
+        while degree + (tf := s // l + 1) <= q_order and energy + s <= energy_max:
             color = s % l
-            if caps is not None:
-                vmax = min(vmax, caps[color] - counts[color])
-            if init_bounds is not None and s < l:
+            vmax = min(level - sum(dense[max(0, s - l):s]),
+                       (q_order - degree) // tf, caps[color] - counts[color])
+            if s >= 1:
+                vmax = min(vmax, (energy_max - energy) // s)
+            if s < l:
                 vmax = min(vmax, init_bounds[s] - sum(dense[:s]))
             if vmax >= 1:
                 base_len = len(dense)
@@ -141,25 +131,29 @@ def enumerate_configs(l, weight, q_order=None, caps=None, init_prefix=None,
     """Stream the admissible configurations for `weight` inside a window.
 
     Any combination of the bounds in the module docstring is accepted; an
-    omitted bound is unrestricted.  With init_prefix=(a, b) the weight's
-    initial bounds are replaced by the exact prefix a_0 = a, a_1 = b (l = 2
-    only; the weight then only supplies the level).  A bad window raises
-    ValueError here, at the call, not at the first item.
+    omitted bound is passed to the walk as sys.maxsize.  With
+    init_prefix=(a, b) the weight's initial bounds are replaced by the exact
+    prefix a_0 = a, a_1 = b (l = 2 only; the weight then only supplies the
+    level).  A bad window raises ValueError here, at the call, not at the
+    first item.
     """
     parts = weight_parts(weight, l)
-    init_bounds = None
     if init_prefix is None:
-        init_bounds = tuple(accumulate(parts[:l]))
+        init_prefix = ()
     elif l != 2:
         raise ValueError("init_prefix is defined for l = 2 only")
     elif len(init_prefix) != 2 or min(init_prefix) < 0:
         raise ValueError("init_prefix must be a pair (a_0, a_1) of entries >= 0")
     if q_order is None and energy_max is None:
         raise ValueError("need q_order or energy_max to make the search finite")
-    if caps is not None and len(caps) != l:
+    if caps is None:
+        caps = (sys.maxsize,) * l
+    elif len(caps) != l:
         raise ValueError(f"caps must have length l={l}")
-    return map(tuple, _walk(l, sum(parts), init_bounds, init_prefix,
-                            q_order, caps, energy_max))
+    q_order = sys.maxsize if q_order is None else q_order
+    energy_max = sys.maxsize if energy_max is None else energy_max
+    return map(tuple, _walk(l, sum(parts), tuple(accumulate(parts[:l])),
+                            init_prefix, q_order, caps, energy_max))
 
 
 def _colored_partitions(l, q_order):

@@ -454,7 +454,7 @@ def brute_force(l, level, init_bounds=None, init_prefix=None, q_order=None,
 
 def stream_windows():
     """Windows of all 12 shapes: {bounds, prefix} x {q, energy, both} x caps."""
-    for l in (1, 2, 3):
+    for l in (1, 2, 3, 4):
         q_top = REACH // l
         for level in (1, 2, 3):
             starts = [dict(init_bounds=(level,) * l),

@@ -459,6 +459,25 @@ class TestListAdmissible:
         code, _, _ = run(capsys, "list-admissible", "--l", "2", "--qmax", "2")
         assert code == 2
 
+    # stdout sha256 prefixes, recorded at 19a6924: they pin the order of the
+    # stream, which the brute-force tests compare only as sorted lists
+    PINNED = [
+        ("--l 2 --weight 2,1,0 --qmax 8", "b5cbc047a43eb526"),
+        ("--l 2 --weight 1,1,1 --energy-max 7", "89492c87bd13bc33"),
+        ("--l 3 --weight 1,0,1,0 --energy-max 7", "a9428cca16f3e7e5"),
+        ("--l 2 --weight 3,0,0 --init 1,1 --energy-max 9", "14af59d86682e78f"),
+        ("--l 2 --weight 2,0,0 --init 0,2 --qmax 7 --zmax 3", "2aa808a2b65ea45a"),
+        ("--l 1 --weight 1,1 --qmax 10 --energy-max 12 --zmax 4",
+         "5242473727679c1c"),
+        ("--l 4 --weight 1,0,0,1,0 --energy-max 6", "4126efeb105ee4d6"),
+    ]
+
+    @pytest.mark.parametrize("arguments, prefix", PINNED)
+    def test_output_pinned(self, capsys, arguments, prefix):
+        code, out, _ = run(capsys, "list-admissible", *arguments.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest().startswith(prefix)
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_empty_listing_prints_nothing(self, capsys, fmt):
         # a_0 = 2 exceeds the level 1, so the window holds no configuration
