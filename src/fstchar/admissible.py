@@ -89,26 +89,23 @@ def _walk(l, level, init_bounds, prefix, q_order, caps, energy_max):
     zeros), and each configuration appears exactly once.
     """
     dense = list(prefix)
-    counts, degree, energy = [0] * l, 0, 0
-    for t, a in enumerate(dense):
-        counts[t % l] += a
-        degree += (t // l + 1) * a
-        energy += t * a
-    if (sum(dense) > level or degree > q_order or energy > energy_max
+    degree, counts = degree_weight(dense, l)
+    counts, moment = list(counts), energy(dense)
+    if (sum(dense) > level or degree > q_order or moment > energy_max
             or any(c > cap for c, cap in zip(counts, caps))):
         return  # the start already leaves the window
     start = len(dense)
     while dense and dense[-1] == 0:
         dense.pop()
 
-    def rec(s, degree, energy):
+    def rec(s, degree, moment):
         yield dense
-        while degree + (tf := s // l + 1) <= q_order and energy + s <= energy_max:
+        while degree + (tf := s // l + 1) <= q_order and moment + s <= energy_max:
             color = s % l
             vmax = min(level - sum(dense[max(0, s - l):s]),
                        (q_order - degree) // tf, caps[color] - counts[color])
             if s >= 1:
-                vmax = min(vmax, (energy_max - energy) // s)
+                vmax = min(vmax, (energy_max - moment) // s)
             if s < l:
                 vmax = min(vmax, init_bounds[s] - sum(dense[:s]))
             if vmax >= 1:
@@ -118,12 +115,12 @@ def _walk(l, level, init_bounds, prefix, q_order, caps, energy_max):
                 for v in range(1, vmax + 1):
                     dense[s] = v
                     counts[color] += v
-                    yield from rec(s + 1, degree + tf * v, energy + s * v)
+                    yield from rec(s + 1, degree + tf * v, moment + s * v)
                     counts[color] -= v
                 del dense[base_len:]
             s += 1
 
-    yield from rec(start, degree, energy)
+    yield from rec(start, degree, moment)
 
 
 def enumerate_configs(l, weight, q_order=None, caps=None, init_prefix=None,

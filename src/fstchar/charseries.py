@@ -10,9 +10,9 @@ over their rows, and the checks compare, specialize or read them.  Output
 renders each row through `QSeries.from_row`.
 
 `specialize` is spec_1 (q -> q^2, z_1 -> q^{-2} z, z_2 -> q^{-1} z) of a
-two-variable character, for the z^n with n <= min(cap_1, cap_2), each
-truncated at its guaranteed-valid order 2Q - 2n.  spec_2
-(`specialize.spec2`) is spec_1 at z = 1, summed over every cell.
+two-variable character for the z^n with n <= min(cap_1, cap_2), each valid
+to order 2Q - 2n; spec_2 (`specialize.spec2`) is spec_1 at z = 1, summed
+over every cell.  Both map each cell by the one cell map, `spec1_cell`.
 """
 
 from .qseries import Frozen, QSeries
@@ -114,6 +114,14 @@ def dense_row(terms, q_order):
     return row
 
 
+def spec1_cell(terms, n1, n2, row):
+    """Add cell z_1^{n_1} z_2^{n_2} to `terms`: row[e] q^e -> q^{2e - 2n_1 - n_2}."""
+    for e, c in enumerate(row):
+        if c:
+            out_e = 2 * e - 2 * n1 - n2
+            terms[out_e] = terms.get(out_e, 0) + c
+
+
 def specialize(char):
     """spec_1 of a two-variable character, as {z-exponent: QSeries}.
 
@@ -128,14 +136,8 @@ def specialize(char):
     top = min(char.caps)
     buckets = [{} for _ in range(top + 1)]
     for (n1, n2), row in char.coeffs.items():
-        if n1 + n2 > top:
-            continue
-        bucket = buckets[n1 + n2]
-        shift = -2 * n1 - n2
-        for e, c in enumerate(row):
-            if c:
-                out_e = 2 * e + shift
-                bucket[out_e] = bucket.get(out_e, 0) + c
+        if n1 + n2 <= top:
+            spec1_cell(buckets[n1 + n2], n1, n2, row)
     return {
         n: QSeries(bucket, 2 * char.q_order - 2 * n)
         for n, bucket in enumerate(buckets)

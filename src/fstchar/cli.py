@@ -54,6 +54,8 @@ def _read_config_file(path):
                 if key not in DEFAULTS:
                     raise CliError(f"unknown config key {key!r} in {path} "
                                    f"(known: {', '.join(DEFAULTS)})")
+                if key in values:
+                    raise CliError(f"config key {key!r} given twice in {path}")
                 values[key] = value
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}")

@@ -31,6 +31,7 @@ from operator import add, sub
 from .admissible import weight_parts
 from .charseries import CharSeries, dense_row
 from .qseries import CACHE_SIZE, Frozen, QSeries, denominator_row
+from .recurrence import level_weights
 from .reporting import CheckReport
 
 
@@ -444,9 +445,7 @@ def identity_battery(k):
                  for p in patterns(k, j)],
             ))
 
-    weights = [(k0, k1, k - k0 - k1)
-               for k0 in range(k + 1) for k1 in range(k - k0 + 1)]
-    for w in weights:
+    for w in level_weights(k, 2):
         lt = _plan(_linear_term_summands, w)
         sides.append(("linear-term-two-forms", {"w": w},
                       lt, _plan(_linear_term_alt_summands, w)))

@@ -20,8 +20,8 @@ text.  The coefficients of a two-variable character are dense rows in
 No route takes a series product: they divide coefficient lists in place
 (`divide_pochhammer`), and share their denominator rows 1/prod (q^s; q^s)_m
 through one cache, `denominator_row`.  `__mul__`, `pochhammer` and
-`inv_pochhammer` stay for the tests' references and the `qseries.*` metrics
-of `perfbench/`.
+`inv_pochhammer`, whose row comes from `denominator_row`, stay for the
+tests' references and the `qseries.*` metrics of `perfbench/`.
 """
 
 from functools import lru_cache
@@ -124,11 +124,7 @@ class QSeries(Frozen):
     def __sub__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        trunc = min(self.trunc, other.trunc)
-        terms = self.coeffs.copy()
-        for e, c in other.coeffs.items():
-            terms[e] = terms.get(e, 0) - c
-        return QSeries(terms, trunc)
+        return self + QSeries({e: -c for e, c in other.coeffs.items()}, other.trunc)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -251,16 +247,11 @@ def inv_pochhammer(n, q_order, scale=1):
     """Series inverse of (q^scale; q^scale)_n.
 
     Coefficient of q^{scale*m} counts partitions of m into parts <= n, so all
-    coefficients are nonnegative.  Built by `divide_pochhammer` on the
-    coefficient list of 1.
+    coefficients are nonnegative.  The row is `denominator_row((n,), ...)`.
     """
     if n < 0:
         raise ValueError("inv_pochhammer needs n >= 0")
-    coeffs = [0] * (q_order + 1)
-    if coeffs:
-        coeffs[0] = 1
-    divide_pochhammer(coeffs, n, scale)
-    return QSeries.from_row(coeffs)
+    return QSeries.from_row(denominator_row((n,), q_order, scale))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

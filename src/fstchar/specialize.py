@@ -22,7 +22,7 @@ from functools import lru_cache
 from operator import add, mul
 
 from .admissible import character_oracle, energy, enumerate_configs, weight_parts
-from .charseries import specialize
+from .charseries import spec1_cell, specialize
 from .fermionic import character_fermionic
 from .qseries import CACHE_SIZE, QSeries, denominator_row
 from .reporting import CheckReport
@@ -31,16 +31,14 @@ from .reporting import CheckReport
 def spec2(char):
     """spec_2 of a two-variable character: q^m z^n -> q^{2m - 2n_1 - n_2}.
 
+    Every cell goes through spec_1's cell map, `charseries.spec1_cell`.
     Valid to 2Q - 2cap_1 - cap_2 on the window.  Cells beyond the caps count
     as zero, so the caller's window must bound them, as `spec2_window` does.
     """
     cap1, cap2 = char.caps
     terms = {}
     for (n1, n2), row in char.coeffs.items():
-        for e, c in enumerate(row):
-            if c:
-                out_e = 2 * e - 2 * n1 - n2
-                terms[out_e] = terms.get(out_e, 0) + c
+        spec1_cell(terms, n1, n2, row)
     return QSeries(terms, 2 * char.q_order - 2 * cap1 - cap2)
 
 

@@ -347,6 +347,14 @@ class TestVerify:
                             raising=False)
         assert _worker_count(8, 8) == 1
 
+    def test_worker_count_without_affinity_reads_cpu_count(self, monkeypatch):
+        # platforms without sched_getaffinity (macOS, Windows) count all CPUs
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _worker_count(8, 8) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(8, 8) == 1
+
     @staticmethod
     def loaded_by_import(module):
         """Whether a fresh `import fstchar.cli` loads `module`."""
@@ -565,6 +573,16 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert "unknown config key 'qmx'" in err
 
+    def test_repeated_key_exits_2(self, capsys, tmp_path):
+        # keeping the last value would run qmax=50 without a word
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("qmax=5\nzmax=2\nqmax=50\n")
+        code, out, err = run(
+            capsys, "--config", str(cfg), "character", "--method", "oracle",
+            "--weight", "1,0,0",
+        )
+        assert code == 2 and out == ""
+        assert f"config key 'qmax' given twice in {cfg}" in err
 
     @pytest.mark.parametrize("argv", [
         ["character", "--method", "oracle", "--weight", "1,0,0", "--zmax", "1"],

@@ -5,7 +5,7 @@ import pytest
 import fstchar
 from fstchar.admissible import character_oracle, degree_weight
 from fstchar.charseries import CharSeries
-from fstchar.fermionic import NSequences, linear_term
+from fstchar.fermionic import NSequences, flip_first, linear_term, pos
 from fstchar.qseries import inv_pochhammer, pochhammer
 from fstchar.recurrence import level_weights
 
@@ -31,9 +31,13 @@ def test_public_names_are_not_submodules():
     (lambda: character_oracle((1, 0, 0), None, (2, 2)), "explicit q_order"),
     (lambda: CharSeries((-1, 2), 3), "must be >= 0"),
     (lambda: CharSeries((1, 1), 3, {(0,): [1, 0, 0, 0]}), "wrong arity"),
+    (lambda: flip_first(1, 2, (0, 1)), "bit value must be 0 or 1"),
+    (lambda: flip_first(-1, 0, (0, 1)), "flip count must be >= 0"),
+    (lambda: pos(1, 0, (0, 1)), "occurrence index is 1-based"),
 ], ids=["nseq-lengths", "nseq-empty", "linear-term-length", "pochhammer",
         "inv-pochhammer", "level-zero", "rank-zero", "degree-weight-rank",
-        "oracle-no-order", "charseries-caps", "charseries-arity"])
+        "oracle-no-order", "charseries-caps", "charseries-arity",
+        "flip-bit-value", "flip-count", "pos-occurrence"])
 def test_documented_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,12 @@ class TestArithmetic:
         assert (a + b).trunc == 7
         assert (a * b).trunc == 7
         assert (a - b).trunc == 7
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_non_series_operand_raises_type_error(self, op):
+        # each operator returns NotImplemented, so Python raises TypeError
+        with pytest.raises(TypeError):
+            op(series({0: 1}), "x")
 
     def test_mul_drops_beyond_trunc(self):
         a = QSeries({5: 1}, 8)
