@@ -355,15 +355,20 @@ def a_coefficient(w, n1, n2, q_order):
                 total[e:] = map(sub, total[e:], row)
             elif c:
                 total[e:] = [t + c * x for t, x in zip(total[e:], row)]
-    return QSeries.from_row(total)
+    return QSeries.from_row(total, q_order)
 
 
 def character_fermionic(w, q_order, caps):
-    """Assemble the closed-formula character over an explicit window (l = 2)."""
+    """Assemble the closed-formula character over an explicit window (l = 2).
+
+    A negative q_order gives the empty character, as `character_oracle` does.
+    """
     w = weight_parts(w, 2)
     caps = tuple(caps)
     if len(caps) != 2:
         raise ValueError("the closed formula is two-variable: caps must be a pair")
+    if q_order < 0:
+        return CharSeries(caps, q_order)
     rows = {}
     for n1 in range(caps[0] + 1):
         for n2 in range(caps[1] + 1):

@@ -101,9 +101,13 @@ class QSeries(Frozen):
         return cls({0: 1}, trunc)
 
     @classmethod
-    def from_row(cls, row):
-        """The series with coefficient row[e] at q^e, truncated at len(row) - 1."""
-        return cls(dict(enumerate(row)), len(row) - 1)
+    def from_row(cls, row, trunc=None):
+        """The series with coefficient row[e] at q^e, truncated at `trunc`.
+
+        `trunc` defaults to len(row) - 1.  A row of any negative order is
+        empty, so a caller that may hold one passes its order as `trunc`.
+        """
+        return cls(dict(enumerate(row)), len(row) - 1 if trunc is None else trunc)
 
     # -- queries -----------------------------------------------------------
 
@@ -195,8 +199,8 @@ class QSeries(Frozen):
 # Entries kept by each lru_cache of the package.  `fermionic._plan` holds one
 # template list per pattern sum and weight, at most 5 per weight of the
 # levels run: `verify --suite lemmas --level 5` leaves 140 entries.
-# `denominator_row` keeps one row per key, prefixes included: 129 rows (13,800
-# hits) after `verify --suite fjmmt --level 4 --zmax 14 --qmax 36`, 108 after
+# `denominator_row` keeps one row per key, prefixes included: 108 rows (8,424
+# hits) after `verify --suite fjmmt --level 4 --zmax 14 --qmax 36`, 98 after
 # `verify --suite all --level 3 --zmax 8 --qmax 20 --jobs 1`, 124 after
 # `verify --suite fjmmt2 --level 4 --qmax 30`.  `specialize.prefix_census`
 # and `specialize.chi_fjmmt2` keep one series per distinct call: 10 and 13
@@ -251,7 +255,7 @@ def inv_pochhammer(n, q_order, scale=1):
     """
     if n < 0:
         raise ValueError("inv_pochhammer needs n >= 0")
-    return QSeries.from_row(denominator_row((n,), q_order, scale))
+    return QSeries.from_row(denominator_row((n,), q_order, scale), q_order)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

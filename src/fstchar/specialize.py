@@ -90,30 +90,37 @@ def fjmmt_r_vector(k, k0):
     return (0,) * k0 + tuple(range(2, 2 * (k - k0) + 1, 2)) + tuple(range(1, k + 1))
 
 
-def chi_fjmmt(k0, k1, z_cap, q_order):
+def chi_fjmmt(k0, k1, z_cap, q_order, drop=0):
     """Principally specialized character for weights with k_2 = 0, as {n: QSeries}.
 
     The coefficient of z^n sums over m = (m_{1j} | m_{2j}) in N^{2k} with
     sum_j j*(m_{1j} + m_{2j}) = n of q^{m.A.m - diag(A).m + r.m} / prod
-    (q^2)_{m_i}, A = `fjmmt_matrix`, r = `fjmmt_r_vector`.  One more unit of
-    m_i raises the exponent by (2A m)_i + r_i and n by its part size, the
-    data `_walk` runs on.  A term adds its shared `denominator_row` row at
-    scale 2 (keyed by the sorted nonzero entries of m) into the one
-    accumulator list of its z-degree at offset `expo`; no product is taken.
+    (q^2)_{m_i}, A = `fjmmt_matrix`, r = `fjmmt_r_vector`, kept to order
+    q_order - drop*n.  One more unit of m_i raises the exponent by
+    (2A m)_i + r_i and n by its part size s_i, so `_walk` runs on
+    exponent + drop*n, with steps r_i + drop*s_i and bound q_order.  The
+    bound stays exact: the exponent and n both only grow along each entry,
+    so a term cut there stays cut at every larger value of the entry.  A
+    term adds its shared `denominator_row` row at scale 2 (keyed by the
+    sorted nonzero entries of m) into the one accumulator list of its
+    z-degree, of length q_order - drop*n + 1, at offset `expo` - drop*n, its
+    exponent; no product is taken.
     """
     k0, k1, _ = weight_parts((k0, k1, 0), 2)
     k = k0 + k1
-    terms = {n: [0] * (q_order + 1) for n in range(z_cap + 1)}
+    terms = {n: [0] * (q_order - drop * n + 1) for n in range(z_cap + 1)}
 
     def add_term(m, n, expo):
         denom = denominator_row(tuple(sorted([x for x in m if x])), q_order, 2)
         acc = terms[n]
+        expo -= drop * n
         acc[expo:] = map(add, acc[expo:], denom)
 
     double = [[2 * x for x in row] for row in fjmmt_matrix(k)]
     sizes = [j % k + 1 for j in range(2 * k)]  # part size of m_j in l_1 or l_2
-    _walk(double, fjmmt_r_vector(k, k0), sizes, z_cap, q_order, add_term)
-    return {n: QSeries.from_row(acc) for n, acc in terms.items()}
+    steps = [r + drop * s for r, s in zip(fjmmt_r_vector(k, k0), sizes)]
+    _walk(double, steps, sizes, z_cap, q_order, add_term)
+    return {n: QSeries.from_row(acc, q_order - drop * n) for n, acc in terms.items()}
 
 
 # -- level-k fermionic sum with Gaussian binomials ---------------------------
@@ -189,7 +196,7 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
         total[expo:] = map(add, total[expo:], term)
 
     _walk(matrix, r, [0] * k, 0, q_order, add_term)
-    return QSeries.from_row(total)
+    return QSeries.from_row(total, q_order)
 
 
 def chi_fjmmt2_alternating(weight, q_order):
@@ -264,11 +271,14 @@ def verify_spec1(k0, k1, z_cap, q_order):
     """spec_1 of the closed-formula character against the principal sum.
 
     Both sides are compared per z-exponent on the guaranteed-valid order of
-    the specialized side (2*q_order - 2n at z^n for n within the caps).
+    the specialized side (2*q_order - 2n at z^n for n within the caps).  The
+    principal sum is walked only to those orders (`drop=2`): a term's
+    exponent and z-degree both only grow along each entry of its walk, so
+    the cut at exponent + 2n <= 2*q_order keeps every term the check reads.
     """
     fer = character_fermionic((k0, k1, 0), q_order, (z_cap, z_cap))
     left = specialize(fer)
-    right = chi_fjmmt(k0, k1, z_cap, 2 * q_order)
+    right = chi_fjmmt(k0, k1, z_cap, 2 * q_order, drop=2)
     report = CheckReport(
         name=f"spec1[{k0},{k1}]",
         window={"z_cap": z_cap, "q_order": q_order},

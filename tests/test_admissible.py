@@ -251,9 +251,10 @@ class TestCharacterOracle:
 
     def test_negative_q_order_is_zero(self):
         # the closed formula gives the zero series on the same window
-        ch = character_oracle((1, 0, 0), -1, (2, 2))
-        assert ch == CharSeries((2, 2), -1, {})
-        assert ch == character_fermionic((1, 0, 0), -1, (2, 2))
+        for q_order in (-1, -3):
+            ch = character_oracle((1, 0, 0), q_order, (2, 2))
+            assert ch == CharSeries((2, 2), q_order, {})
+            assert ch == character_fermionic((1, 0, 0), q_order, (2, 2))
 
     @pytest.mark.parametrize("count", [character_oracle, weight_degree_counts])
     def test_rank_is_read_off_the_caps(self, count):

@@ -165,7 +165,9 @@ class TestCharacter:
     # stdout sha256 prefixes of runs that no benchmark workload makes: no
     # workload runs `character`, the level-2 golden report or a text-format
     # report, so only this pins their output.  The first four were recorded
-    # at 67e1c2f, the rest at fc1faf8
+    # at 67e1c2f, the next four at fc1faf8 and the last at 6c92a22: a window
+    # with z_cap > q_order, where spec_1's order 2q - 2n is negative at the
+    # top z-degrees
     PINNED = [
         ("character --method fjmmt --weight 2,0,0 --zmax 6 --qmax 20",
          "59028fa7ccc2af10"),
@@ -182,6 +184,7 @@ class TestCharacter:
          "0bc8e65baa7b6f84"),
         ("character --method fermionic --l 2 --weight 2,0,1 --zmax 3 --qmax 10"
          " --format text", "4bb962f21325caa1"),
+        ("verify --suite fjmmt --level 2 --zmax 10 --qmax 3", "5a5ae4bf9a76ecfe"),
     ]
 
     @pytest.mark.parametrize("command, prefix", PINNED)

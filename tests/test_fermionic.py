@@ -456,6 +456,11 @@ class TestACoefficient:
         with pytest.raises(ValueError):
             a_coefficient((1, 0, 0), -1, 0, 5)
 
+    @pytest.mark.parametrize("q_order", [-1, -3])
+    def test_negative_order_is_kept(self, q_order):
+        for n1, n2 in [(0, 0), (1, 0), (0, 2)]:
+            assert a_coefficient((1, 1, 0), n1, n2, q_order) == QSeries.zero(q_order)
+
     @pytest.mark.parametrize("w, q_order", [
         ((1, 1, 1), 30), ((3, 0, 0), 30), ((0, 1, 2), 30),
         ((2, 1, 1), 28), ((0, 4, 0), 28), ((1, 0, 3), 28),

@@ -69,6 +69,8 @@ class TestArithmetic:
         assert QSeries.from_row([1, 0, -2]) == QSeries({0: 1, 2: -2}, 2)
         assert QSeries.from_row((0, 0)).coeffs == {}
         assert QSeries.from_row([]) == QSeries.zero(-1)
+        # every negative order has the empty row, so it is passed explicitly
+        assert QSeries.from_row([], -3) == QSeries.zero(-3)
 
     def test_truncate_cannot_extend(self):
         with pytest.raises(ValueError):
@@ -205,6 +207,7 @@ class TestDividePochhammer:
 
     def test_inv_pochhammer_below_order_zero(self):
         assert inv_pochhammer(3, -1) == QSeries.zero(-1)
+        assert inv_pochhammer(3, -3) == QSeries.zero(-3)
         assert inv_pochhammer(3, 0) == QSeries.one(0)
 
 

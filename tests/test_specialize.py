@@ -227,6 +227,7 @@ class TestChiFjmmt:
                lambda level: st.tuples(st.integers(0, level), st.just(level))),
            st.integers(0, 6), st.integers(-1, 40))
     @example((0, 1), 0, -1)
+    @example((0, 1), 2, -3)  # an empty row of order -3 at each z-degree
     @example((2, 3), 4, 0)
     def test_matches_series_products(self, k0_level, z_cap, q_order):
         k0, level = k0_level
@@ -246,6 +247,35 @@ class TestChiFjmmt:
         assert chi_fjmmt(k0, k1, z_cap, q_order) == (
             _chi_fjmmt_unpruned(k0, k1, z_cap, q_order))
 
+    # drop = d keeps z^n to order q - d*n, which is negative for n > q/d
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+               lambda level: st.tuples(st.integers(0, level), st.just(level))),
+           st.integers(0, 8), st.integers(-1, 40), st.sampled_from([0, 1, 2]))
+    @example((1, 1), 8, 3, 2)
+    @example((0, 4), 8, 40, 2)
+    @example((2, 2), 0, -1, 1)
+    def test_drop_truncates_each_degree(self, k0_level, z_cap, q_order, drop):
+        k0, level = k0_level
+        k1 = level - k0
+        full = chi_fjmmt(k0, k1, z_cap, q_order)
+        dropped = chi_fjmmt(k0, k1, z_cap, q_order, drop=drop)
+        assert dropped == {n: full[n].truncate(q_order - drop * n) for n in full}
+
+    # the drop that verify_spec1 passes, against exponent data built apart
+    @pytest.mark.parametrize("k0, k1", [
+        (k0, level - k0) for level in range(1, 4) for k0 in range(level + 1)
+    ])
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 6), st.integers(-1, 30))
+    @example(6, 30)
+    @example(6, 5)
+    def test_drop_two_matches_unpruned_sum(self, k0, k1, z_cap, q_order):
+        unpruned = _chi_fjmmt_unpruned(k0, k1, z_cap, q_order)
+        assert chi_fjmmt(k0, k1, z_cap, q_order, drop=2) == {
+            n: unpruned[n].truncate(q_order - 2 * n) for n in unpruned
+        }
+
     def test_empty_exponent_term(self):
         out = chi_fjmmt(2, 0, 3, 12)
         assert out[0] == QSeries.one(12)
@@ -263,6 +293,8 @@ class TestChiFjmmt2:
            st.none() | st.integers(0, 8), st.integers(-1, 30))
     @example((2, 1, 0), None, -1)
     @example((2, 1, 0), 3, -1)
+    @example((1, 1, 0), None, -3)  # an empty row of order -3
+    @example((1, 1, 0), 1, -3)
     @example((3, 0, 2), None, 0)
     @example((3, 0, 2), 4, 0)
     @example((2, 0, 1), 0, 20)
@@ -486,8 +518,8 @@ def _bumped_chi_fjmmt(monkeypatch):
     """Add 1 to the constant coefficient at z^0 of the principal sum."""
     real = specialize.chi_fjmmt
 
-    def chi(*args):
-        terms = dict(real(*args))
+    def chi(*args, **kwargs):
+        terms = dict(real(*args, **kwargs))
         terms[0] = _bump(terms[0])
         return terms
 
