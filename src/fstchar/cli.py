@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 verification violations or internal inconsistency,
 2 invalid configuration.  The commands only parse, call the library and
 print.  `verify` gathers its independent computations into one list of
-calls and maps it through at most one process pool, sized by its total
-tasks and the CPUs.  Results come back in list order, so output is
+calls and splits it, by a fork-join, over at most as many processes as
+--jobs, its total tasks and the CPUs: the parent computes one share and
+each forked child another.  Results come back in list order, so output is
 byte-identical for any parallelism degree.
 """
 
@@ -103,7 +104,9 @@ def _check_settings(l, jobs=None, l2_only=None, level=None, **bounds):
 
 
 def _worker_count(jobs, n_items):
-    """Pool size for n_items tasks: no more workers than tasks or CPUs."""
+    """Processes for n_items tasks: no more than tasks or CPUs, and one without fork."""
+    if not hasattr(os, "fork"):
+        return 1  # Windows: the calls run in this process
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
     else:
@@ -111,25 +114,21 @@ def _worker_count(jobs, n_items):
     return max(1, min(jobs, n_items, cpus))
 
 
-def _apply(call):
-    """Apply one `(function, args)` call; module level, so a pool can pickle it."""
-    fn, args = call
-    return fn(*args)
-
-
 def _pmap(calls, jobs):
     """The results of a list of `(function, args)` calls, in list order.
 
-    A command maps all of its independent calls at once, so it starts at
-    most one pool, of `_worker_count(jobs, len(calls))` workers.
+    A command maps all of its independent calls at once, over
+    `_worker_count(jobs, len(calls))` processes: in this one alone, or by
+    `forkjoin.fork_join`, where this process computes one share and each
+    forked child another.
     """
     workers = _worker_count(jobs, len(calls))
     if workers == 1:
-        return list(map(_apply, calls))
-    # imported here so that a --jobs 1 run never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_apply, calls))
+        return [fn(*args) for fn, args in calls]
+    # imported here: a run that does not fork needs neither it nor pickle
+    from .forkjoin import fork_join
+
+    return fork_join(calls, workers)
 
 
 def _emit(args, text):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fstchar import cli, recurrence
+from fstchar import cli, fermionic, recurrence
 from fstchar.cli import _worker_count, main
 
 
@@ -271,20 +271,23 @@ class TestVerify:
         )
         assert code == 0
 
-    def test_jobs_do_not_change_output(self, capsys, monkeypatch):
-        import concurrent.futures
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The `os.fork` calls of the test, made as if on three CPUs."""
+        calls = []
+        real_fork = os.fork
 
-        pools = []
+        def counting_fork():
+            calls.append(None)
+            return real_fork()
 
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs)
-                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        return calls
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        # one pool serves the whole command, on a machine with 2 CPUs or more
-        pooled = int(_worker_count(2, 2) > 1)
-        # --suite all reaches every pooled call site of verify
+    def test_jobs_do_not_change_output(self, capsys, forks):
+        # --suite all reaches every call site of verify's one map
         for suite in ("system", "all"):
             argv = [
                 "verify", "--suite", suite, "--l", "2", "--level", "2",
@@ -292,16 +295,74 @@ class TestVerify:
             ]
             code, serial, _ = run(capsys, *argv, "--jobs", "1")
             assert code == 0
-            assert pools == []
-            code, parallel, _ = run(capsys, *argv, "--jobs", "2")
-            assert serial == parallel
-            assert len(pools) == pooled
-            pools.clear()
-        # a single task gets no pool, however many jobs
+            assert forks == []
+            for jobs in (2, 3):
+                code, parallel, _ = run(capsys, *argv, "--jobs", str(jobs))
+                assert code == 0
+                assert parallel == serial
+                # one fork per process beside the parent, per command
+                assert len(forks) == jobs - 1
+                forks.clear()
+        # a single task forks nothing, however many jobs
         code, _, _ = run(capsys, "verify", "--suite", "lemmas", "--level", "1",
                          "--jobs", "4")
         assert code == 0
-        assert pools == []
+        assert forks == []
+
+    LEMMAS_K2 = ["verify", "--suite", "lemmas", "--level", "2", "--jobs", "2"]
+
+    @staticmethod
+    def break_battery(monkeypatch, k, make_result):
+        """Make `identity_battery(k)` return or raise what `make_result` does.
+
+        `LEMMAS_K2` maps two calls: k = 1 in the parent's share and k = 2
+        in the child's.
+        """
+        real = fermionic.identity_battery
+
+        def battery(level):
+            return make_result() if level == k else real(level)
+
+        monkeypatch.setattr(fermionic, "identity_battery", battery)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("k", [1, 2], ids=["parent-share", "child-share"])
+    def test_error_in_a_share(self, capsys, monkeypatch, forks, k):
+        def boom():
+            raise RuntimeError("boom")
+
+        self.break_battery(monkeypatch, k, boom)
+        assert run(capsys, *self.LEMMAS_K2) == (1, "", "internal error: boom\n")
+        assert len(forks) == 1
+        self.assert_no_child_left()
+        code, out, err = run(capsys, "--traceback", *self.LEMMAS_K2)
+        assert (code, out) == (1, "")
+        assert err.endswith("RuntimeError: boom\ninternal error: boom\n")
+        # the frame that raised, also when it ran in the child
+        assert "in boom" in err
+        self.assert_no_child_left()
+
+    def test_unpicklable_child_result(self, capsys, monkeypatch, forks):
+        self.break_battery(monkeypatch, 2, lambda: (lambda: 0))
+        code, out, err = run(capsys, *self.LEMMAS_K2)
+        assert (code, out) == (1, "")
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        self.assert_no_child_left()
+
+    def test_unpicklable_child_error(self, capsys, monkeypatch, forks):
+        def boom():
+            raise RuntimeError(lambda: 0)
+
+        self.break_battery(monkeypatch, 2, boom)
+        code, out, err = run(capsys, *self.LEMMAS_K2)
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"internal error: worker process \d+ ended without "
+                            r"a result\n", err)
+        self.assert_no_child_left()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_report_order(self, capsys, jobs):
@@ -358,6 +419,18 @@ class TestVerify:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _worker_count(8, 8) == 1
 
+    def test_no_fork_runs_serially(self, capsys, monkeypatch):
+        # Windows has no os.fork: the run stays in this process
+        argv = ["verify", "--suite", "system", "--l", "2", "--level", "2",
+                "--zmax", "3", "--qmax", "8", "--jobs", "2"]
+        code, forked, _ = run(capsys, *argv)
+        assert code == 0
+        monkeypatch.delattr(os, "fork")
+        assert _worker_count(8, 8) == 1
+        code, serial, _ = run(capsys, *argv)
+        assert code == 0
+        assert serial == forked
+
     @staticmethod
     def loaded_by_import(module):
         """Whether a fresh `import fstchar.cli` loads `module`."""
@@ -373,13 +446,61 @@ class TestVerify:
         return loaded == "True"
 
     @pytest.mark.parametrize("module", [
-        "concurrent.futures",  # only a pooled run starts one
+        "concurrent.futures",  # no run starts an executor
+        "pickle",              # only a forked run sends results back
         "traceback",           # only --traceback prints one, on an internal error
         "dataclasses",         # with inspect, ast, dis and tokenize: ~12 ms a run
         "inspect",
     ])
     def test_import_loads_only_what_every_run_needs(self, module):
         assert not self.loaded_by_import(module)
+
+    def test_forked_run_loads_no_executor(self):
+        # the fork-join needs neither concurrent.futures nor multiprocessing
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import contextlib, io, os, sys\n"
+            "from fstchar.cli import main\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['verify', '--suite', 'lemmas', '--level', '2', '--jobs', '2'])\n"
+            "print('pickle' in sys.modules, sorted(m for m in sys.modules if\n"
+            "      m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout == "True []\n"
+
+    def test_error_in_parent_share_frees_full_pipes(self):
+        # each child blocks writing a result larger than a pipe holds; once
+        # the parent's own share raises, each must see its pipe close and
+        # exit, or the parent's waitpid hangs.  Run apart, under a timeout
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import os\n"
+            "from fstchar.forkjoin import fork_join\n"
+            "def boom():\n"
+            "    raise RuntimeError('boom')\n"
+            "def big():\n"
+            "    return bytes(1 << 20)\n"
+            "try:\n"
+            "    fork_join([(boom, ()), (big, ()), (big, ())], 3)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout == "boom\nno child left\n"
 
     def test_benchmark_tracer_finds_every_traced_name(self):
         # perfbench/traced_cli.py reports null for a metric whose function or
