@@ -19,8 +19,8 @@ A pattern sum is a generator of `_summand` templates, one per pattern.
 The linear term is the one that is evaluated on N: `linear_term` for one
 N, and `a_coefficient` through the same expansion loop, `_expand`.  Its
 alternative, starred, m and n forms are generators that `identity_battery`
-reads.  All functions are pure; coefficient computations for distinct
-(n_1, n_2) are independent and may run in parallel.
+reads.  The NSequences are walked through their gaps by `qseries.index_walk`,
+the walk of both known sums (`_walk_records`).  All functions are pure.
 """
 
 import itertools
@@ -30,7 +30,7 @@ from operator import add, sub
 
 from .admissible import weight_parts
 from .charseries import CharSeries, dense_row
-from .qseries import CACHE_SIZE, Frozen, QSeries, denominator_row
+from .qseries import CACHE_SIZE, Frozen, QSeries, denominator_row, index_walk
 from .recurrence import level_weights
 from .reporting import CheckReport
 
@@ -254,92 +254,76 @@ def linear_term(w, N, q_order):
     return _evaluate(_plan(_linear_term_summands, w), N, q_order)
 
 
-def n_sequence_pairs(k, n1, n2, q_order):
-    """The NSequences with row sums n1, n2 and quadratic form <= q_order.
+def _walk_records(k, caps, q_order):
+    """The NSequences N of length k with Q(N) <= q_order, by cell (n1, n2).
 
-    Returns, as a list, every NSequences with sum N_{1,*} = n1, sum N_{2,*} =
-    n2 and Q(N) = sum N_{1,i}^2 + N_{2,i}^2 + N_{1,i} N_{2,i} <= q_order; no
-    other sequence is built.  The pairs (N_{1,i}, N_{2,i}) are chosen one
-    position at a time, N_1 weakly decreasing and N_2 weakly increasing,
-    carrying the partial form.  Since a^2 + b^2 + ab is convex and of degree
-    2, m positions with remaining sums r1, r2 add at least
-    (r1^2 + r2^2 + r1 r2) / m, and a branch is cut when that exceeds what is
-    left of q_order.  No weight enters: `a_coefficient` calls this once per
-    level, window and cell, and every weight of the level shares the result.
+    A cell holds N with row sums (n1, n2) <= caps, each as the tuple
+    `(base, key, entries, factors)`: base is Q(N) = sum N_{1,i}^2 + N_{2,i}^2
+    + N_{1,i} N_{2,i}, key the sorted nonzero gaps (equal keys are one shared
+    tuple), entries and factors those of `NSequences`.  `index_walk` runs on
+    the gaps g: N_{1,i} = sum_{j>=i} g_{1,j}, N_{2,i} = sum_{j<=i} g_{2,j}.
+    So Q = g.S.g, S_ab = min(a, b) on g_1, k - max(a, b) + 1 on g_2 and
+    max(0, a - b + 1) / 2 at g_{1,a} g_{2,b}; n1 = sum j g_{1,j} and
+    n2 = sum (k - j + 1) g_{2,j}.
+    """
+    ks = range(1, k + 1)
+    cross = [[max(0, a - b + 1) for b in ks] for a in ks]  # 2S at g_{1,a} g_{2,b}
+    matrix = [[2 * min(a, b) for b in ks] + cross[a - 1] for a in ks] + [
+        [*column, *[2 * (k - max(a, b) + 1) for b in ks]]
+        for a, column in zip(ks, zip(*cross))]
+    sizes = ([*ks] + [0] * k, [0] * k + [k - j + 1 for j in ks])
+    cells, keys = {}, {}
+
+    def record(g, cell, base):
+        g, cell = tuple(g), tuple(cell)
+        n1 = tuple(itertools.accumulate(g[k - 1::-1]))[::-1]
+        n2 = tuple(itertools.accumulate(g[k:]))
+        key = tuple(sorted([x for x in g if x]))
+        cells.setdefault(cell, []).append(
+            (base, keys.setdefault(key, key), n1 + n2, g + n2))
+
+    steps = [row[i] // 2 for i, row in enumerate(matrix)]
+    index_walk(matrix, steps, sizes, caps, q_order, record)
+    return cells
+
+
+def n_sequence_pairs(k, n1, n2, q_order):
+    """The list of NSequences with row sums n1, n2 and Q(N) <= q_order.
+
+    Read off `_walk_records` capped at (n1, n2); `a_coefficient` does not call this.
     """
     if k < 1:
         raise ValueError("sequence length k must be >= 1")
-    out = []
-    if n1 < 0 or n2 < 0:
-        return out
-    row1 = [0] * k
-    row2 = [0] * k
-
-    def extend(i, top1, low2, r1, r2, partial):
-        left = k - i
-        if left * (q_order - partial) < r1 * r1 + r2 * r2 + r1 * r2:
-            return
-        if left == 1:
-            # the bound above is exact here: Q(N) <= q_order
-            if r1 <= top1 and r2 >= low2:
-                row1[i], row2[i] = r1, r2
-                out.append(NSequences(tuple(row1), tuple(row2)))
-            return
-        # the later entries are <= a and >= b, and share r1 - a and r2 - b
-        for a in range(min(top1, r1), -(-r1 // left) - 1, -1):
-            with_a = partial + a * a
-            for b in range(low2, r2 // left + 1):
-                value = with_a + b * b + a * b
-                if value > q_order:
-                    break
-                row1[i], row2[i] = a, b
-                extend(i + 1, a, b, r1 - a, r2 - b, value)
-
-    extend(0, n1, 0, n1, n2, 0)
-    return out
+    cell = _walk_records(k, (n1, n2), q_order).get((n1, n2), ())
+    return [NSequences(entries[:k], entries[k:]) for _, _, entries, _ in cell]
 
 
 @lru_cache(maxsize=1)
 def _sequence_table(k, q_order):
-    """`(cells, keys)`: the NSequences records of one level and window.
+    """The records of `_walk_records` for every cell that q_order can reach.
 
-    `cells` maps (n1, n2) to one tuple `(base, key, entries, factors)` per N
-    of `n_sequence_pairs(k, n1, n2, q_order)`, filled by `a_coefficient`;
-    `keys` interns the denominator keys.  One table is kept, so a call at
-    another (k, q_order) drops it.
+    One walk, cut by q_order alone (a row sum is at most Q(N)), serves
+    every weight of the level.  One table is kept, so a call at another
+    (k, q_order) drops it.
     """
-    return {}, {}
+    return _walk_records(k, (q_order, q_order), q_order)
 
 
 def a_coefficient(w, n1, n2, q_order):
     """Weight-(n1, n2) coefficient of the closed character formula.
 
-    Sums q^{sum N1_i^2 + N2_i^2 + N1_i N2_i} * linear term over the
-    NSequences with the given row sums, divided by the Pochhammer factors of
-    the successive differences on both axes.  Only the NSequences whose base
-    exponent b is <= q_order are generated.  Summands are grouped by their
-    denominator, keyed by the sorted nonzero gaps: each N's linear term is
-    expanded at offset b into its key's sparse dict (`_expand`).  Each
-    key's shared row of 1/prod (q)_g (`denominator_row`) is then added into
-    one accumulator once per exponent, times the merged coefficient.  Each
-    N's b, key, entries and factors do not depend on the weight: they are
-    built once per level, window and cell (`_sequence_table`) and shared by
-    every weight of the level.
+    Sums q^{Q(N)} * linear term / prod (q)_g over the gaps g of N, for the
+    NSequences N of the cell with Q(N) <= q_order, read from the records
+    that every weight of the level shares (`_sequence_table`).  Each N's
+    linear term is expanded at offset Q(N) into the sparse dict of its
+    denominator key, the sorted nonzero gaps (`_expand`); each key's shared
+    row of 1/prod (q)_g (`denominator_row`) is then added into one
+    accumulator once per exponent, times the merged coefficient.
     """
     w = weight_parts(w, 2)
-    k = sum(w)
     if n1 < 0 or n2 < 0:
         raise ValueError("weights must be >= 0")
-    cells, keys = _sequence_table(k, q_order)
-    records = cells.get((n1, n2))
-    if records is None:
-        records = []
-        for N in n_sequence_pairs(k, n1, n2, q_order):
-            base = sum([a * a + b * b + a * b for a, b in zip(N.n1, N.n2)])
-            key = tuple(sorted([g for g in N.factors[:2 * k] if g]))
-            key = keys.setdefault(key, key)
-            records.append((base, key, N.entries, N.factors))
-        records = cells[(n1, n2)] = tuple(records)
+    records = _sequence_table(sum(w), q_order).get((n1, n2), ())
     templates = _plan(_linear_term_summands, w)
     grouped = {}
     for base, key, entries, factors in records:

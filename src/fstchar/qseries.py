@@ -25,6 +25,7 @@ tests' references and the `qseries.*` metrics of `perfbench/`.
 """
 
 from functools import lru_cache
+from operator import mul
 from types import MappingProxyType
 
 
@@ -206,13 +207,12 @@ class QSeries(Frozen):
 # and `specialize.chi_fjmmt2` keep one series per distinct call: 10 and 13
 # entries after `verify --suite all --level 3 --zmax 8 --qmax 20 --jobs 1`
 # (40 and 24 hits), 21 and 26 after `verify --suite fjmmt2 --level 5
-# --qmax 40`.  `fermionic._sequence_table` keeps one table, not CACHE_SIZE:
-# the NSequences records of every cell of one level and window, which a call
-# at another level or window drops.  It holds 225 cells and 1,244 records
-# (0.4 MB) after `verify --suite fjmmt --level 4 --zmax 14 --qmax 36`, and
-# 1,066 cells and 12,463 records (4.4 MB) after `verify --suite fjmmt2
-# --level 5 --qmax 40`.  No route calls `pochhammer` or `inv_pochhammer`;
-# their caches serve the tests and perfbench/ only.
+# --qmax 40`.  `fermionic._sequence_table` keeps one table, not CACHE_SIZE,
+# of the NSequences records of every cell one level and q-order reach: 99
+# cells and 1,244 records (0.4 MB) after `verify --suite fjmmt --level 4
+# --zmax 14 --qmax 36`, 213 cells and 12,463 records (4.5 MB) after `verify
+# --suite fjmmt2 --level 5 --qmax 40`.  No route calls `pochhammer` or
+# `inv_pochhammer`; their caches serve the tests and perfbench/ only.
 CACHE_SIZE = 512
 
 
@@ -272,3 +272,45 @@ def denominator_row(key, q_order, scale=1):
     row = list(denominator_row(key[:-1], q_order, scale))
     divide_pochhammer(row, key[-1], scale)
     return tuple(row)
+
+
+def index_walk(matrix, steps, sizes, caps, q_order, visit):
+    """Call visit(m, n, expo) for each m >= 0 with expo <= q_order and n <= caps.
+
+    The summation indices of every fermionic sum.  From m = 0, expo = 0 and
+    n = 0, one more unit of m_i raises expo by (M m)_i + steps_i (M is
+    `matrix`) and the z-degree n_v by sizes[v][i]: `sizes` holds one row and
+    `caps` one cap per z-variable, and n is the list of z-degrees.  All are
+    >= 0 and diag(M) >= 1, so each entry stops growing once a bound is
+    passed, and each m within the bounds is visited once.  visit must not
+    keep `m` or `n`, shared lists.
+    """
+    m = [0] * len(steps)
+    n = [0] * len(caps)
+    # (v, sizes[v][i]) for each z-degree n_v that one unit of m_i raises
+    raises = [[(v, row[i]) for v, row in enumerate(sizes) if row[i]]
+              for i in range(len(m))]
+
+    def extend(i, expo):
+        if i == len(m):
+            visit(m, n, expo)
+            return
+        row, up = matrix[i], raises[i]
+        while expo <= q_order:
+            extend(i + 1, expo)
+            # entries after i are still 0, so this is (M m)_i
+            expo += sum(map(mul, row, m)) + steps[i]
+            m[i] += 1
+            if up:
+                over = False
+                for v, s in up:
+                    n[v] += s
+                    over |= n[v] > caps[v]
+                if over:
+                    break
+        for v, s in up:
+            n[v] -= s * m[i]
+        m[i] = 0
+
+    if min(caps, default=0) >= 0:
+        extend(0, 0)

@@ -14,8 +14,9 @@ specialized double sum over (q^2)-Pochhammer denominators (k_2 = 0 only,
 "fjmmt" below) and a level-k fermionic sum with Gaussian-binomial factors
 ("fjmmt2" below, finite or stabilized infinite site count).  Each is walked
 from a matrix and one vector r (`fjmmt_matrix`, `fjmmt_r_vector`;
-`fjmmt2_matrix`, `fjmmt2_r_vector`) by one pruned walk, `_walk`, and both
-spec_2 checks build their report through one frame, `_spec2_frame`.
+`fjmmt2_matrix`, `fjmmt2_r_vector`) by `qseries.index_walk`, the walk of
+the closed formula's NSequences too, and both spec_2 checks build their
+report through one frame, `_spec2_frame`.
 """
 
 from functools import lru_cache
@@ -24,7 +25,7 @@ from operator import add, mul
 from .admissible import character_oracle, energy, enumerate_configs, weight_parts
 from .charseries import spec1_cell, specialize
 from .fermionic import character_fermionic
-from .qseries import CACHE_SIZE, QSeries, denominator_row
+from .qseries import CACHE_SIZE, QSeries, denominator_row, index_walk
 from .reporting import CheckReport
 
 
@@ -40,33 +41,6 @@ def spec2(char):
     for (n1, n2), row in char.coeffs.items():
         spec1_cell(terms, n1, n2, row)
     return QSeries(terms, 2 * char.q_order - 2 * cap1 - cap2)
-
-
-def _walk(matrix, steps, sizes, cap, q_order, visit):
-    """Call visit(m, n, expo) for each vector m with expo <= q_order, n <= cap.
-
-    From m = 0 at expo = n = 0, one more unit of m_i raises expo by
-    (M m)_i + r_i (M is `matrix`, r is `steps`, the sum's linear vector) and
-    n by sizes_i.  M, r and sizes are >= 0, so neither falls as m grows, and
-    each entry stops growing once either bound is passed.  visit must not
-    keep `m`, a shared list.
-    """
-    m = [0] * len(steps)
-
-    def extend(i, n, expo):
-        if i == len(m):
-            visit(m, n, expo)
-            return
-        row = matrix[i]
-        while n <= cap and expo <= q_order:
-            extend(i + 1, n, expo)
-            # entries after i are still 0, so this is (M m)_i
-            expo += sum(map(mul, row, m)) + steps[i]
-            m[i] += 1
-            n += sizes[i]
-        m[i] = 0
-
-    extend(0, 0, 0)
 
 
 # -- principal specialization sum (k_2 = 0) ---------------------------------
@@ -97,20 +71,19 @@ def chi_fjmmt(k0, k1, z_cap, q_order, drop=0):
     sum_j j*(m_{1j} + m_{2j}) = n of q^{m.A.m - diag(A).m + r.m} / prod
     (q^2)_{m_i}, A = `fjmmt_matrix`, r = `fjmmt_r_vector`, kept to order
     q_order - drop*n.  One more unit of m_i raises the exponent by
-    (2A m)_i + r_i and n by its part size s_i, so `_walk` runs on
-    exponent + drop*n, with steps r_i + drop*s_i and bound q_order.  The
-    bound stays exact: the exponent and n both only grow along each entry,
-    so a term cut there stays cut at every larger value of the entry.  A
-    term adds its shared `denominator_row` row at scale 2 (keyed by the
-    sorted nonzero entries of m) into the one accumulator list of its
-    z-degree, of length q_order - drop*n + 1, at offset `expo` - drop*n, its
-    exponent; no product is taken.
+    (2A m)_i + r_i and n by its part size s_i, so `index_walk` bounds
+    exponent + drop*n by q_order with steps r_i + drop*s_i; both only grow
+    along each entry, so the cut is exact.  A term adds its shared
+    `denominator_row` row at scale 2 (keyed by the sorted nonzero entries of
+    m) at its exponent into the accumulator list of its z-degree, of length
+    q_order - drop*n + 1; no product is taken.
     """
     k0, k1, _ = weight_parts((k0, k1, 0), 2)
     k = k0 + k1
     terms = {n: [0] * (q_order - drop * n + 1) for n in range(z_cap + 1)}
 
-    def add_term(m, n, expo):
+    def add_term(m, degrees, expo):
+        n, = degrees
         denom = denominator_row(tuple(sorted([x for x in m if x])), q_order, 2)
         acc = terms[n]
         expo -= drop * n
@@ -119,7 +92,7 @@ def chi_fjmmt(k0, k1, z_cap, q_order, drop=0):
     double = [[2 * x for x in row] for row in fjmmt_matrix(k)]
     sizes = [j % k + 1 for j in range(2 * k)]  # part size of m_j in l_1 or l_2
     steps = [r + drop * s for r, s in zip(fjmmt_r_vector(k, k0), sizes)]
-    _walk(double, steps, sizes, z_cap, q_order, add_term)
+    index_walk(double, steps, (sizes,), (z_cap,), q_order, add_term)
     return {n: QSeries.from_row(acc, q_order - drop * n) for n, acc in terms.items()}
 
 
@@ -150,8 +123,8 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
     The sum runs over m in N^k of
     q^{(m.A.m - diag(A).m)/2 + r.m} prod_j [top_j over m_j]_q with
     top_j = j*n_sites - (A m)_j + A_jj - r_j + m_j.  One more unit of m_j
-    raises the exponent by (A m)_j + r_j, the data `_walk` runs on, with
-    zero sizes and cap 0 since the sum has no z.
+    raises the exponent by (A m)_j + r_j, the data `index_walk` runs on,
+    with no size row since the sum has no z.
 
     n_sites = None means unbounded site count: every binomial is replaced by
     its stabilized value 1/(q)_{m_j}, so a term is its shared denominator
@@ -178,7 +151,7 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
     r = fjmmt2_r_vector(k, a, b)
     total = [0] * (q_order + 1)
 
-    def add_term(m, n, expo):
+    def add_term(m, _, expo):
         term = denominator_row(tuple(sorted([x for x in m if x])), q_order)
         if n_sites is not None:
             order = q_order - expo
@@ -195,7 +168,7 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
                         term[i] -= term[i - e]
         total[expo:] = map(add, total[expo:], term)
 
-    _walk(matrix, r, [0] * k, 0, q_order, add_term)
+    index_walk(matrix, r, (), (), q_order, add_term)
     return QSeries.from_row(total, q_order)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 from functools import lru_cache
 
@@ -540,18 +541,26 @@ class TestSequenceTable:
             assert got == a_coefficient(w, n1, n2, q_order), (w, n1, n2, q_order)
             assert got == _a_coefficient_full_order(w, n1, n2, q_order)
 
-    def test_one_cell_is_generated_once_per_level(self, monkeypatch):
-        generated = []
+    def test_one_walk_per_level_and_order(self, monkeypatch):
+        # shared by every weight and cell of the level
+        walk, walks = fermionic._walk_records, []
 
-        def counted(*args):
-            generated.append(args)
-            return n_sequence_pairs(*args)
+        def counted(k, caps, q_order):
+            walks.append((k, caps, q_order))
+            return walk(k, caps, q_order)
 
-        monkeypatch.setattr(fermionic, "n_sequence_pairs", counted)
+        def unused(*args):
+            raise AssertionError("a_coefficient reads the table, not n_sequence_pairs")
+
+        monkeypatch.setattr(fermionic, "_walk_records", counted)
+        monkeypatch.setattr(fermionic, "n_sequence_pairs", unused)
         fermionic._sequence_table.cache_clear()
         for w in LEVEL2_WEIGHTS:
-            a_coefficient(w, 2, 1, 12)
-        assert generated == [(2, 2, 1, 12)]
+            for n1, n2 in [(2, 1), (0, 0), (9, 9)]:
+                a_coefficient(w, n1, n2, 12)
+        assert walks == [(2, (12, 12), 12)]
+        a_coefficient((1, 1, 0), 2, 1, 10)
+        assert walks[1:] == [(2, (10, 10), 10)]
 
     def test_one_table_is_kept(self):
         a_coefficient((1, 1, 0), 2, 1, 10)
@@ -560,21 +569,34 @@ class TestSequenceTable:
         assert fermionic._sequence_table.cache_info().currsize <= 1
 
     def test_records_are_tuples_without_nsequences(self):
-        fermionic._sequence_table.cache_clear()
-        a_coefficient((1, 1, 1), 3, 2, 20)
-        cells, keys = fermionic._sequence_table(3, 20)
+        cells = fermionic._sequence_table(3, 20)
         records = cells[(3, 2)]
-        assert type(records) is tuple and records
-        assert all(type(r) is tuple for r in records)
+        assert records and all(type(r) is tuple for r in records)
         assert not any(isinstance(x, NSequences) for r in records for x in r)
-        assert [r[1:] for r in records] == [
-            (tuple(sorted(g for g in N.factors[:6] if g)), N.entries, N.factors)
-            for N in n_sequence_pairs(3, 3, 2, 20)
-        ]
-        assert [r[0] for r in records] == [
-            _base(N) for N in n_sequence_pairs(3, 3, 2, 20)]
         # equal keys are one shared tuple
-        assert all(keys[r[1]] is r[1] for r in records)
+        shared = {}
+        for cell in cells.values():
+            for _, key, _, _ in cell:
+                assert shared.setdefault(key, key) is key
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(-1, 30))
+    @example(4, 30)
+    @example(1, -1)
+    def test_matches_filtered_enumeration(self, k, q_order):
+        # a row sum s needs Q(N) >= s^2 / k, so larger cells hold nothing
+        top = math.isqrt(k * max(q_order, 0))
+        expected = {}
+        for n1 in range(top + 1):
+            for n2 in range(top + 1):
+                records = sorted(
+                    (_base(N), tuple(sorted(g for g in N.factors[:2 * k] if g)),
+                     N.entries, N.factors)
+                    for N in _all_pairs(k, n1, n2) if _base(N) <= q_order)
+                if records:
+                    expected[(n1, n2)] = records
+        cells = fermionic._sequence_table(k, q_order)
+        assert {cell: sorted(records) for cell, records in cells.items()} == expected
 
 
 class TestCharacterFermionic:

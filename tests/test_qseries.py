@@ -1,3 +1,4 @@
+import itertools
 import operator
 
 import pytest
@@ -10,6 +11,7 @@ from fstchar.qseries import (
     QSeries,
     denominator_row,
     divide_pochhammer,
+    index_walk,
     inv_pochhammer,
     pochhammer,
 )
@@ -262,6 +264,46 @@ class TestDenominatorRow:
         assert denominator_row((2, 3), 10) is row
         with pytest.raises(TypeError):
             row[0] = 5
+
+
+@st.composite
+def walk_data(draw, rows):
+    """A symmetric matrix >= 0 with diagonal >= 1, steps, `rows` size rows and caps."""
+    d = draw(st.integers(1, 4))
+    entry = st.integers(0, 3)
+    upper = {(i, j): draw(st.integers(1, 3) if i == j else entry)
+             for i in range(d) for j in range(i, d)}
+    matrix = [[upper[min(i, j), max(i, j)] for j in range(d)] for i in range(d)]
+    steps = draw(st.lists(entry, min_size=d, max_size=d))
+    sizes = tuple(draw(st.lists(entry, min_size=d, max_size=d)) for _ in range(rows))
+    caps = tuple(draw(st.integers(-1, 6)) for _ in range(rows))
+    return matrix, steps, sizes, caps, draw(st.integers(-1, 6))
+
+
+class TestIndexWalk:
+    """`index_walk` against every vector of a box that holds its window."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 2])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_visits_each_vector_once(self, rows, data):
+        matrix, steps, sizes, caps, q_order = data.draw(walk_data(rows))
+        d = len(steps)
+        seen = []
+        index_walk(matrix, steps, sizes, caps, q_order,
+                   lambda m, n, expo: seen.append((tuple(m), tuple(n), expo)))
+        # t units of one entry cost at least t(t - 1)/2 > q_order for
+        # t = q_order + 2, so the box holds every vector within the bounds
+        expected = {}
+        for m in itertools.product(range(max(q_order, 0) + 2), repeat=d):
+            form = sum(m[i] * matrix[i][j] * m[j] for i in range(d) for j in range(d))
+            expo = (form - sum(matrix[i][i] * m[i] for i in range(d))) // 2 + sum(
+                map(operator.mul, steps, m))
+            n = tuple(sum(map(operator.mul, row, m)) for row in sizes)
+            if expo <= q_order and all(map(operator.le, n, caps)):
+                expected[m] = (n, expo)
+        assert len({m for m, _, _ in seen}) == len(seen)
+        assert {m: (n, expo) for m, n, expo in seen} == expected
 
 
 class TestGaussianBinomial:
