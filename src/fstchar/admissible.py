@@ -24,12 +24,17 @@ configurations of any such window one at a time from a depth-first walk.
 `weight_degree_counts` counts only the window the character oracle asks for
 -- initial bounds, q_order and caps -- with a transfer-matrix DP over
 positions whose cost grows with the window, not with the number of
-configurations.  Its state, the last l entries and the color weights, is
-one int: the entries as digits in base level + 1 above the weights in mixed
-radix over the caps, so that each unit placed adds one constant to it; the
-weights are decoded back into tuples only at the end.  The tests count the
-stream as the reference for the DP, and check the stream against brute
-force.
+configurations.  Its state, the last l entries and the color weights
+n_2, ..., n_l, is one int: the entries as digits in base level + 1 above
+the weights in mixed radix over caps[1:], so that each unit placed adds
+one constant to it.  The state carries its counts packed into a second
+int, one block per n_1 and one slot per degree in each block: a color-1
+unit lifts the list by one block as well as by its degree.  There are
+min(cap_1, q_order) + 1 blocks, as n_1 <= degree <= q_order, and a carry
+mask after each shift keeps a degree pushed past q_order from landing in
+the next block.  The weights are decoded back into tuples only at the
+end.  The tests count the stream as the reference for the DP, and check
+the stream against brute force.
 
 A weight is a plain tuple (k_0, ..., k_l).  `weight_parts` is the one check
 of its length, entries and level, and every route of the package reads its
@@ -171,32 +176,40 @@ def weight_degree_counts(weight, q_order, caps):
     the result equals counting enumerate_configs's stream.  The DP
     advances a table {state: degree list} one position s at a time.  A state
     is the window (a_{s-l}, ..., a_{s-1}) and the color weights
-    n = (n_1, ..., n_l) reached so far, kept as one int key w N + n.  The
+    n = (n_2, ..., n_l) reached so far, kept as one int key w N + n.  The
     window is the integer w whose digits in base level + 1 are its entries,
     the oldest digit most significant.  The weights are the mixed-radix
-    integer n = sum n_i stride_i over the caps, with stride_i the product
-    of cap_j + 1 over j < i and N the product of all l of them.  The degree
-    is not part of the state but the slot of the list it carries: slot d
-    counts the partial configurations on positions < s that reach the state
-    with degree d <= q_order.  The list is one int with a B-bit slot per
-    degree, slot d at bits [d B, (d + 1) B), so that each step below is one
-    operation on the whole list.  At s the degrees > q_order - (s // l + 1)
-    can place no further unit: that tail (x & ~keep) moves into a finished
-    list per n, and a state with no live degree left (x == 0) is dropped.
-    The rest places a_s = 0, which drops the oldest digit and appends a zero
-    (key shifted[w] + n), or a_s = v >= 1 within the same bounds as the
-    walk.  Each further unit adds the one constant N + stride_{s % l + 1} to
-    the key (the newest digit and n_{s % l + 1} grow by one) and shifts the
-    list s // l + 1 slots up ((x << B tf) & full); v stops early once the
-    shift pushes every live degree past q_order.  Two lists merge by +.  The
-    window's part of the bound on a_s (level, q_order and the initial bounds
-    at s < l) comes from a table per position over the windows whose entries
-    sum to <= level, C(level + l, l) of them; the cap's part is read off n,
-    so no table is indexed by n.  Only the finished n are decoded back into
-    tuples, at the end.
+    integer n = sum n_i stride_i over caps[1:], with stride_i the product
+    of cap_j + 1 over 1 < j < i and N the product of all l - 1 of them.
+    Neither n_1 nor the degree is part of the state: both index the list it
+    carries, whose slot (n_1, d) counts the partial configurations on
+    positions < s that reach the state with color-1 weight n_1 and degree
+    d <= q_order.  The list is one int of blocks of W = B (q_order + 1)
+    bits, block n_1 at bits [n_1 W, (n_1 + 1) W), each holding a B-bit
+    slot per degree, slot d at bits [d B, (d + 1) B) of its block, so that
+    each step below is one operation on the whole list.  Every color-1
+    unit adds at least 1 to the degree, so n_1 <= degree <= q_order: there
+    are min(cap_1, q_order) + 1 blocks, not cap_1 + 1.  At s the degrees
+    > q_order - (s // l + 1) can place no further unit: that tail of every
+    block (x & tail) moves into a finished list per n, and a state with no
+    live degree left is dropped.  The rest places a_s = 0, which drops the
+    oldest digit and appends a zero (key shifted[w] + n), or a_s = v >= 1
+    within the same bounds as the walk.  Each further unit adds one
+    constant to the key (N, as the newest digit grows by one, plus
+    stride_{s % l + 1} at colors 2..l) and shifts the list s // l + 1 slots
+    up, and one block more at color 1.  After each shift the carry mask
+    clears the low s // l + 1 slots of every block: a degree pushed past
+    q_order in block n_1 would otherwise land in block n_1 + 1, and an n_1
+    pushed past the last block leaves the int, which is how cap_1 binds.
+    v stops early once the shift pushes every live degree out.  Two lists
+    merge by +.  The window's part of the bound on a_s (level, q_order and
+    the initial bounds at s < l) comes from a table per position over the
+    windows whose entries sum to <= level, C(level + l, l) of them; the
+    part of caps 2..l is read off n, so no table is indexed by n.  Only the
+    finished lists are decoded back into tuples, block by block, at the end.
 
     Position t holds part t // l + 1 in color t % l, so the partial
-    configurations counted in one slot d are distinct l-colored partitions
+    configurations counted in one slot are distinct l-colored partitions
     of d and every count is at most p_l(q_order).  B is one bit more than
     p_l(q_order) needs, so no sum or shift carries one slot into the next.
     """
@@ -207,12 +220,20 @@ def weight_degree_counts(weight, q_order, caps):
         return {}
     Q = q_order + 1
     B = _colored_partitions(l, q_order).bit_length() + 1
-    full = (1 << B * Q) - 1
-    strides = []  # n in mixed radix over the caps: n_i counts stride_i
+    W = B * Q  # one block: the degree list at one n_1
+    blocks = min(caps[0], q_order) + 1  # n_1 <= degree <= q_order
+    ones = sum(1 << j * W for j in range(blocks))  # bit 0 of every block
+    full = (1 << W * blocks) - 1
+    strides = []  # n_2..n_l in mixed radix over caps[1:]: n_i counts stride_i
     N = 1
-    for cap in caps:
+    for cap in caps[1:]:
         strides.append(N)
         N *= cap + 1
+    # per color: the key's step and the list's shift beyond B tf per unit,
+    # and the stride and cap that bound the unit count.  n_1 is the block:
+    # n // N reads it as 0, so its cap binds through the carry mask
+    colors = [(N, W, N, caps[0])] + [
+        (N + stride, 0, stride, cap) for stride, cap in zip(strides, caps[1:])]
     R = level + 1  # a window entry is a digit in base R
     top = R ** (l - 1)  # the place value of the oldest digit
     # every window whose entries sum to <= level: {its digits: their sum}
@@ -228,13 +249,13 @@ def weight_degree_counts(weight, q_order, caps):
     while table:
         tf = s // l + 1
         cut = max(Q - tf, 0)  # degrees from cut on can place no further unit
-        keep = (1 << B * cut) - 1
-        step = B * tf
+        tail = full ^ ((1 << B * cut) - 1) * ones
+        # clears the degrees < tf of every block, which no unit reaches
+        mask = full ^ ((1 << B * min(tf, Q)) - 1) * ones
         vq = q_order // tf  # a larger a_s shifts every degree past q_order
-        color = s % l
-        stride, cap = strides[color], caps[color]
+        unit, lift, stride, cap = colors[s % l]
+        step = B * tf + lift
         radix = cap + 1
-        unit = N + stride  # one more unit at s: a_s + 1 and n_color + 1
         # positions before s < l all sit in the window, and
         # init_bounds[s] <= level
         bound = init_bounds[s] if s < l else level
@@ -242,9 +263,9 @@ def weight_degree_counts(weight, q_order, caps):
         nxt = {}
         for key, x in table.items():
             w, n = key // N, key % N
-            if x > keep:
-                finished[n] = finished.get(n, 0) + (x & ~keep)
-                x &= keep
+            if done := x & tail:
+                finished[n] = finished.get(n, 0) + done
+                x ^= done
                 if not x:
                     continue
             k = shifted[w] + n
@@ -254,20 +275,22 @@ def weight_degree_counts(weight, q_order, caps):
             if room[w] < vmax:
                 vmax = room[w]
             for _ in range(vmax):
-                x = (x << step) & full
+                x = (x << step) & mask
                 if not x:
                     break  # a larger a_s shifts every live degree out too
                 k += unit
                 nxt[k] = nxt.get(k, 0) + x
         table = nxt
         s += 1
-    mask = (1 << B) - 1
+    lane, slot = (1 << W) - 1, (1 << B) - 1
     out = {}
     for n, fin in finished.items():
-        n = tuple(n // stride % (cap + 1) for stride, cap in zip(strides, caps))
-        for d in range(Q):
-            if c := fin >> B * d & mask:
-                out[n + (d,)] = c
+        n = tuple(n // stride % (cap + 1) for stride, cap in zip(strides, caps[1:]))
+        for n_1 in range(blocks):
+            block = fin >> W * n_1 & lane
+            for d in range(n_1, Q):
+                if c := block >> B * d & slot:
+                    out[(n_1,) + n + (d,)] = c
     return out
 
 

@@ -353,11 +353,14 @@ class TestKernels:
             assert by_degree == [colored_partitions(l, d)
                                  for d in range(q_order + 1)], q_order
 
-    def test_caps_beyond_any_table(self):
-        # the weights in mixed radix range over prod(cap_i + 1) = 10**24
-        # values, so a table indexed by them could not be built
-        case = dict(l=4, level=2, init_bounds=(1, 1, 2, 2), q_order=6,
-                    caps=(10**6,) * 4)
+    @pytest.mark.parametrize("l", [1, 2, 4])
+    def test_caps_beyond_any_table(self, l):
+        # n_2..n_l in mixed radix range over 10**(6 (l - 1)) values, so a
+        # table indexed by them could not be built; and n_1 <= degree
+        # <= q_order must clamp the degree list to 7 blocks of n_1, not
+        # 10**6 + 1, or the DP stalls rather than fails
+        case = dict(l=l, level=2, init_bounds=(1, 1, 2, 2)[:l], q_order=6,
+                    caps=(10**6,) * l)
         assert counts(case) == streamed_histogram(case)
 
     def test_kernel_reports_kind(self):
@@ -399,6 +402,14 @@ def random_windows(draw):
 # color 2 has radix 1, so colors 2 and 3 share one mixed-radix stride
 @example(dict(l=3, level=3, init_bounds=(2, 2, 3), q_order=9,
               caps=(3, 0, 2)))
+# the edges of the n_1 blocks: one block (cap_1 = 0), cap_1 + 1 blocks
+# (cap_1 = q_order) and q_order + 1 blocks, clamped (cap_1 > q_order)
+@example(dict(l=1, level=3, init_bounds=(2,), q_order=6, caps=(0,)))
+@example(dict(l=1, level=3, init_bounds=(2,), q_order=6, caps=(6,)))
+@example(dict(l=1, level=3, init_bounds=(2,), q_order=6, caps=(9,)))
+@example(dict(l=2, level=3, init_bounds=(2, 3), q_order=6, caps=(0, 4)))
+@example(dict(l=2, level=3, init_bounds=(2, 3), q_order=6, caps=(6, 4)))
+@example(dict(l=2, level=3, init_bounds=(2, 3), q_order=6, caps=(9, 4)))
 def test_dp_matches_stream_on_random_windows(kwargs):
     hist = counts(kwargs)
     # the degree lists carry zero counts; none may reach the histogram
