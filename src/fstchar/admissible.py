@@ -251,7 +251,7 @@ def weight_degree_counts(weight, q_order, caps):
         cut = max(Q - tf, 0)  # degrees from cut on can place no further unit
         tail = full ^ ((1 << B * cut) - 1) * ones
         # clears the degrees < tf of every block, which no unit reaches
-        mask = full ^ ((1 << B * min(tf, Q)) - 1) * ones
+        mask = full ^ ((1 << B * tf) - 1) * ones
         vq = q_order // tf  # a larger a_s shifts every degree past q_order
         unit, lift, stride, cap = colors[s % l]
         step = B * tf + lift
