@@ -8,7 +8,7 @@ weight (k_0, ..., k_l) of level k it is admissible under
 
   * window sums: a_i + ... + a_{i+l} <= k for every i >= 0,
   * either the initial bounds a_0+...+a_r <= k_0+...+k_r for r < l, or an
-    exact forced prefix (a_0, a_1) = init_prefix (l = 2 only),
+    exact forced prefix (a_0, ..., a_{l-1}) = init_prefix,
 
 and a window is any combination of the bounds
 
@@ -134,28 +134,28 @@ def enumerate_configs(l, weight, q_order=None, caps=None, init_prefix=None,
 
     Any combination of the bounds in the module docstring is accepted; an
     omitted bound is passed to the walk as sys.maxsize.  With
-    init_prefix=(a, b) the weight's initial bounds are replaced by the exact
-    prefix a_0 = a, a_1 = b (l = 2 only; the weight then only supplies the
-    level).  A bad window raises ValueError here, at the call, not at the
-    first item.
+    init_prefix=(a_0, ..., a_{l-1}) the weight's initial bounds are replaced
+    by that exact prefix, at every rank l (the weight then only supplies
+    the level).  A bad window raises here, at the call, not at the first
+    item: ValueError for a wrong length or sign, TypeError for an entry or
+    bound that is not an integer.
     """
     parts = weight_parts(weight, l)
-    if init_prefix is None:
-        init_prefix = ()
-    elif l != 2:
-        raise ValueError("init_prefix is defined for l = 2 only")
-    elif len(init_prefix) != 2 or min(init_prefix) < 0:
-        raise ValueError("init_prefix must be a pair (a_0, a_1) of entries >= 0")
+    if init_prefix is not None:
+        init_prefix = tuple(map(index, init_prefix))
+        if len(init_prefix) != l or min(init_prefix) < 0:
+            raise ValueError(f"init_prefix must have {l} entries >= 0 for "
+                             f"l={l}, got {init_prefix}")
     if q_order is None and energy_max is None:
         raise ValueError("need q_order or energy_max to make the search finite")
     if caps is None:
         caps = (sys.maxsize,) * l
-    elif len(caps) != l:
+    elif len(caps := tuple(map(index, caps))) != l:
         raise ValueError(f"caps must have length l={l}")
-    q_order = sys.maxsize if q_order is None else q_order
-    energy_max = sys.maxsize if energy_max is None else energy_max
+    q_order = sys.maxsize if q_order is None else index(q_order)
+    energy_max = sys.maxsize if energy_max is None else index(energy_max)
     return map(tuple, _walk(l, sum(parts), tuple(accumulate(parts[:l])),
-                            init_prefix, q_order, caps, energy_max))
+                            init_prefix or (), q_order, caps, energy_max))
 
 
 def _colored_partitions(l, q_order):

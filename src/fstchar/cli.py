@@ -87,7 +87,7 @@ def _check_settings(l, jobs=None, l2_only=None, level=None, **bounds):
     """Reject the run settings that no subcommand accepts (exit 2).
 
     l must be >= 1 and jobs None or >= 1; `l2_only`, when given, names the
-    method, suite or flag that is defined only for l = 2; level must be None
+    method or suite that is defined only for l = 2; level must be None
     or >= 1; every bound (zmax, qmax, energy_max, sites) must be None or >= 0.
     """
     if l < 1:
@@ -267,17 +267,12 @@ def cmd_list_admissible(args):
     # when no energy bound was requested
     if qmax is None and args.energy_max is None:
         qmax = DEFAULTS["qmax"]
-    _check_settings(
-        l, l2_only="--init" if args.init is not None else None,
-        zmax=zmax, qmax=qmax, energy_max=args.energy_max,
-    )
-    weight = _parse_weight(args.weight, l)
-    init_prefix = None
-    if args.init is not None:
-        init_prefix = _parse_int_list(args.init, "--init")
-        if len(init_prefix) != 2:
-            raise CliError("--init must be a pair a,b")
+    _check_settings(l, zmax=zmax, qmax=qmax, energy_max=args.energy_max)
+    weight = _parse_int_list(args.weight, "--weight")
+    init_prefix = (None if args.init is None
+                   else _parse_int_list(args.init, "--init"))
     caps = (zmax,) * l if zmax is not None else None
+    # the weight and the prefix are checked by the library, at the call
     try:
         stream = admissible.enumerate_configs(
             l, weight, q_order=qmax, caps=caps,
@@ -351,7 +346,7 @@ def build_parser():
     )
     p_list.add_argument("--weight", required=True,
                         help="comma-separated weight entries")
-    p_list.add_argument("--init", help="exact prefix a,b (l=2 only)")
+    p_list.add_argument("--init", help="exact prefix a_0,...,a_{l-1}")
     p_list.add_argument("--energy-max", type=int, help="first-moment bound")
     p_list.set_defaults(func=cmd_list_admissible, defaults={"l": DEFAULTS["l"]})
     return parser

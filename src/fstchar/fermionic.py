@@ -259,10 +259,11 @@ def _walk_records(k, caps, q_order):
 
     A cell holds N with row sums (n1, n2) <= caps, each as the tuple
     `(base, key, entries, factors)`: base is Q(N) = sum N_{1,i}^2 + N_{2,i}^2
-    + N_{1,i} N_{2,i}, key the sorted nonzero gaps (equal keys are one shared
-    tuple), entries and factors those of `NSequences`.  `index_walk` runs on
-    the gaps g: N_{1,i} = sum_{j>=i} g_{1,j}, N_{2,i} = sum_{j<=i} g_{2,j}.
-    So Q = g.S.g, S_ab = min(a, b) on g_1, k - max(a, b) + 1 on g_2 and
+    + N_{1,i} N_{2,i}, key the sorted nonzero gaps as the walk hands them
+    (equal keys are one shared tuple), entries and factors those of
+    `NSequences`.  `index_walk` runs on the gaps g:
+    N_{1,i} = sum_{j>=i} g_{1,j}, N_{2,i} = sum_{j<=i} g_{2,j}.  So
+    Q = g.S.g, S_ab = min(a, b) on g_1, k - max(a, b) + 1 on g_2 and
     max(0, a - b + 1) / 2 at g_{1,a} g_{2,b}; n1 = sum j g_{1,j} and
     n2 = sum (k - j + 1) g_{2,j}.
     """
@@ -274,11 +275,10 @@ def _walk_records(k, caps, q_order):
     sizes = ([*ks] + [0] * k, [0] * k + [k - j + 1 for j in ks])
     cells, keys = {}, {}
 
-    def record(g, cell, base):
+    def record(g, cell, base, key):
         g, cell = tuple(g), tuple(cell)
         n1 = tuple(itertools.accumulate(g[k - 1::-1]))[::-1]
         n2 = tuple(itertools.accumulate(g[k:]))
-        key = tuple(sorted([x for x in g if x]))
         cells.setdefault(cell, []).append(
             (base, keys.setdefault(key, key), n1 + n2, g + n2))
 

@@ -265,7 +265,8 @@ def denominator_row(key, q_order, scale=1):
     Entry e is the coefficient of q^e.  The row of `key` is its prefix
     key's row, `key[:-1]`, divided by one `divide_pochhammer` for its last
     entry; the empty key gives the series 1.  Callers share one row per key,
-    so they pass keys sorted and copy a row before they change it.
+    so they pass keys sorted and copy a row before they change it: the
+    fermionic sums pass the key that `index_walk` hands each term.
     """
     if not key:
         return (1,) + (0,) * q_order if q_order >= 0 else ()
@@ -275,15 +276,16 @@ def denominator_row(key, q_order, scale=1):
 
 
 def index_walk(matrix, steps, sizes, caps, q_order, visit):
-    """Call visit(m, n, expo) for each m >= 0 with expo <= q_order and n <= caps.
+    """Call visit(m, n, expo, key) for each m >= 0, expo <= q_order, n <= caps.
 
     The summation indices of every fermionic sum.  From m = 0, expo = 0 and
     n = 0, one more unit of m_i raises expo by (M m)_i + steps_i (M is
     `matrix`) and the z-degree n_v by sizes[v][i]: `sizes` holds one row and
     `caps` one cap per z-variable, and n is the list of z-degrees.  All are
     >= 0 and diag(M) >= 1, so each entry stops growing once a bound is
-    passed, and each m within the bounds is visited once.  visit must not
-    keep `m` or `n`, shared lists.
+    passed, and each m within the bounds is visited once.  key is the
+    sorted tuple of the nonzero entries of m, the `denominator_row` key of
+    the term.  visit must not keep `m` or `n`, shared lists.
     """
     m = [0] * len(steps)
     n = [0] * len(caps)
@@ -293,7 +295,7 @@ def index_walk(matrix, steps, sizes, caps, q_order, visit):
 
     def extend(i, expo):
         if i == len(m):
-            visit(m, n, expo)
+            visit(m, n, expo, tuple(sorted([x for x in m if x])))
             return
         row, up = matrix[i], raises[i]
         while expo <= q_order:

@@ -75,16 +75,16 @@ def chi_fjmmt(k0, k1, z_cap, q_order, drop=0):
     exponent + drop*n by q_order with steps r_i + drop*s_i; both only grow
     along each entry, so the cut is exact.  A term adds its shared
     `denominator_row` row at scale 2 (keyed by the sorted nonzero entries of
-    m) at its exponent into the accumulator list of its z-degree, of length
-    q_order - drop*n + 1; no product is taken.
+    m, which the walk hands it) at its exponent into the accumulator list
+    of its z-degree, of length q_order - drop*n + 1; no product is taken.
     """
     k0, k1, _ = weight_parts((k0, k1, 0), 2)
     k = k0 + k1
     terms = {n: [0] * (q_order - drop * n + 1) for n in range(z_cap + 1)}
 
-    def add_term(m, degrees, expo):
+    def add_term(m, degrees, expo, key):
         n, = degrees
-        denom = denominator_row(tuple(sorted([x for x in m if x])), q_order, 2)
+        denom = denominator_row(key, q_order, 2)
         acc = terms[n]
         expo -= drop * n
         acc[expo:] = map(add, acc[expo:], denom)
@@ -151,8 +151,8 @@ def chi_fjmmt2(a, b, k, n_sites, q_order):
     r = fjmmt2_r_vector(k, a, b)
     total = [0] * (q_order + 1)
 
-    def add_term(m, _, expo):
-        term = denominator_row(tuple(sorted([x for x in m if x])), q_order)
+    def add_term(m, _, expo, key):
+        term = denominator_row(key, q_order)
         if n_sites is not None:
             order = q_order - expo
             term = list(term[:order + 1])

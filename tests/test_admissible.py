@@ -41,11 +41,11 @@ def weight_of(level, init_bounds):
 
 def as_call(case):
     """(l, weight, window) of a case given by its level and initial bounds;
-    a case with init_prefix takes the weight (level, 0, 0)."""
+    a case with init_prefix takes the weight (level, 0, ..., 0)."""
     window = dict(case)
     l, level = window.pop("l"), window.pop("level")
     bounds = window.pop("init_bounds", None)
-    weight = (level, 0, 0) if bounds is None else weight_of(level, bounds)
+    weight = (level,) + (0,) * l if bounds is None else weight_of(level, bounds)
     return l, weight, window
 
 
@@ -200,9 +200,24 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_configs(2, (2, 0, 0), q_order=6, init_prefix=(-1, 0))
 
-    def test_init_prefix_requires_l2(self):
-        with pytest.raises(ValueError):
-            enumerate_configs(3, (1, 0, 0, 0), q_order=2, init_prefix=(0, 0))
+    def test_init_prefix_needs_l_entries(self):
+        for l, init_prefix in [(1, ()), (1, (0, 0)), (2, (0,)), (3, (0, 0)),
+                               (3, (0, 0, 0, 0))]:
+            with pytest.raises(ValueError, match=f"must have {l} entries"):
+                enumerate_configs(l, (1,) + (0,) * l, q_order=2,
+                                  init_prefix=init_prefix)
+
+    # 2.0 and 1.5 are refused, not read as the ints they equal or round to
+    @pytest.mark.parametrize("window", [
+        dict(q_order=3, init_prefix=(2.0, 0.0)),
+        dict(q_order=3, init_prefix=(1.0, 0)),
+        dict(q_order=3.5),
+        dict(q_order=3, caps=(1.5, 2)),
+        dict(energy_max=4.0),
+    ], ids=["prefix", "prefix-mixed", "q_order", "caps", "energy_max"])
+    def test_non_integer_window_rejected_at_the_call(self, window):
+        with pytest.raises(TypeError):
+            enumerate_configs(2, (2, 0, 0), **window)
 
     def test_unbounded_window_rejected(self):
         with pytest.raises(ValueError):
@@ -425,15 +440,16 @@ REACH = 6  # no window below places a unit at a position >= REACH
 @lru_cache(maxsize=None)
 def short_configs(l, level):
     """Every tuple of entries <= level, no trailing zeros, length <= REACH,
-    whose window sums are all <= level."""
+    admissible for the weight (level, 0, ..., 0): its window sums are all
+    <= level, which bounds its initial sums too."""
+    weight = (level,) + (0,) * l
     out = []
     for t in itertools.product(range(level + 1), repeat=REACH):
         c = list(t)
         while c and c[-1] == 0:
             c.pop()
-        c = tuple(c)
-        if all(sum(c[i:i + l + 1]) <= level for i in range(len(c))):
-            out.append(c)
+        if is_admissible(c, l, weight):
+            out.append(tuple(c))
     return out
 
 
@@ -445,11 +461,11 @@ def brute_force(l, level, init_bounds=None, init_prefix=None, q_order=None,
         reach.append(l * q_order)  # a unit at t has degree t // l + 1
     if energy_max is not None:
         reach.append(energy_max + 1)  # and energy t
-    assert max(min(reach), 2 if init_prefix else 0) <= REACH
+    assert max(min(reach), l if init_prefix else 0) <= REACH
     out = []
     for c in short_configs(l, level):
         if init_prefix is not None:
-            if (c + (0, 0))[:2] != tuple(init_prefix):
+            if (c + (0,) * l)[:l] != tuple(init_prefix):
                 continue
         elif any(sum(c[:r + 1]) > init_bounds[r] for r in range(l)):
             continue
@@ -471,9 +487,11 @@ def stream_windows():
         for level in (1, 2, 3):
             starts = [dict(init_bounds=(level,) * l),
                       dict(init_bounds=tuple(min(r, level) for r in range(l)))]
-            if l == 2:
-                starts += [dict(init_prefix=p)
-                           for p in ((0, 0), (1, 1), (level, 0), (0, level))]
+            # exact prefixes at every rank; (1, ..., 1) passes the level
+            # at l > level
+            prefixes = [(0,) * l, (1,) * l, (level,) + (0,) * (l - 1),
+                        (0,) * (l - 1) + (level,)]
+            starts += [dict(init_prefix=p) for p in dict.fromkeys(prefixes)]
             bounds = [dict(q_order=q) for q in (-1, 0, q_top)]
             bounds += [dict(energy_max=e) for e in (-1, 0, REACH - 1)]
             bounds += [dict(q_order=q_top, energy_max=3),

@@ -592,7 +592,8 @@ class TestListAdmissible:
         assert code == 2
 
     # stdout sha256 prefixes, recorded at 19a6924: they pin the order of the
-    # stream, which the brute-force tests compare only as sorted lists
+    # stream, which the brute-force tests compare only as sorted lists.  The
+    # rank-3 prefix listing, added later, matched brute force when recorded
     PINNED = [
         ("--l 2 --weight 2,1,0 --qmax 8", "b5cbc047a43eb526"),
         ("--l 2 --weight 1,1,1 --energy-max 7", "89492c87bd13bc33"),
@@ -602,6 +603,7 @@ class TestListAdmissible:
         ("--l 1 --weight 1,1 --qmax 10 --energy-max 12 --zmax 4",
          "5242473727679c1c"),
         ("--l 4 --weight 1,0,0,1,0 --energy-max 6", "4126efeb105ee4d6"),
+        ("--l 3 --weight 1,0,1,0 --init 1,0,0 --qmax 4", "0e2757f14fc38b87"),
     ]
 
     @pytest.mark.parametrize("arguments, prefix", PINNED)
@@ -798,7 +800,7 @@ class TestSettingsCheck:
         (["list-admissible", "--weight", "1,0,0", "--jobs", "2"],
          "unrecognized arguments: --jobs 2"),
         (["list-admissible", "--l", "3", "--weight", "1,0,0,0", "--init", "0,0"],
-         "--init requires --l 2"),
+         "init_prefix must have 3 entries >= 0 for l=3"),
         (["verify", "--suite", "all", "--l", "3"], "suite all requires --l 2"),
         (["verify", "--suite", "lemmas", "--l", "3"],
          "suite lemmas requires --l 2"),
@@ -831,9 +833,9 @@ class TestSettingsCheck:
         (["character", "--method", "fjmmt2", "--ab", "3,0", "--level", "2",
           "--qmax", "4"], "--ab out of range for level 2"),
         (["list-admissible", "--weight", "1,0,0", "--init", "0,0,0"],
-         "--init must be a pair a,b"),
+         "init_prefix must have 2 entries >= 0 for l=2"),
         (["list-admissible", "--weight", "1,0,0", "--init=-1,0", "--qmax", "3"],
-         "init_prefix must be a pair"),
+         "init_prefix must have 2 entries >= 0 for l=2"),
         (["character", "--method", "oracle", "--weight", "a,b,c"],
          "must be a comma-separated integer list"),
     ])

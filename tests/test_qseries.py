@@ -290,8 +290,13 @@ class TestIndexWalk:
         matrix, steps, sizes, caps, q_order = data.draw(walk_data(rows))
         d = len(steps)
         seen = []
-        index_walk(matrix, steps, sizes, caps, q_order,
-                   lambda m, n, expo: seen.append((tuple(m), tuple(n), expo)))
+
+        def visit(m, n, expo, key):
+            # the denominator key: the sorted nonzero entries of m
+            assert key == tuple(sorted(x for x in m if x))
+            seen.append((tuple(m), tuple(n), expo))
+
+        index_walk(matrix, steps, sizes, caps, q_order, visit)
         # t units of one entry cost at least t(t - 1)/2 > q_order for
         # t = q_order + 2, so the box holds every vector within the bounds
         expected = {}
