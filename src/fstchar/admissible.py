@@ -17,24 +17,18 @@ and a window is any combination of the bounds
   * energy_max: first moment sum t * a_t <= energy_max.
 
 At least one of q_order / energy_max must be set, otherwise the window is
-infinite; a negative bound leaves the window empty.  An omitted bound is
-sys.maxsize, out of reach of the finite one, as degree <= level + 2 energy,
-energy <= l degree and n_i <= degree.  `enumerate_configs` streams the
-configurations of any such window one at a time from a depth-first walk.
-`weight_degree_counts` counts only the window the character oracle asks for
--- initial bounds, q_order and caps -- with a transfer-matrix DP over
-positions whose cost grows with the window, not with the number of
-configurations.  Its state, the last l entries and the color weights
-n_2, ..., n_l, is one int: the entries as digits in base level + 1 above
-the weights in mixed radix over caps[1:], so that each unit placed adds
-one constant to it.  The state carries its counts packed into a second
-int, one block per n_1 and one slot per degree in each block: a color-1
-unit lifts the list by one block as well as by its degree.  There are
-min(cap_1, q_order) + 1 blocks, as n_1 <= degree <= q_order, and a carry
-mask after each shift keeps a degree pushed past q_order from landing in
-the next block.  The weights are decoded back into tuples only at the
-end.  The tests count the stream as the reference for the DP, and check
-the stream against brute force.
+infinite; a negative bound leaves it empty, as a negative order does in the
+DP, `character_fermionic` and `chi_fjmmt`.  An omitted bound is sys.maxsize,
+out of reach of the finite one, as degree <= level + 2 energy, energy <= l
+degree and n_i <= degree.  One depth-first walk yields every configuration
+of any such window with its first moment, and has two readers:
+`enumerate_configs` streams the configurations one at a time, and
+`specialize.prefix_census` counts the moments.  `weight_degree_counts`
+counts only the window the character oracle asks for -- initial bounds,
+q_order and caps -- with a transfer-matrix DP over positions whose cost
+grows with the window, not with the number of configurations (its docstring
+lays out the packed state).  The tests count the stream as the reference for
+the DP, and check the stream against brute force.
 
 A weight is a plain tuple (k_0, ..., k_l).  `weight_parts` is the one check
 of its length, entries and level, and every route of the package reads its
@@ -85,13 +79,14 @@ def energy(config):
 
 
 def _walk(l, level, init_bounds, prefix, q_order, caps, energy_max):
-    """Yield the live dense list at every admissible node of the window.
+    """Yield (dense, moment) at every admissible node of the window.
 
     Every bound is an int, and the prefix is () or has length l, so the
-    initial bounds act at s < l only without one.  The list is reused
-    between yields; consumers must copy it if they keep it.  Every yielded
-    node is one admissible configuration (the list never has trailing
-    zeros), and each configuration appears exactly once.
+    initial bounds act at s < l only without one.  dense is the live list,
+    reused between yields (consumers must copy it to keep it), and moment
+    its first moment, carried down the walk.  Every yielded node is one
+    admissible configuration (the list never has trailing zeros), and each
+    configuration appears exactly once.
     """
     dense = list(prefix)
     degree, counts = degree_weight(dense, l)
@@ -104,7 +99,7 @@ def _walk(l, level, init_bounds, prefix, q_order, caps, energy_max):
         dense.pop()
 
     def rec(s, degree, moment):
-        yield dense
+        yield dense, moment
         while degree + (tf := s // l + 1) <= q_order and moment + s <= energy_max:
             color = s % l
             vmax = min(level - sum(dense[max(0, s - l):s]),
@@ -133,7 +128,8 @@ def enumerate_configs(l, weight, q_order=None, caps=None, init_prefix=None,
     """Stream the admissible configurations for `weight` inside a window.
 
     Any combination of the bounds in the module docstring is accepted; an
-    omitted bound is passed to the walk as sys.maxsize.  With
+    omitted bound is passed to the walk as sys.maxsize.  The library reads a
+    negative bound as an empty window; the CLI refuses one as bad input.  With
     init_prefix=(a_0, ..., a_{l-1}) the weight's initial bounds are replaced
     by that exact prefix, at every rank l (the weight then only supplies
     the level).  A bad window raises here, at the call, not at the first
@@ -154,8 +150,9 @@ def enumerate_configs(l, weight, q_order=None, caps=None, init_prefix=None,
         raise ValueError(f"caps must have length l={l}")
     q_order = sys.maxsize if q_order is None else index(q_order)
     energy_max = sys.maxsize if energy_max is None else index(energy_max)
-    return map(tuple, _walk(l, sum(parts), tuple(accumulate(parts[:l])),
-                            init_prefix or (), q_order, caps, energy_max))
+    return (tuple(dense) for dense, _ in _walk(
+        l, sum(parts), tuple(accumulate(parts[:l])), init_prefix or (), q_order,
+        caps, energy_max))
 
 
 def _colored_partitions(l, q_order):

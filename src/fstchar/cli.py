@@ -89,6 +89,8 @@ def _check_settings(l, jobs=None, l2_only=None, level=None, **bounds):
     l must be >= 1 and jobs None or >= 1; `l2_only`, when given, names the
     method or suite that is defined only for l = 2; level must be None
     or >= 1; every bound (zmax, qmax, energy_max, sites) must be None or >= 0.
+    Refusing a negative bound is the CLI's rule, for user input: the
+    library reads one as an empty window (`admissible.enumerate_configs`).
     """
     if l < 1:
         raise CliError(f"--l must be >= 1, got {l}")

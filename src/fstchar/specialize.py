@@ -21,8 +21,9 @@ report through one frame, `_spec2_frame`.
 
 from functools import lru_cache
 from operator import add, mul
+from sys import maxsize
 
-from .admissible import character_oracle, energy, enumerate_configs, weight_parts
+from .admissible import _walk, character_oracle, weight_parts
 from .charseries import spec1_cell, specialize
 from .fermionic import character_fermionic
 from .qseries import CACHE_SIZE, QSeries, denominator_row, index_walk
@@ -192,13 +193,12 @@ def chi_fjmmt2_alternating(weight, q_order):
 def prefix_census(k, a, b, energy_max):
     """sum q^{first moment} over admissible configs with exact prefix a_0=a, a_1=b.
 
+    Counts the moments that `admissible._walk` carries over the window that
+    `enumerate_configs` streams for weight (k, 0, 0) and prefix (a, b).
     Cached: the union checks of one level share most of their prefixes.
     """
     terms = {}
-    for config in enumerate_configs(
-        2, (k, 0, 0), init_prefix=(a, b), energy_max=energy_max
-    ):
-        e = energy(config)
+    for _, e in _walk(2, k, (k, k), (a, b), maxsize, (maxsize, maxsize), energy_max):
         terms[e] = terms.get(e, 0) + 1
     return QSeries(terms, energy_max)
 

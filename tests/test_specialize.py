@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from reference import bounded_census, gaussian_binomial, shift
 
 from fstchar import specialize
-from fstchar.admissible import character_oracle
+from fstchar.admissible import character_oracle, energy, enumerate_configs
 from fstchar.charseries import CharSeries
 from fstchar.cli import main
 from fstchar.fermionic import a_coefficient
@@ -347,6 +348,19 @@ class TestChiFjmmt2:
         # a_0 = 1 forces gaps >= 3: one config per energy 0, 3, 4, ..., 8
         assert got == QSeries({0: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1}, 8)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_prefix_census_counts_stream_moments(self, k):
+        # the walk's own moments against `energy` of the stream's tuples
+        for a, b, energy_max in itertools.product(range(k + 1), range(k + 1),
+                                                  (-1, 0, 5, 14)):
+            if a + b > k:
+                continue
+            stream = enumerate_configs(2, (k, 0, 0), init_prefix=(a, b),
+                                       energy_max=energy_max)
+            expected = QSeries(Counter(map(energy, stream)), energy_max)
+            assert prefix_census.__wrapped__(k, a, b, energy_max) == expected, (
+                a, b, energy_max)
+
     def test_stabilization_doubling(self):
         # finite-site binomials at and past the stabilizing site count equal
         # the direct 1/(q)_m limit
@@ -491,21 +505,22 @@ class TestVerifiers:
 
 
 def _one_config_fewer(monkeypatch):
-    """Drop one configuration from the stream that the censuses count.
+    """Drop one node from the configuration walk that the censuses count.
 
     The censuses run unmemoized meanwhile: the memo would hand back the
     clean counts, and would keep the short one after the test.
     """
-    real = specialize.enumerate_configs
+    real = specialize._walk
     dropped = []
 
-    def stream(*args, **kwargs):
-        configs = list(real(*args, **kwargs))
-        if configs and not dropped:
-            dropped.append(configs.pop())
-        return iter(configs)
+    def walk(*args):
+        for node in real(*args):
+            if dropped:
+                yield node
+            else:
+                dropped.append(node)
 
-    monkeypatch.setattr(specialize, "enumerate_configs", stream)
+    monkeypatch.setattr(specialize, "_walk", walk)
     monkeypatch.setattr(specialize, "prefix_census",
                         specialize.prefix_census.__wrapped__)
 
