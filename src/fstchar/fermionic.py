@@ -19,8 +19,11 @@ A pattern sum is a generator of `_summand` templates, one per pattern.
 The linear term is the one that is evaluated on N: `linear_term` for one
 N, and `a_coefficient` through the same expansion loop, `_expand`.  Its
 alternative, starred, m and n forms are generators that `identity_battery`
-reads.  The NSequences are walked through their gaps by `qseries.index_walk`,
-the walk of both known sums (`_walk_records`).  All functions are pure.
+reads.  The battery does not expand series: it evaluates each distinct
+template once per instance as one integer, q replaced by a power of two
+(`_pack`), and compares the two sides of an identity as integer sums.
+The NSequences are walked through their gaps by `qseries.index_walk`, the
+walk of both known sums (`_walk_records`).  All functions are pure.
 """
 
 import itertools
@@ -150,10 +153,10 @@ def _summand(p1, p2, axis, p_delta, extra=None, edge=0):
     """l^1_{p1} l^2_{p2} d^axis_{p_delta}, times (1 - q^{N_{2,extra}}) if given.
 
     `edge` is the boundary bit d^axis reads (p_{k+1} on axis 1, p_0 on axis
-    2).  Kept as the index template `(ones, slots)` that `_evaluate` reads:
-    `ones` holds the positions of the 1-bits of `p1 + p2` in `N.entries`, so
-    p2's bit i sits at k + i, and `slots` the positions of the factors'
-    exponents in `N.factors`.
+    2).  Kept as the index template `(ones, slots)` that `_evaluate` and
+    `_pack` read: `ones` holds the positions of the 1-bits of `p1 + p2` in
+    `N.entries`, so p2's bit i sits at k + i, and `slots` the positions of
+    the factors' exponents in `N.factors`.
     """
     k = len(p1)
     ones = tuple(i for i, b in enumerate(p1 + p2) if b)
@@ -385,31 +388,23 @@ def random_instances(k):
     return out
 
 
-def identity_battery(k):
-    """Exercise every pattern-calculus identity at level k; returns a report.
+def _battery_order(k):
+    """The battery's truncation order at level k.
 
-    Covers, for each instance: both prefix-sum expansions l_p = sum of
-    l.delta over comparable patterns, the axis interchange for all (i, j)
-    with i + j <= k, agreement of the two linear-term forms for every weight
-    triple, and for strictly positive triples the four-term difference
-    against the starred variant and the equality of the two flipped sums.
-    Every identity is a pair of `_summand` template sums, built once per k
-    (they do not depend on N; the weight families take theirs from `_plan`)
-    and evaluated on every instance by `_evaluate`, as the pattern sums are.
-    The four-term identity is stated without signs:
-
-        star(w) + lt(k0-1, k1+1, k2) + lt(k0, k1-1, k2+1)
-            = lt(w) + lt(k0-1, k1, k2+1)
+    It lies above every exponent that a template of `_battery_sides(k)`
+    reaches on `random_instances(k)`: its exponent plus the sum of its gaps.
     """
-    instances = random_instances(k)
-    q_order = 2 * k * ENTRY_MAX + 2 * ENTRY_MAX + 16  # above any exponent used
-    report = CheckReport(
-        name=f"lemmas[k={k}]",
-        window={"instances": len(instances), "entry_max": ENTRY_MAX},
-    )
+    return 2 * k * ENTRY_MAX + 2 * ENTRY_MAX + 16
 
+
+def _battery_sides(k):
+    """The identities that `identity_battery(k)` checks, in check order.
+
+    Each is (tag, where, lhs, rhs), lhs and rhs lists of `_summand`
+    templates; the weight families take theirs from `_plan`.
+    """
     zero = (0,) * k
-    sides = []  # (tag, where, lhs templates, rhs templates), in check order
+    sides = []
     for i in range(k + 1):
         for p in patterns(k, i):
             sides.append((
@@ -449,9 +444,111 @@ def identity_battery(k):
             ))
             sides.append(("flip-expansion-match", {"w": w},
                           _plan(_m_term_summands, w), _plan(_n_term_summands, w)))
+    return sides
 
+
+def _pack_width(sides):
+    """The width B at which `_pack` keeps apart the sums of these template lists.
+
+    One bit more than the bit length of the largest sum of 2^|slots| over
+    a list; `identity_battery` proves that this suffices.
+    """
+    bound = max(sum([1 << len(slots) for _, slots in side]) for side in sides)
+    return bound.bit_length() + 1
+
+
+def _pack(templates, N, width):
+    """The `_summand` templates on N as ints, under q -> 2^width.
+
+    A template's value q^e prod (1 - q^gap) becomes 2^(width e) prod
+    (1 - 2^(width gap)), one shift and one subtraction per factor; a zero
+    gap makes it 0.  Nothing is truncated.
+    """
+    entries, factors = N.entries, N.factors
+    values = []
+    for ones, slots in templates:
+        x = 1 << width * sum([entries[i] for i in ones])
+        for s in slots:
+            x -= x << width * factors[s]
+        values.append(x)
+    return values
+
+
+def _unpack(x, width, q_order):
+    """The QSeries to q_order read off x's balanced base-2^width digits.
+
+    Reads back a sum of `_pack` values whose every coefficient c has
+    |c| < 2^(width - 1): digit e is the coefficient of q^e.
+    """
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    coeffs, e = {}, 0
+    while x and e <= q_order:
+        c = x & mask
+        if c >= half:
+            c -= mask + 1
+        coeffs[e] = c
+        x = (x - c) >> width
+        e += 1
+    return QSeries(coeffs, q_order)
+
+
+def identity_battery(k):
+    """Exercise every pattern-calculus identity at level k; returns a report.
+
+    Covers, for each instance: both prefix-sum expansions l_p = sum of
+    l.delta over comparable patterns, the axis interchange for all (i, j)
+    with i + j <= k, agreement of the two linear-term forms for every weight
+    triple, and for strictly positive triples the four-term difference
+    against the starred variant and the equality of the two flipped sums.
+    Every identity is a pair of `_summand` template lists, built once per k
+    (`_battery_sides`).  The four-term identity is stated without signs:
+
+        star(w) + lt(k0-1, k1+1, k2) + lt(k0, k1-1, k2+1)
+            = lt(w) + lt(k0-1, k1, k2+1)
+
+    Each distinct template is interned once per k, so a side is a list of
+    indices.  On each instance N, `_pack` evaluates every distinct template
+    once as an int under q -> 2^B, and a side's value is the sum of its
+    templates' ints.  Equal ints mean equal polynomials, exactly:
+
+        A template q^e prod_s (1 - q^{g_s}) expands into 2^{|slots|}
+        monomials +-q^x, so no coefficient of a side exceeds its sum of
+        2^{|slots|}, nor M, the largest such sum over all sides, in
+        absolute value.  B = bitlength(M) + 1, so 2M < 2^B.  The difference
+        D of two sides has integer coefficients with |d| <= 2M < 2^B.  If
+        D != 0 and m is its lowest exponent, D(2^B) = 2^{Bm} (d_m + 2^B r)
+        for an integer r, and d_m + 2^B r != 0 as 0 < |d_m| < 2^B.
+
+    Only when the ints differ are the sides read back as series (`_unpack`,
+    whose balanced digits are unique since M < 2^(B-1)) and reported
+    through `CheckReport.check`.  The series' order `_battery_order(k)` lies
+    above every exponent, so comparing untruncated ints is comparing the
+    truncated series.
+    """
+    instances = random_instances(k)
+    q_order = _battery_order(k)
+    report = CheckReport(
+        name=f"lemmas[k={k}]",
+        window={"instances": len(instances), "entry_max": ENTRY_MAX},
+    )
+
+    sides = _battery_sides(k)
+    index = {}
+    checks = [(tag, where, [index.setdefault(t, len(index)) for t in lhs],
+               [index.setdefault(t, len(index)) for t in rhs])
+              for tag, where, lhs, rhs in sides]
+    templates = list(index)
+    width = _pack_width([side for _, _, lhs, rhs in sides for side in (lhs, rhs)])
     for N in instances:
-        for tag, where, lhs, rhs in sides:
-            report.check({"identity": tag, **where},
-                         _evaluate(rhs, N, q_order), _evaluate(lhs, N, q_order))
+        values = _pack(templates, N, width)
+        for tag, where, lhs, rhs in checks:
+            left = sum([values[i] for i in lhs])
+            right = sum([values[i] for i in rhs])
+            if left == right:
+                report.checked += 1
+            else:
+                report.check({"identity": tag, **where},
+                             _unpack(right, width, q_order),
+                             _unpack(left, width, q_order))
+        del values  # so that one instance's ints are held at a time
     return report

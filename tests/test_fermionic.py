@@ -26,6 +26,7 @@ from fstchar.fermionic import (
     pos,
 )
 from fstchar.qseries import QSeries, inv_pochhammer
+from fstchar.recurrence import level_weights
 from fstchar.reporting import CheckReport
 
 
@@ -793,14 +794,43 @@ def _patterns_of_length(k):
 
 
 @st.composite
+def summand_args(draw, k):
+    """p1, p2, axis, p_delta, extra and edge of one `_summand` of length k."""
+    p1, p2, p_delta = (draw(_patterns_of_length(k)) for _ in range(3))
+    axis = draw(st.sampled_from([1, 2]))
+    extra = draw(st.one_of(st.none(), st.integers(1, k)))
+    edge = draw(st.integers(0, 1))
+    return p1, p2, axis, p_delta, extra, edge
+
+
+@st.composite
 def single_summands(draw):
     """N, then p1, p2, axis, p_delta, extra and edge of one `_summand` on it."""
     _, N = draw(weight_and_sequences())
-    p1, p2, p_delta = (draw(_patterns_of_length(N.k)) for _ in range(3))
-    axis = draw(st.sampled_from([1, 2]))
-    extra = draw(st.one_of(st.none(), st.integers(1, N.k)))
-    edge = draw(st.integers(0, 1))
-    return N, p1, p2, axis, p_delta, extra, edge
+    return (N, *draw(summand_args(N.k)))
+
+
+@st.composite
+def template_sides(draw):
+    """N and two lists of `_summand` templates on it, drawn with repeats.
+
+    Both lists draw from a pool of a few templates, so they often hold the
+    same templates in another order.  Half the time the left list also
+    gains a cancelling pair, t (1 - q^{N_{2,j}}) and t q^{N_{2,j}}, and the
+    right list gains t, their sum.
+    """
+    N, *first = draw(single_summands())
+    pool = [fermionic._summand(*first)] + [
+        fermionic._summand(*args)
+        for args in draw(st.lists(summand_args(N.k), max_size=3))]
+    lhs = draw(st.lists(st.sampled_from(pool), max_size=6))
+    rhs = draw(st.lists(st.sampled_from(pool), max_size=6))
+    if draw(st.booleans()):
+        ones, slots = draw(st.sampled_from(pool))
+        j = draw(st.integers(1, N.k))
+        lhs += [(ones, slots + (2 * N.k + j - 1,)), (ones + (N.k + j - 1,), slots)]
+        rhs += [(ones, slots)]
+    return N, lhs, rhs
 
 
 ZERO3 = (0, 0, 0)
@@ -834,6 +864,79 @@ class TestEvaluator:
         assert fermionic._evaluate([template], N, q_order) == expected
 
 
+class TestPackedEvaluation:
+    """`_pack` and `_unpack` against `_evaluate`, at the width the battery uses."""
+
+    ZERO_GAPS = TestAgainstSeriesProducts.ZERO_GAPS[1]
+    SPREAD = TestEvaluator.SPREAD
+
+    @staticmethod
+    def packed(side, N, width):
+        return sum(fermionic._pack(side, N, width))
+
+    @settings(max_examples=300, deadline=None)
+    @given(template_sides(), orders)
+    # q^{N_{1,1}} (1 - q^{N_{2,2}}) + q^{N_{1,1} + N_{2,2}} = q^{N_{1,1}}, with
+    # a summand that a zero gap drops, then cut at order -1, then unequal
+    @example((ZERO_GAPS, [((1,), (0,)), ((0,), (7,)), ((0, 4), ())], [((0,), ())]),
+             40)
+    @example((SPREAD, [((0,), (7,)), ((0, 4), ())], [((0,), ())]), -1)
+    @example((SPREAD, [((0,), (5,))], [((0,), ())]), 40)
+    def test_sides_agree_with_evaluate(self, sides, q_order):
+        N, lhs, rhs = sides
+        width = fermionic._pack_width([lhs, rhs])
+        left, right = (self.packed(side, N, width) for side in (lhs, rhs))
+        # POLY_ORDER lies above every exponent these small entries reach
+        assert (left == right) == (fermionic._evaluate(lhs, N, POLY_ORDER)
+                                   == fermionic._evaluate(rhs, N, POLY_ORDER))
+        for packed, side in ((left, lhs), (right, rhs)):
+            assert fermionic._unpack(packed, width, q_order) == fermionic._evaluate(
+                side, N, q_order)
+
+    @pytest.mark.parametrize("copies", [1, 2, 3, 4, 7, 8, 9, 255, 256])
+    def test_side_at_the_bound(self, copies):
+        # a template that fires no factor, repeated: its one coefficient
+        # equals the side's sum of 2^|slots|, the bound that sets the width
+        template = fermionic._summand((1, 0, 1), (0, 1, 0), 1, ZERO3)
+        assert template[1] == ()
+        side = [template] * copies
+        width = fermionic._pack_width([side])
+        expected = QSeries({9 + 1 + 3: copies}, 40)
+        assert fermionic._evaluate(side, self.SPREAD, 40) == expected
+        assert fermionic._unpack(self.packed(side, self.SPREAD, width),
+                                 width, 40) == expected
+
+
+class TestBatterySides:
+    """What the battery's template lists and truncation order promise."""
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_order_above_every_exponent(self, k):
+        # the packed comparison truncates nothing, so it agrees with the
+        # truncated series only under this bound
+        q_order = fermionic._battery_order(k)
+        templates = {t for _, _, lhs, rhs in fermionic._battery_sides(k)
+                     for t in (*lhs, *rhs)}
+        for N in fermionic.random_instances(k):
+            for ones, slots in templates:
+                top = (sum(N.entries[i] for i in ones)
+                       + sum(N.factors[s] for s in slots))
+                assert top <= q_order, (N, ones, slots)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_two_forms_repeat_the_axis_interchange(self, k):
+        # `linear-term-two-forms` at w checks, template for template, what
+        # `axis-interchange` checks at (i, j) = (k1, k2); dropping the copy
+        # changes the reports' `checked` counts
+        interchange = {(where["i"], where["j"]): (lhs, rhs)
+                       for tag, where, lhs, rhs in fermionic._battery_sides(k)
+                       if tag == "axis-interchange"}
+        for w in level_weights(k, 2):
+            lhs, rhs = interchange[w[1:]]
+            assert list(fermionic._plan(fermionic._linear_term_summands, w)) == lhs
+            assert list(fermionic._plan(ALT, w)) == rhs
+
+
 class TestBatteryCanFail:
     """A broken pattern order, flip or summand shows up in the battery's report."""
 
@@ -855,7 +958,12 @@ class TestBatteryCanFail:
         monkeypatch.setattr(fermionic, "flip_last", flip_first)
         report = fermionic.identity_battery(2)
         assert not report.ok
-        assert report.violations[0]["where"]["identity"] == "axis-interchange"
+        # a violation shows both sides as series, however they were compared
+        assert report.violations[0] == {
+            "where": {"identity": "axis-interchange", "i": 1, "j": 0},
+            "expected": "QSeries(q^18; O(q^197))",
+            "actual": "QSeries(q^9; O(q^197))",
+        }
 
     def test_wrong_linear_term_fails_both_checks_that_read_it(self, monkeypatch):
         # one linear-term template list feeds two identities: a bad one
