@@ -15,6 +15,8 @@ to order 2Q - 2n; spec_2 (`specialize.spec2`) is spec_1 at z = 1, summed
 over every cell.  Both map each cell by the one cell map, `spec1_cell`.
 """
 
+from operator import gt
+
 from .qseries import Frozen, QSeries
 
 
@@ -32,7 +34,7 @@ class CharSeries(Frozen):
         """`coeffs` maps exponent vectors to rows of length q_order + 1;
         the rank, the number of variables, is len(caps)."""
         caps = tuple(caps)
-        if any(c < 0 for c in caps):
+        if min(caps, default=0) < 0:
             raise ValueError(f"caps {caps} must be >= 0")
         terms = {}
         if coeffs:
@@ -40,7 +42,7 @@ class CharSeries(Frozen):
                 n = tuple(n)
                 if len(n) != len(caps):
                     raise ValueError(f"exponent vector {n} has wrong arity")
-                if any(x < 0 for x in n) or any(x > c for x, c in zip(n, caps)):
+                if min(n, default=0) < 0 or any(map(gt, n, caps)):
                     raise ValueError(f"exponent vector {n} outside caps {caps}")
                 row = tuple(row)
                 if len(row) != q_order + 1:

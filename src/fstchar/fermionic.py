@@ -182,20 +182,32 @@ def _expand(templates, entries, factors, q_order, base, into):
     product is expanded term by term into the {exponent: coeff} dict `into`,
     keeping nothing above q_order; a zero gap makes its factor, and so its
     summand, vanish.  The templates must have N's length.
+
+    A template with no slots adds its one monomial directly.  The loops are
+    written out, not as comprehensions, since Python 3.11 runs each
+    comprehension as one more function call per template.
     """
+    get = into.get
     for ones, slots in templates:
-        e = base + sum([entries[i] for i in ones])
+        e = base
+        for i in ones:
+            e += entries[i]
         if e > q_order:
+            continue
+        if not slots:
+            into[e] = get(e, 0) + 1
             continue
         terms = [(e, 1)]
         for s in slots:
             g = factors[s]
             if not g:
                 break
-            terms += [(x + g, -c) for x, c in terms if x + g <= q_order]
+            for x, c in terms[:]:
+                if x + g <= q_order:
+                    terms.append((x + g, -c))
         else:
             for x, c in terms:
-                into[x] = into.get(x, 0) + c
+                into[x] = get(x, 0) + c
 
 
 def _evaluate(templates, N, q_order):
@@ -317,16 +329,19 @@ def a_coefficient(w, n1, n2, q_order):
 
     Sums q^{Q(N)} * linear term / prod (q)_g over the gaps g of N, for the
     NSequences N of the cell with Q(N) <= q_order, read from the records
-    that every weight of the level shares (`_sequence_table`).  Each N's
-    linear term is expanded at offset Q(N) into the sparse dict of its
-    denominator key, the sorted nonzero gaps (`_expand`); each key's shared
-    row of 1/prod (q)_g (`denominator_row`) is then added into one
-    accumulator once per exponent, times the merged coefficient.
+    that every weight of the level shares (`_sequence_table`).  A cell with
+    no record is the zero series at once.  Each N's linear term is expanded
+    at offset Q(N) into the sparse dict of its denominator key, the sorted
+    nonzero gaps (`_expand`); each key's shared row of 1/prod (q)_g
+    (`denominator_row`) is then added into one accumulator once per
+    exponent, times the merged coefficient.
     """
     w = weight_parts(w, 2)
     if n1 < 0 or n2 < 0:
         raise ValueError("weights must be >= 0")
-    records = _sequence_table(sum(w), q_order).get((n1, n2), ())
+    records = _sequence_table(sum(w), q_order).get((n1, n2))
+    if not records:
+        return QSeries({}, q_order)
     templates = _plan(_linear_term_summands, w)
     grouped = {}
     for base, key, entries, factors in records:
@@ -467,7 +482,10 @@ def _pack(templates, N, width):
     entries, factors = N.entries, N.factors
     values = []
     for ones, slots in templates:
-        x = 1 << width * sum([entries[i] for i in ones])
+        e = 0
+        for i in ones:
+            e += entries[i]
+        x = 1 << width * e
         for s in slots:
             x -= x << width * factors[s]
         values.append(x)

@@ -107,8 +107,13 @@ class QSeries(Frozen):
 
         `trunc` defaults to len(row) - 1.  A row of any negative order is
         empty, so a caller that may hold one passes its order as `trunc`.
+        Only the row's nonzero entries are handed to the constructor.
         """
-        return cls(dict(enumerate(row)), len(row) - 1 if trunc is None else trunc)
+        terms = {}
+        for e, c in enumerate(row):
+            if c:
+                terms[e] = c
+        return cls(terms, len(row) - 1 if trunc is None else trunc)
 
     # -- queries -----------------------------------------------------------
 
@@ -286,22 +291,36 @@ def index_walk(matrix, steps, sizes, caps, q_order, visit):
     passed, and each m within the bounds is visited once.  key is the
     sorted tuple of the nonzero entries of m, the `denominator_row` key of
     the term.  visit must not keep `m` or `n`, shared lists.
+
+    Entries are filled in order, so while entry i grows the entries after
+    it are 0: the raise (M m)_i + steps_i is summed once on entering entry
+    i and then grows by M_ii per unit.  The units of the last entry are
+    visited in its own loop, with no recursive call per leaf.
     """
     m = [0] * len(steps)
     n = [0] * len(caps)
+    if min(caps, default=0) < 0 or q_order < 0:
+        return
+    if not m:
+        visit(m, n, 0, ())
+        return
+    last = len(m) - 1
     # (v, sizes[v][i]) for each z-degree n_v that one unit of m_i raises
     raises = [[(v, row[i]) for v, row in enumerate(sizes) if row[i]]
               for i in range(len(m))]
 
     def extend(i, expo):
-        if i == len(m):
-            visit(m, n, expo, tuple(sorted([x for x in m if x])))
-            return
         row, up = matrix[i], raises[i]
+        diag = row[i]
+        # entries from i on are 0, so this is (M m)_i + steps_i
+        step = sum(map(mul, row, m)) + steps[i]
         while expo <= q_order:
-            extend(i + 1, expo)
-            # entries after i are still 0, so this is (M m)_i
-            expo += sum(map(mul, row, m)) + steps[i]
+            if i == last:
+                visit(m, n, expo, tuple(sorted(filter(None, m))))
+            else:
+                extend(i + 1, expo)
+            expo += step
+            step += diag
             m[i] += 1
             if up:
                 over = False
@@ -314,5 +333,4 @@ def index_walk(matrix, steps, sizes, caps, q_order, visit):
             n[v] -= s * m[i]
         m[i] = 0
 
-    if min(caps, default=0) >= 0:
-        extend(0, 0)
+    extend(0, 0)

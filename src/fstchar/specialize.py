@@ -78,6 +78,8 @@ def chi_fjmmt(k0, k1, z_cap, q_order, drop=0):
     `denominator_row` row at scale 2 (keyed by the sorted nonzero entries of
     m, which the walk hands it) at its exponent into the accumulator list
     of its z-degree, of length q_order - drop*n + 1; no product is taken.
+    A scale-2 row is 0 at every odd exponent, so only its even entries are
+    added, at stride 2 from the term's exponent.
     """
     k0, k1, _ = weight_parts((k0, k1, 0), 2)
     k = k0 + k1
@@ -88,7 +90,9 @@ def chi_fjmmt(k0, k1, z_cap, q_order, drop=0):
         denom = denominator_row(key, q_order, 2)
         acc = terms[n]
         expo -= drop * n
-        acc[expo:] = map(add, acc[expo:], denom)
+        # a scale-2 row is 0 at every odd exponent: add its even entries
+        # only; acc is no longer than denom, so the two slices match
+        acc[expo::2] = map(add, acc[expo::2], denom[::2])
 
     double = [[2 * x for x in row] for row in fjmmt_matrix(k)]
     sizes = [j % k + 1 for j in range(2 * k)]  # part size of m_j in l_1 or l_2

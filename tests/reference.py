@@ -3,11 +3,13 @@
 No route of the package calls these.  They are written with `QSeries`
 products, the package's enumeration and direct window sums, so that the
 closed sums, the censuses, the recurrence equations and the configuration
-stream are checked against forms that share none of their shortcuts.
+stream are checked against forms that share none of their shortcuts.  The
+summation walk is checked against its plain recursive form, `index_walk`.
 Import them like `conftest`.
 """
 
 from itertools import accumulate
+from operator import mul
 
 from fstchar.admissible import weight_parts
 from fstchar.charseries import CharSeries
@@ -139,3 +141,41 @@ def dilate(char):
     return CharSeries(char.caps, char.q_order, {
         n: _moved_row(coeffs, sum(n)) for n, coeffs in char.coeffs.items()
     })
+
+
+def index_walk(matrix, steps, sizes, caps, q_order, visit):
+    """The walk of `qseries.index_walk`, recursing once per unit of every entry.
+
+    Each unit of m_i sums its raise (M m)_i + steps_i afresh, and each leaf
+    is one more call.  The library's walk visits the same (m, n, expo, key)
+    in the same order.
+    """
+    m = [0] * len(steps)
+    n = [0] * len(caps)
+    # (v, sizes[v][i]) for each z-degree n_v that one unit of m_i raises
+    raises = [[(v, row[i]) for v, row in enumerate(sizes) if row[i]]
+              for i in range(len(m))]
+
+    def extend(i, expo):
+        if i == len(m):
+            visit(m, n, expo, tuple(sorted([x for x in m if x])))
+            return
+        row, up = matrix[i], raises[i]
+        while expo <= q_order:
+            extend(i + 1, expo)
+            # entries after i are still 0, so this is (M m)_i
+            expo += sum(map(mul, row, m)) + steps[i]
+            m[i] += 1
+            if up:
+                over = False
+                for v, s in up:
+                    n[v] += s
+                    over |= n[v] > caps[v]
+                if over:
+                    break
+        for v, s in up:
+            n[v] -= s * m[i]
+        m[i] = 0
+
+    if min(caps, default=0) >= 0 and q_order >= 0:
+        extend(0, 0)

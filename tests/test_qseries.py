@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import gaussian_binomial
+from reference import index_walk as reference_walk
 
 from fstchar.qseries import (
     QSeries,
@@ -301,6 +302,27 @@ class TestIndexWalk:
     @pytest.mark.parametrize("rows", [0, 1, 2])
     def test_visits_entries_out_of_order(self, rows):
         self.check(*OUT_OF_ORDER[rows])
+
+    @pytest.mark.parametrize("rows", [0, 1, 2])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_same_visits_in_order_as_reference(self, rows, data):
+        walk = data.draw(walk_data(rows))
+        visits = []
+        for run in (index_walk, reference_walk):
+            seen = []
+            run(*walk, lambda m, n, expo, key: seen.append(
+                (tuple(m), tuple(n), expo, key)))
+            visits.append(seen)
+        assert visits[0] == visits[1]
+
+    # with no entries the one vector is m = (), at exponent 0
+    @pytest.mark.parametrize("q_order, expected", [(-1, []), (0, [((), (), 0, ())])])
+    def test_no_entries(self, q_order, expected):
+        seen = []
+        index_walk([], [], (), (), q_order, lambda m, n, expo, key: seen.append(
+            (tuple(m), tuple(n), expo, key)))
+        assert seen == expected
 
     @staticmethod
     def check(matrix, steps, sizes, caps, q_order):

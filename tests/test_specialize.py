@@ -1,6 +1,7 @@
 import itertools
 import json
 from collections import Counter
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -276,6 +277,26 @@ class TestChiFjmmt:
         assert chi_fjmmt(k0, k1, z_cap, q_order, drop=2) == {
             n: unpruned[n].truncate(q_order - 2 * n) for n in unpruned
         }
+
+    # chi_fjmmt adds a scale-2 row's even entries only, at stride 2, into an
+    # accumulator whose slice from the term's exponent is no longer than the row
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 12), max_size=4).map(lambda key: tuple(sorted(key))),
+           st.integers(0, 31), st.integers(-12, 12), st.integers(0, 12))
+    @example((), 0, 0, 0)
+    @example((1,), 5, -3, 1)
+    @example((2, 3), 6, 4, 0)
+    @example((1, 1), 9, 3, 2)
+    def test_strided_add_of_scale_two_row(self, key, q_order, extra, shift):
+        row = denominator_row(key, q_order, 2)
+        assert not any(row[1::2])
+        size = max(len(row) + extra, 0)
+        expo = max(size - len(row), 0) + shift
+        whole = list(range(1, size + 1))
+        whole[expo:] = map(add, whole[expo:], row)
+        acc = list(range(1, size + 1))
+        acc[expo::2] = map(add, acc[expo::2], row[::2])
+        assert acc == whole
 
     def test_empty_exponent_term(self):
         out = chi_fjmmt(2, 0, 3, 12)
