@@ -198,12 +198,14 @@ def weight_degree_counts(weight, q_order, caps):
     clears the low s // l + 1 slots of every block: a degree pushed past
     q_order in block n_1 would otherwise land in block n_1 + 1, and an n_1
     pushed past the last block leaves the int, which is how cap_1 binds.
-    v stops early once the shift pushes every live degree out.  Two lists
-    merge by +.  The window's part of the bound on a_s (level, q_order and
-    the initial bounds at s < l) comes from a table per position over the
-    windows whose entries sum to <= level, C(level + l, l) of them; the
-    part of caps 2..l is read off n, so no table is indexed by n.  Only the
-    finished lists are decoded back into tuples, block by block, at the end.
+    The tail and the mask depend on s // l alone, and each moves by one
+    shift when it grows.  v stops early once the shift pushes every live
+    degree out.  Two lists merge by +.  The window's part of the bound on
+    a_s (level, q_order and the initial bounds at s < l) comes from a table
+    over the windows whose entries sum to <= level, C(level + l, l) of
+    them, rebuilt only when that bound changes; the part of caps 2..l is
+    read off n, so no table is indexed by n.  Only the finished lists are
+    decoded back into tuples, block by block, at the end.
 
     Position t holds part t // l + 1 in color t % l, so the partial
     configurations counted in one slot are distinct l-colored partitions
@@ -240,15 +242,25 @@ def weight_degree_counts(weight, q_order, caps):
                 for a in range(level - u + 1)}
     # the key of a state in window w after placing a_s = 0, less its n part
     shifted = {w: w % top * R * N for w in sums}
+    # at tf = 1: degree q_order of every block, which can place no further
+    # unit, and every degree but 0, the ones a unit can reach
+    slots = ((1 << B) - 1) * ones  # degree 0 of every block
+    tail = slots << B * q_order
+    mask = full ^ slots
+    room_for = None
     table = {0: 1}
     finished = {}
     s = 0
     while table:
         tf = s // l + 1
-        cut = max(Q - tf, 0)  # degrees from cut on can place no further unit
-        tail = full ^ ((1 << B * cut) - 1) * ones
-        # clears the degrees < tf of every block, which no unit reaches
-        mask = full ^ ((1 << B * tf) - 1) * ones
+        if s and not s % l:
+            # tf grew by one: the tail gains the next lower degree of every
+            # block and the mask loses degree tf - 1.  No slot crosses into
+            # another block: the tail shifts only while it lacks degree 0 (a
+            # tail of every degree finishes every state), and a top degree
+            # shifted up lands on a degree 0 that the mask lacks
+            tail |= tail >> B
+            mask &= mask << B
         vq = q_order // tf  # a larger a_s shifts every degree past q_order
         unit, lift, stride, cap = colors[s % l]
         step = B * tf + lift
@@ -256,7 +268,9 @@ def weight_degree_counts(weight, q_order, caps):
         # positions before s < l all sit in the window, and
         # init_bounds[s] <= level
         bound = init_bounds[s] if s < l else level
-        room = {w: min(bound - u, vq) for w, u in sums.items()}
+        if room_for != (bound, vq):
+            room_for = bound, vq
+            room = {w: min(bound - u, vq) for w, u in sums.items()}
         nxt = {}
         for key, x in table.items():
             w, n = key // N, key % N

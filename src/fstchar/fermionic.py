@@ -19,9 +19,10 @@ A pattern sum is a generator of `_summand` templates, one per pattern.
 The linear term is the one that is evaluated on N: `linear_term` for one
 N, and `a_coefficient` through the same expansion loop, `_expand`.  Its
 alternative, starred, m and n forms are generators that `identity_battery`
-reads.  The battery does not expand series: it evaluates each distinct
-template once per instance as one integer, q replaced by a power of two
-(`_pack`), and compares the two sides of an identity as integer sums.
+reads.  The battery does not evaluate templates on N: it expands each
+distinct one once as a polynomial in the 2k gap variables x_s = q^{g_s}
+of N (`_gap_polynomial`), and two sides that are equal polynomials agree
+at every N.
 The NSequences are walked through their gaps by `qseries.index_walk`, the
 walk of both known sums (`_walk_records`).  All functions are pure.
 """
@@ -79,8 +80,13 @@ def patterns(k, ones):
         raise ValueError("patterns need length k >= 1")
     if not 0 <= ones <= k:
         return []
-    return [tuple(int(i in ones_at) for i in range(k))
-            for ones_at in itertools.combinations(range(k), ones)]
+    out = []
+    for ones_at in itertools.combinations(range(k), ones):
+        bits = [0] * k
+        for i in ones_at:
+            bits[i] = 1
+        out.append(tuple(bits))
+    return out
 
 
 def pattern_le(p, p2):
@@ -154,12 +160,12 @@ def _summand(p1, p2, axis, p_delta, extra=None, edge=0):
 
     `edge` is the boundary bit d^axis reads (p_{k+1} on axis 1, p_0 on axis
     2).  Kept as the index template `(ones, slots)` that `_evaluate` and
-    `_pack` read: `ones` holds the positions of the 1-bits of `p1 + p2` in
-    `N.entries`, so p2's bit i sits at k + i, and `slots` the positions of
-    the factors' exponents in `N.factors`.
+    `_gap_polynomial` read: `ones` holds the positions of the 1-bits of
+    `p1 + p2` in `N.entries`, so p2's bit i sits at k + i, and `slots` the
+    positions of the factors' exponents in `N.factors`.
     """
     k = len(p1)
-    ones = tuple(i for i, b in enumerate(p1 + p2) if b)
+    ones = tuple(itertools.compress(range(2 * k), p1 + p2))
     offset = 0 if axis == 1 else k
     slots = tuple(offset + i for i in _fired(axis, p_delta, edge))
     if extra is not None:
@@ -421,18 +427,21 @@ def _battery_sides(k):
     zero = (0,) * k
     sides = []
     for i in range(k + 1):
-        for p in patterns(k, i):
+        ps = patterns(k, i)
+        # l.delta of each pattern on either axis, shared by every p it is
+        # comparable with
+        deltas = [(p2, _summand(p2, zero, 1, p2), _summand(zero, p2, 2, p2))
+                  for p2 in ps]
+        for p in ps:
             sides.append((
                 "prefix-sum-expansion-axis1", {"p": p},
                 [_summand(p, zero, 1, zero)],
-                [_summand(p2, zero, 1, p2)
-                 for p2 in patterns(k, i) if pattern_le(p2, p)],
+                [d1 for p2, d1, _ in deltas if pattern_le(p2, p)],
             ))
             sides.append((
                 "prefix-sum-expansion-axis2", {"p": p},
                 [_summand(zero, p, 2, zero)],
-                [_summand(zero, p2, 2, p2)
-                 for p2 in patterns(k, i) if pattern_le(p, p2)],
+                [d2 for p2, _, d2 in deltas if pattern_le(p, p2)],
             ))
     for i in range(k + 1):
         for j in range(k - i + 1):
@@ -462,51 +471,52 @@ def _battery_sides(k):
     return sides
 
 
-def _pack_width(sides):
-    """The width B at which `_pack` keeps apart the sums of these template lists.
+def _gap_vectors(k):
+    """The entries and factor exponents of `NSequences` as packed gap vectors.
 
-    One bit more than the bit length of the largest sum of 2^|slots| over
-    a list; `identity_battery` proves that this suffices.
+    Over the 2k gaps g_s = N.factors[s], s < 2k: entry i < k, N_{1,i+1}, is
+    the sum of g_s over i <= s < k, entry k + i, N_{2,i+1}, the sum over
+    k <= s <= k + i; factor s < 2k is g_s and factor 2k + i is N_{2,i+1}.
+    The vector with coordinates c_s is the int sum c_s 2^{width s}, width
+    the bit length of k + 2 (`identity_battery` proves it enough).  Returns
+    (width, entries, factors).
     """
-    bound = max(sum([1 << len(slots) for _, slots in side]) for side in sides)
-    return bound.bit_length() + 1
+    width = (k + 2).bit_length()
+    unit = [1 << width * s for s in range(2 * k)]
+    axis2 = [sum(unit[k:k + i + 1]) for i in range(k)]
+    return width, [sum(unit[i:k]) for i in range(k)] + axis2, unit + axis2
 
 
-def _pack(templates, N, width):
-    """The `_summand` templates on N as ints, under q -> 2^width.
+def _gap_polynomial(template, entries, factors):
+    """A `_summand` template as a polynomial in the gap variables x_s = q^{g_s}.
 
-    A template's value q^e prod (1 - q^gap) becomes 2^(width e) prod
-    (1 - 2^(width gap)), one shift and one subtraction per factor; a zero
-    gap makes it 0.  Nothing is truncated.
+    The dict {exponent vector: coeff}, vectors packed by `_gap_vectors`, of
+    x^{sum of `entries` at ones} prod over slots of (1 - x^{factors[slot]}),
+    with no zero coefficient.  A vector may repeat within one product, as
+    N_{2,2} = g_{2,1} + g_{2,2}, so its terms are merged.
     """
-    entries, factors = N.entries, N.factors
-    values = []
-    for ones, slots in templates:
+    ones, slots = template
+    e = 0
+    for i in ones:
+        e += entries[i]
+    terms = {e: 1}
+    for s in slots:
+        g = factors[s]
+        for x, c in list(terms.items()):
+            terms[x + g] = terms.get(x + g, 0) - c
+    return {x: c for x, c in terms.items() if c}
+
+
+def _at_gaps(poly, gaps, width, q_order):
+    """The gap polynomial `poly` at x_s = q^{gaps[s]}, as a QSeries to q_order."""
+    mask = (1 << width) - 1
+    coeffs = {}
+    for x, c in poly.items():
         e = 0
-        for i in ones:
-            e += entries[i]
-        x = 1 << width * e
-        for s in slots:
-            x -= x << width * factors[s]
-        values.append(x)
-    return values
-
-
-def _unpack(x, width, q_order):
-    """The QSeries to q_order read off x's balanced base-2^width digits.
-
-    Reads back a sum of `_pack` values whose every coefficient c has
-    |c| < 2^(width - 1): digit e is the coefficient of q^e.
-    """
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    coeffs, e = {}, 0
-    while x and e <= q_order:
-        c = x & mask
-        if c >= half:
-            c -= mask + 1
-        coeffs[e] = c
-        x = (x - c) >> width
-        e += 1
+        for g in gaps:
+            e += (x & mask) * g
+            x >>= width
+        coeffs[e] = coeffs.get(e, 0) + c
     return QSeries(coeffs, q_order)
 
 
@@ -524,24 +534,33 @@ def identity_battery(k):
         star(w) + lt(k0-1, k1+1, k2) + lt(k0, k1-1, k2+1)
             = lt(w) + lt(k0-1, k1, k2+1)
 
-    Each distinct template is interned once per k, so a side is a list of
-    indices.  On each instance N, `_pack` evaluates every distinct template
-    once as an int under q -> 2^B, and a side's value is the sum of its
-    templates' ints.  Equal ints mean equal polynomials, exactly:
+    Each distinct template is expanded once, as a polynomial in the 2k gap
+    variables x_s = q^{g_s} (`_gap_polynomial`), and the two sides of an
+    identity are compared as sums of these polynomials.  The report is the
+    one that comparing both sides as series at each instance N of
+    `random_instances(k)` gives:
 
-        A template q^e prod_s (1 - q^{g_s}) expands into 2^{|slots|}
-        monomials +-q^x, so no coefficient of a side exceeds its sum of
-        2^{|slots|}, nor M, the largest such sum over all sides, in
-        absolute value.  B = bitlength(M) + 1, so 2M < 2^B.  The difference
-        D of two sides has integer coefficients with |d| <= 2M < 2^B.  If
-        D != 0 and m is its lowest exponent, D(2^B) = 2^{Bm} (d_m + 2^B r)
-        for an integer r, and d_m + 2^B r != 0 as 0 < |d_m| < 2^B.
+        Every entry of N and every exponent a factor reads is a sum of
+        gaps (`_gap_vectors`), so a template's value at N is its gap
+        polynomial at x_s = q^{g_s(N)}, and so is a side's.  Sides that
+        are equal polynomials in x are therefore equal at every N, and such
+        an identity counts one comparison per instance with no violation.
+        Sides that differ are evaluated at each instance (`_at_gaps`),
+        instance by instance and in check order within one, and
+        `CheckReport.check` compares them there: they may still agree at
+        some N, as at N = 0.  No N has a negative gap, so each value is a
+        polynomial in q, and `_battery_order(k)` lies above every exponent
+        a template reaches on the instances, so the compared series are
+        exact.
 
-    Only when the ints differ are the sides read back as series (`_unpack`,
-    whose balanced digits are unique since M < 2^(B-1)) and reported
-    through `CheckReport.check`.  The series' order `_battery_order(k)` lies
-    above every exponent, so comparing untruncated ints is comparing the
-    truncated series.
+    An exponent vector is packed into one int, coordinate s in bits
+    [width s, width (s + 1)), width the bit length of k + 2.  No coordinate
+    of a term exceeds k + 2: the monomial raises x_s, s < k, once per entry
+    i <= s at `ones` and x_s, s >= k, once per axis-2 entry at or after it,
+    at most k times; the slots are distinct, so each gap factor adds 1 at
+    most once, and only the one `extra` slot reads N_{2,i}, which adds at
+    most 1 to each axis-2 coordinate.  Coordinates are >= 0, so no sum
+    carries into the next field, and equal ints are equal vectors.
     """
     instances = random_instances(k)
     q_order = _battery_order(k)
@@ -550,23 +569,31 @@ def identity_battery(k):
         window={"instances": len(instances), "entry_max": ENTRY_MAX},
     )
 
+    width, entries, factors = _gap_vectors(k)
+    polys = {}
+
+    def side(templates):
+        total = {}
+        get = total.get
+        for t in templates:
+            poly = polys.get(t)
+            if poly is None:
+                poly = polys[t] = _gap_polynomial(t, entries, factors)
+            for x, c in poly.items():
+                total[x] = get(x, 0) + c
+        return {x: c for x, c in total.items() if c}
+
     sides = _battery_sides(k)
-    index = {}
-    checks = [(tag, where, [index.setdefault(t, len(index)) for t in lhs],
-               [index.setdefault(t, len(index)) for t in rhs])
-              for tag, where, lhs, rhs in sides]
-    templates = list(index)
-    width = _pack_width([side for _, _, lhs, rhs in sides for side in (lhs, rhs)])
+    failing = []
+    for tag, where, lhs, rhs in sides:
+        left, right = side(lhs), side(rhs)
+        if left != right:
+            failing.append((tag, where, left, right))
+    report.checked += len(instances) * (len(sides) - len(failing))
     for N in instances:
-        values = _pack(templates, N, width)
-        for tag, where, lhs, rhs in checks:
-            left = sum([values[i] for i in lhs])
-            right = sum([values[i] for i in rhs])
-            if left == right:
-                report.checked += 1
-            else:
-                report.check({"identity": tag, **where},
-                             _unpack(right, width, q_order),
-                             _unpack(left, width, q_order))
-        del values  # so that one instance's ints are held at a time
+        gaps = N.factors[:2 * k]
+        for tag, where, left, right in failing:
+            report.check({"identity": tag, **where},
+                         _at_gaps(right, gaps, width, q_order),
+                         _at_gaps(left, gaps, width, q_order))
     return report

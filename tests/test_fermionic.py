@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import pickle
@@ -788,9 +789,15 @@ class TestAgainstSeriesProducts:
             w, n1, n2, q_order)
 
 
+@lru_cache(maxsize=None)
 def _patterns_of_length(k):
-    """Any pattern of length k."""
-    return st.lists(st.integers(0, 1), min_size=k, max_size=k).map(tuple)
+    """Any pattern of length k, read off the bits of one drawn integer.
+
+    One draw per pattern, not one per bit, and one strategy per k: drawing
+    dominates the time of the tests that use it.
+    """
+    return st.integers(0, (1 << k) - 1).map(
+        lambda v: tuple(v >> i & 1 for i in range(k)))
 
 
 @st.composite
@@ -817,20 +824,63 @@ def template_sides(draw):
     Both lists draw from a pool of a few templates, so they often hold the
     same templates in another order.  Half the time the left list also
     gains a cancelling pair, t (1 - q^{N_{2,j}}) and t q^{N_{2,j}}, and the
-    right list gains t, their sum.
+    right list gains t, their sum, for a t of the pool with no `extra`
+    factor and no one at N_{2,j}: both are `_summand` templates again.
     """
     N, *first = draw(single_summands())
+    k = N.k
     pool = [fermionic._summand(*first)] + [
         fermionic._summand(*args)
-        for args in draw(st.lists(summand_args(N.k), max_size=3))]
+        for args in draw(st.lists(summand_args(k), max_size=3))]
     lhs = draw(st.lists(st.sampled_from(pool), max_size=6))
     rhs = draw(st.lists(st.sampled_from(pool), max_size=6))
     if draw(st.booleans()):
         ones, slots = draw(st.sampled_from(pool))
-        j = draw(st.integers(1, N.k))
-        lhs += [(ones, slots + (2 * N.k + j - 1,)), (ones + (N.k + j - 1,), slots)]
-        rhs += [(ones, slots)]
+        j = draw(st.integers(1, k))
+        if k + j - 1 not in ones and max(slots, default=0) < 2 * k:
+            lhs += [(ones, slots + (2 * k + j - 1,)),
+                    (tuple(sorted(ones + (k + j - 1,))), slots)]
+            rhs += [(ones, slots)]
     return N, lhs, rhs
+
+
+def gap_polynomial(side, k):
+    """The sum of the templates of `side` as packed gap polynomials, and the width."""
+    width, entries, factors = fermionic._gap_vectors(k)
+    total = {}
+    for template in side:
+        for x, c in fermionic._gap_polynomial(template, entries, factors).items():
+            total[x] = total.get(x, 0) + c
+    return {x: c for x, c in total.items() if c}, width
+
+
+def at_gaps(side, N, q_order):
+    """`side` through its gap polynomial, at the gaps of N."""
+    poly, width = gap_polynomial(side, N.k)
+    return fermionic._at_gaps(poly, N.factors[:2 * N.k], width, q_order)
+
+
+def gap_vector_terms(template, k):
+    """The terms of a template over unpacked gap vectors, expanded by subsets.
+
+    Written from the definitions of N.entries and N.factors over the gaps
+    g_s = N.factors[s], s < 2k, not from `_gap_vectors`.
+    """
+    def entry(i):  # N_{1,i+1} for i < k, N_{2,i-k+1} after
+        span = range(i, k) if i < k else range(k, i + 1)
+        return [int(s in span) for s in range(2 * k)]
+
+    def factor(s):
+        return [int(s == t) for t in range(2 * k)] if s < 2 * k else entry(s - k)
+
+    ones, slots = template
+    base = [sum(col) for col in zip([0] * (2 * k), *map(entry, ones))]
+    terms = {}
+    for r in range(len(slots) + 1):
+        for chosen in itertools.combinations(slots, r):
+            vec = tuple(sum(col) for col in zip(base, *map(factor, chosen)))
+            terms[vec] = terms.get(vec, 0) + (-1) ** r
+    return {vec: c for vec, c in terms.items() if c}
 
 
 ZERO3 = (0, 0, 0)
@@ -865,16 +915,18 @@ class TestEvaluator:
 
 
 class TestPackedEvaluation:
-    """`_pack` and `_unpack` against `_evaluate`, at the width the battery uses."""
+    """Gap polynomials (`_gap_polynomial`) at N's gaps against `_evaluate`.
+
+    A template's polynomial in x_s = q^{g_s}, its exponent vectors packed
+    into ints by `_gap_vectors`, read at the gaps of N by `_at_gaps`.
+    """
 
     ZERO_GAPS = TestAgainstSeriesProducts.ZERO_GAPS[1]
     SPREAD = TestEvaluator.SPREAD
 
-    @staticmethod
-    def packed(side, N, width):
-        return sum(fermionic._pack(side, N, width))
-
-    @settings(max_examples=300, deadline=None)
+    # drawing takes most of its time; every template the battery reads is
+    # checked below at fixed instances instead
+    @settings(max_examples=100, deadline=None)
     @given(template_sides(), orders)
     # q^{N_{1,1}} (1 - q^{N_{2,2}}) + q^{N_{1,1} + N_{2,2}} = q^{N_{1,1}}, with
     # a summand that a zero gap drops, then cut at order -1, then unequal
@@ -884,27 +936,75 @@ class TestPackedEvaluation:
     @example((SPREAD, [((0,), (5,))], [((0,), ())]), 40)
     def test_sides_agree_with_evaluate(self, sides, q_order):
         N, lhs, rhs = sides
-        width = fermionic._pack_width([lhs, rhs])
-        left, right = (self.packed(side, N, width) for side in (lhs, rhs))
-        # POLY_ORDER lies above every exponent these small entries reach
-        assert (left == right) == (fermionic._evaluate(lhs, N, POLY_ORDER)
-                                   == fermionic._evaluate(rhs, N, POLY_ORDER))
-        for packed, side in ((left, lhs), (right, rhs)):
-            assert fermionic._unpack(packed, width, q_order) == fermionic._evaluate(
-                side, N, q_order)
+        left, right = (gap_polynomial(side, N.k)[0] for side in (lhs, rhs))
+        # equal polynomials agree at N; POLY_ORDER lies above every exponent
+        # these small entries reach
+        if left == right:
+            assert fermionic._evaluate(lhs, N, POLY_ORDER) == fermionic._evaluate(
+                rhs, N, POLY_ORDER)
+        for side in (lhs, rhs):
+            assert at_gaps(side, N, q_order) == fermionic._evaluate(side, N, q_order)
 
     @pytest.mark.parametrize("copies", [1, 2, 3, 4, 7, 8, 9, 255, 256])
     def test_side_at_the_bound(self, copies):
-        # a template that fires no factor, repeated: its one coefficient
-        # equals the side's sum of 2^|slots|, the bound that sets the width
-        template = fermionic._summand((1, 0, 1), (0, 1, 0), 1, ZERO3)
-        assert template[1] == ()
+        # all of axis 2 at `ones`, the gap g_{2,1} fired and N_{2,1} as the
+        # extra factor: x_{k} reaches k + 2, the largest coordinate the
+        # width must hold, in a term of coefficient +1, repeated
+        template = fermionic._summand(ZERO3, ONES3, 2, ZERO3, extra=1, edge=1)
+        assert template == ((3, 4, 5), (3, 6))
         side = [template] * copies
-        width = fermionic._pack_width([side])
-        expected = QSeries({9 + 1 + 3: copies}, 40)
-        assert fermionic._evaluate(side, self.SPREAD, 40) == expected
-        assert fermionic._unpack(self.packed(side, self.SPREAD, width),
-                                 width, 40) == expected
+        poly, width = gap_polynomial(side, 3)
+        top = max(poly, key=lambda x: x >> width * 3 & (1 << width) - 1)
+        assert top >> width * 3 & (1 << width) - 1 == 3 + 2
+        assert poly[top] == copies
+        for q_order in (40, 200):
+            assert at_gaps(side, self.SPREAD, q_order) == fermionic._evaluate(
+                side, self.SPREAD, q_order)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_battery_templates_at_sampled_N(self, k):
+        # every template the battery reads, at instances with zero gaps and
+        # spread ones; from k = 3 on, the star and n terms read the `extra` slot
+        templates = {t for _, _, lhs, rhs in fermionic._battery_sides(k)
+                     for t in (*lhs, *rhs)}
+        assert any(max(slots, default=0) >= 2 * k
+                   for _, slots in templates) == (k >= 3)
+        for N in nsequence_battery(k, count=3, seed=k):
+            for template in templates:
+                assert at_gaps([template], N, POLY_ORDER) == fermionic._evaluate(
+                    [template], N, POLY_ORDER), (N, template)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_packed_vectors_are_the_gap_vectors(self, k):
+        # the packed ints decode to the terms expanded over unpacked
+        # vectors, and no coordinate passes k + 2, so no field carries
+        width, entries, factors = fermionic._gap_vectors(k)
+        mask = (1 << width) - 1
+        assert k + 2 <= mask
+        templates = {t for _, _, lhs, rhs in fermionic._battery_sides(k)
+                     for t in (*lhs, *rhs)}
+        for template in templates:
+            expected = gap_vector_terms(template, k)
+            assert max(map(max, expected)) <= k + 2
+            packed = fermionic._gap_polynomial(template, entries, factors)
+            assert {tuple(x >> width * s & mask for s in range(2 * k)): c
+                    for x, c in packed.items()} == expected, template
+
+    def test_battery_calls_neither_expand_nor_evaluate(self, monkeypatch):
+        # the battery's polynomials share no evaluator with the closed
+        # formula, on the passing path and on the path that reports
+        def forbidden(*args):
+            raise AssertionError("the battery evaluated a template on N")
+
+        monkeypatch.setattr(fermionic, "_expand", forbidden)
+        monkeypatch.setattr(fermionic, "_evaluate", forbidden)
+        assert fermionic.identity_battery(3).ok
+        fermionic._plan.cache_clear()
+        monkeypatch.setattr(fermionic, "flip_last", flip_first)
+        try:
+            assert not fermionic.identity_battery(2).ok
+        finally:
+            fermionic._plan.cache_clear()
 
 
 class TestBatterySides:
@@ -922,6 +1022,38 @@ class TestBatterySides:
                 top = (sum(N.entries[i] for i in ones)
                        + sum(N.factors[s] for s in slots))
                 assert top <= q_order, (N, ones, slots)
+
+    # sha256 of repr(_battery_sides(k)) when each comparable pair built its
+    # own patterns and delta templates
+    SIDES_SHA256 = {
+        1: "1c8841da1a9cd4b6991ea6701f5957abb7ae422e3f76a2e44a4bb0b5b2b48001",
+        2: "c7d3d69e3ccd636b6a576168c70ea0e73be5b3950c5cca9387be0026fa3a3da3",
+        3: "132f824c9c98ab4d429adeb2532b5ac446883917807372d8b8613381ff229df9",
+        4: "dca9ae0aad1ba56fd7436436934ffdbe35c550bf95940110e01df6657f0d5efa",
+        5: "536eac1c025a978b438d10f48c581b13761595ea806166b9038d908d57386bf2",
+    }
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_sides_equal_the_per_pair_construction(self, k):
+        # the prefix-sum sides as each pair (p, p2) built them, then the
+        # whole list, in check order, against its recorded digest
+        zero = (0,) * k
+        expected = []
+        for i in range(k + 1):
+            for p in patterns(k, i):
+                expected += [
+                    ("prefix-sum-expansion-axis1", {"p": p},
+                     [fermionic._summand(p, zero, 1, zero)],
+                     [fermionic._summand(p2, zero, 1, p2)
+                      for p2 in patterns(k, i) if pattern_le(p2, p)]),
+                    ("prefix-sum-expansion-axis2", {"p": p},
+                     [fermionic._summand(zero, p, 2, zero)],
+                     [fermionic._summand(zero, p2, 2, p2)
+                      for p2 in patterns(k, i) if pattern_le(p, p2)])]
+        sides = fermionic._battery_sides(k)
+        assert sides[:len(expected)] == expected
+        digest = hashlib.sha256(repr(sides).encode()).hexdigest()
+        assert digest == self.SIDES_SHA256[k]
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_two_forms_repeat_the_axis_interchange(self, k):

@@ -290,6 +290,23 @@ OUT_OF_ORDER = {
 }
 
 
+def budgeted(visit, q_order, d):
+    """visit, failing on the call past the (q_order + 2)^d vectors of the box.
+
+    Every vector the walk may visit lies in the box that `check` scans, so a
+    walk that never stops fails the test here instead of stalling it.
+    """
+    left = (max(q_order, 0) + 2) ** d
+
+    def counted(*args):
+        nonlocal left
+        left -= 1
+        assert left >= 0, "the walk visited more vectors than its box holds"
+        visit(*args)
+
+    return counted
+
+
 class TestIndexWalk:
     """`index_walk` against every vector of a box that holds its window."""
 
@@ -311,8 +328,8 @@ class TestIndexWalk:
         visits = []
         for run in (index_walk, reference_walk):
             seen = []
-            run(*walk, lambda m, n, expo, key: seen.append(
-                (tuple(m), tuple(n), expo, key)))
+            run(*walk, budgeted(lambda m, n, expo, key: seen.append(
+                (tuple(m), tuple(n), expo, key)), walk[-1], len(walk[1])))
             visits.append(seen)
         assert visits[0] == visits[1]
 
@@ -334,7 +351,7 @@ class TestIndexWalk:
             assert key == tuple(sorted(x for x in m if x))
             seen.append((tuple(m), tuple(n), expo))
 
-        index_walk(matrix, steps, sizes, caps, q_order, visit)
+        index_walk(matrix, steps, sizes, caps, q_order, budgeted(visit, q_order, d))
         # t units of one entry cost at least t(t - 1)/2 > q_order for
         # t = q_order + 2, so the box holds every vector within the bounds
         expected = {}
